@@ -15,8 +15,8 @@
 //! ([`is_plausible_any_io`]). At scale that search runs as
 //! [`plausibility_sweep_any_io`] / [`plausibility_sweep_any_io_sharded`]:
 //! one encoding, a lazily enumerated interpretation orbit pruned by
-//! canonical candidate signatures (pin symmetries collapse whole
-//! interpretation classes to one query), and the surviving queries
+//! packed function keys (pin symmetries collapse whole interpretation
+//! classes to one query), and the surviving queries
 //! striped over cloned solvers — with verdicts and witness
 //! interpretations bit-identical for every shard count. The orbit is the
 //! permutation group `n_in!·n_out!` by default and the full NPN group
@@ -58,9 +58,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod keys;
 pub mod screen;
 pub mod session;
 
+use keys::{KeyLayout, KeyTable};
 pub use screen::{CamoScreen, ConfigScreen, DEFAULT_SCREEN_VECTORS};
 use screen::{OrbitScreenScratch, ScreenOutcome};
 pub use session::{AnyIoJob, AnyIoProgress, SweepSession};
@@ -68,7 +70,6 @@ pub use session::{AnyIoJob, AnyIoProgress, SweepSession};
 pub use mvf_obfuscate::{ObfuscationSpace, SchemeKind};
 pub use mvf_sat::SimplifyStats;
 
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -142,8 +143,8 @@ pub fn is_plausible(
 ///
 /// This is the single-candidate form of [`plausibility_sweep_any_io`]:
 /// one encoding, a lazily enumerated `(in_perm, out_perm)` orbit pruned
-/// by canonical candidate signatures, and incremental SAT calls for the
-/// surviving representatives.
+/// by packed function keys, and incremental SAT calls for the surviving
+/// representatives.
 ///
 /// # Panics
 ///
@@ -169,9 +170,9 @@ pub struct AnyIoOptions {
     /// hardware parallelism; `<= 1` runs serially. Verdicts and witness
     /// permutations are bit-identical for every value.
     pub shards: usize,
-    /// Prunes the orbit with canonical candidate signatures: two
-    /// permutation pairs yielding the same permuted truth-table vector
-    /// are queried once (the first pair in enumeration order represents
+    /// Prunes the orbit by transformed function: two interpretations
+    /// yielding the same transformed function (equal packed truth-table
+    /// keys) are queried once (the first pair in enumeration order represents
     /// the whole class, so a refutation of the representative refutes
     /// every member). Never changes a verdict or a witness; `false` is
     /// the brute-force baseline for tests and benches.
@@ -245,7 +246,7 @@ pub struct AnyIoVerdict {
     /// Size of the full interpretation orbit: `n_in!·n_out!`, or
     /// `n_in!·2^n_in·n_out!·2^n_out` under [`AnyIoOptions::npn`].
     pub orbit: usize,
-    /// Orbit representatives after signature pruning — the queries a
+    /// Orbit representatives after pruning — the queries a
     /// full refutation needs. Equals `orbit` when pruning is off or the
     /// candidate has no pin symmetries.
     pub unique: usize,
@@ -272,9 +273,13 @@ pub struct AnyIoVerdict {
     pub class_size: usize,
 }
 
-/// The orbit size — `n_in!·n_out!`, times `2^n_in·2^n_out` under NPN —
-/// when it fits the sweep's `u32` orbit indices, `None` otherwise.
-fn checked_orbit(n_in: usize, n_out: usize, npn: bool) -> Option<u64> {
+/// The interpretation-orbit size of an `n_in → n_out` function — the
+/// permutation group's `n_in!·n_out!`, times `2^n_in·2^n_out` with
+/// `npn` — when it fits the sweeps' `u32` orbit indices, `None`
+/// otherwise. Every any-IO sweep and job refuses (panics on) a shape
+/// for which this is `None`; services check it up front to turn such
+/// workloads away.
+pub fn checked_orbit(n_in: usize, n_out: usize, npn: bool) -> Option<u64> {
     let factorial = |n: usize| (1..=n as u64).try_fold(1u64, u64::checked_mul);
     let negations = if npn {
         1u64.checked_shl(n_in as u32 + n_out as u32)?
@@ -288,24 +293,25 @@ fn checked_orbit(n_in: usize, n_out: usize, npn: bool) -> Option<u64> {
 }
 
 /// Enumerates the candidate's interpretation orbit lazily and calls
-/// `visit` with every point's flat index and lookup-table signature, in
-/// index order. Returns the full orbit size.
+/// `visit` with every point's flat index and packed function key
+/// ([`KeyLayout`]), in index order.
 ///
 /// The enumeration nests input permutation (major) → input negation →
-/// output permutation → input-permuted scratch copy → output negation,
-/// with both negation layers in Gray-code order: each polarity step is a
-/// single in-place `flip_var`/complement on the working function, never a
-/// rebuild. Input-negation steps flip variable `ip[v]` of the *permuted*
-/// working copy — negating before permuting equals permuting first and
-/// flipping the permuted wire. With `npn == false` both negation layers
-/// degenerate to the single empty mask and the indices coincide with the
+/// output permutation → output negation, with both negation layers in
+/// Gray-code order, so every step is a small in-place edit. Input
+/// negation flips variable `ip[v]` of the input-permuted working copy
+/// (negating before permuting equals permuting first and flipping the
+/// permuted wire); an output permutation packs that copy's tables at
+/// their permuted key positions; an output negation complements one
+/// packed output. With `npn == false` both negation layers degenerate
+/// to the single empty mask and the indices coincide with the
 /// historical `ip_rank·n_out! + op_rank` layout.
-fn walk_orbit(candidate: &VectorFunction, npn: bool, mut visit: impl FnMut(u32, &[u16])) -> usize {
+fn walk_orbit(candidate: &VectorFunction, npn: bool, mut visit: impl FnMut(u32, &[u64])) {
     let n_in = candidate.n_inputs();
     let n_out = candidate.n_outputs();
-    let mut sig: Vec<u16> = Vec::with_capacity(1 << n_in);
+    let layout = KeyLayout::new(n_in, n_out);
+    let mut key = vec![0u64; layout.width()];
     let mut permuted_in = VectorFunction::new(0, Vec::new());
-    let mut permuted = VectorFunction::new(0, Vec::new());
     let mut index = 0u32;
     let mut in_perms = Permutations::new(n_in);
     let mut in_negs = NegationMasks::new(if npn { n_in } else { 0 });
@@ -322,43 +328,21 @@ fn walk_orbit(candidate: &VectorFunction, npn: bool, mut visit: impl FnMut(u32, 
             }
             out_perms.reset();
             while let Some(op) = out_perms.next() {
-                permuted_in
-                    .permute_outputs_into(op, &mut permuted)
-                    .expect("orbit permutation is valid");
+                key.fill(0);
+                for (t, &o) in permuted_in.outputs().iter().zip(op) {
+                    layout.place(o, t.words(), 0, &mut key);
+                }
                 out_negs.reset();
                 while let Some((_, out_flip)) = out_negs.next() {
                     if let Some(o) = out_flip {
-                        permuted.negate_output_assign(o);
+                        layout.flip_output(o, &mut key);
                     }
-                    sig.clear();
-                    sig.extend((0..1usize << n_in).map(|m| permuted.eval(m)));
-                    visit(index, &sig);
+                    visit(index, &key);
                     index += 1;
                 }
             }
         }
     }
-    index as usize
-}
-
-/// One representative (as a bare flat orbit index) per distinct
-/// transformed function, in enumeration order, plus the full orbit size.
-#[cfg(test)]
-fn orbit_representatives(candidate: &VectorFunction, prune: bool, npn: bool) -> (Vec<u32>, usize) {
-    if !prune {
-        let orbit = checked_orbit(candidate.n_inputs(), candidate.n_outputs(), npn)
-            .expect("orbit checked by caller") as usize;
-        return ((0..orbit as u32).collect(), orbit);
-    }
-    let mut reps = Vec::new();
-    let mut seen: HashSet<Vec<u16>> = HashSet::new();
-    let orbit = walk_orbit(candidate, npn, |index, sig| {
-        if !seen.contains(sig) {
-            seen.insert(sig.to_vec());
-            reps.push(index);
-        }
-    });
-    (reps, orbit)
 }
 
 /// Lexicographic permutation unranking (factorial number system): rank 0
@@ -542,10 +526,10 @@ fn any_io_stripe(
 /// interpretation, with the witness permutation when one exists.
 ///
 /// The netlist is encoded **once**; each candidate's `(in_perm,
-/// out_perm)` orbit is enumerated lazily and pruned by canonical
-/// candidate signatures (permutation pairs that produce the same
-/// permuted truth-table vector collapse to one query, so a refuted
-/// representative rules out its entire class). The serial entry point —
+/// out_perm)` orbit is enumerated lazily and pruned by packed function
+/// keys (permutation pairs that produce the same transformed function
+/// collapse to one query, so a refuted representative rules out its
+/// entire class). The serial entry point —
 /// see [`plausibility_sweep_any_io_sharded`] for the striped parallel
 /// form, which is bit-identical.
 ///
@@ -686,11 +670,18 @@ pub(crate) struct AnyIoPlan {
     pub(crate) class_sizes: Vec<usize>,
 }
 
+/// The key table of one interpretation class: entry `e` is uid
+/// `base + e`.
+struct ClassKeys {
+    base: u32,
+    keys: KeyTable,
+}
+
 pub(crate) fn plan_any_io(
     nl: &Netlist,
     candidates: &[VectorFunction],
     opts: &AnyIoOptions,
-    screen: Option<&CamoScreen>,
+    screen: Option<&ConfigScreen>,
 ) -> AnyIoPlan {
     let n_in = nl.inputs().len();
     let n_out = nl.outputs().len();
@@ -698,112 +689,131 @@ pub(crate) fn plan_any_io(
     // The only structural requirement is that flat orbit indices fit the
     // u32 bookkeeping; asymmetric arities (e.g. 7-in/2-out, orbit
     // 10,080) stay exhaustive-search territory exactly as before.
-    assert!(
-        checked_orbit(n_in, n_out, npn).is_some(),
-        "interpretation-freedom orbit of {n_in} inputs, {n_out} outputs (npn: {npn}) \
-         exceeds the supported size"
-    );
+    let orbit = checked_orbit(n_in, n_out, npn).unwrap_or_else(|| {
+        panic!(
+            "interpretation-freedom orbit of {n_in} inputs, {n_out} outputs (npn: {npn}) \
+             exceeds the supported size"
+        )
+    }) as usize;
     for candidate in candidates {
         assert_eq!(candidate.n_inputs(), n_in, "input arity mismatch");
         assert_eq!(candidate.n_outputs(), n_out, "output arity mismatch");
     }
-    // Class sharing rides on the signature walk of the pruner; without
-    // pruning every point is its own representative and there is nothing
-    // to share.
+    // Class sharing rides on the pruner's keys; without pruning every
+    // point is its own representative and there is nothing to share.
     let share = opts.class_share && opts.prune;
-    // Representative lists are pure CPU (truth-table transforms), so
-    // they are built serially up front — which also makes them, and
-    // everything derived from them, deterministic by construction.
+    // Everything here is pure CPU (truth-table transforms), built
+    // serially up front — which also makes it, and everything derived
+    // from it, deterministic by construction.
     //
-    // `sig_to_uid` assigns one dense id per distinct transformed
-    // function. With class sharing it spans the whole batch: two
-    // candidates in the same interpretation class walk the same set of
-    // orbit functions, so a later class member resolves every one of its
-    // representatives to an already-known uid and the screen/SAT caches
-    // keyed by uid do its work for free. Without sharing the map is
-    // reset per candidate (uid numbering continues, so caches can never
-    // hit across candidates) and the sweep degenerates to the historical
-    // per-candidate behavior.
-    let mut sig_to_uid: HashMap<Vec<u16>, u32> = HashMap::new();
-    let mut uid_class: Vec<u32> = Vec::new();
-    let mut n_classes = 0u32;
-    let mut all_reps: Vec<Vec<(u32, u32)>> = Vec::with_capacity(candidates.len());
-    let mut orbits = Vec::with_capacity(candidates.len());
+    // Every distinct transformed function gets one dense uid, in
+    // first-appearance order. Group orbits are equal or disjoint, so
+    // each class owns one key table: its first member's walk mints the
+    // uids of the whole orbit (from `base`, a representative is exactly
+    // a newly inserted key), and with class sharing a later member — one
+    // whose own function is already in a class table — walks the same
+    // functions, resolving every representative to a known uid so the
+    // screen/SAT caches keyed by uid do its work for free. Without
+    // sharing every candidate opens a class of its own and the previous
+    // table is dropped, so caches can never hit across candidates.
+    let layout = KeyLayout::new(n_in, n_out);
+    let mut class_keys: Vec<ClassKeys> = Vec::new();
+    let mut key = vec![0u64; layout.width()];
+    let mut n_uids = 0u32;
+    let mut n_classes = 0usize;
+    // Under sharing, the class entries a joining member has already met
+    // (a bitset) and every uid's screen outcome.
+    let mut met: Vec<u64> = Vec::new();
+    let mut uid_screen: Vec<Option<ScreenOutcome>> = Vec::new();
+    let mut reps: Vec<(u32, u32)> = Vec::new();
+    let mut scratch = OrbitScreenScratch::new();
+    let (mut unrank_tmp, mut ip, mut op) = (Vec::new(), Vec::new(), Vec::new());
+    let mut work: Vec<(u32, u32, u32)> = Vec::new();
+    let mut screened = vec![0usize; candidates.len()];
+    let mut best_init = vec![usize::MAX; candidates.len()];
+    let mut uniques = Vec::with_capacity(candidates.len());
     let mut classes = Vec::with_capacity(candidates.len());
-    for candidate in candidates {
-        if !share {
-            sig_to_uid.clear();
-        }
-        // A candidate joins an existing class iff its identity signature
-        // already appears among earlier candidates' orbit functions
-        // (group orbits are equal or disjoint, so one point decides).
-        let class = match sig_to_uid.get(&candidate.to_lookup_table()) {
-            Some(&uid) if share => uid_class[uid as usize],
-            _ => {
-                let k = n_classes;
-                n_classes += 1;
-                k
-            }
-        };
-        classes.push(class as usize);
-        let mut reps: Vec<(u32, u32)> = Vec::new();
-        let orbit = if opts.prune {
-            let mut local_seen: HashSet<u32> = HashSet::new();
-            walk_orbit(candidate, npn, |index, sig| {
-                let uid = match sig_to_uid.get(sig) {
-                    Some(&uid) => uid,
-                    None => {
-                        let uid = uid_class.len() as u32;
-                        sig_to_uid.insert(sig.to_vec(), uid);
-                        uid_class.push(class);
-                        uid
-                    }
-                };
-                if local_seen.insert(uid) {
-                    reps.push((index, uid));
-                }
-            })
+    for (c, candidate) in candidates.iter().enumerate() {
+        layout.pack(candidate, &mut key);
+        let joined = if share {
+            class_keys.iter().position(|k| k.keys.get(&key).is_some())
         } else {
+            None
+        };
+        classes.push(joined.unwrap_or(n_classes));
+        if joined.is_none() {
+            n_classes += 1;
+            if !share {
+                class_keys.clear();
+            }
+            class_keys.push(ClassKeys {
+                base: n_uids,
+                keys: KeyTable::new(layout.width()),
+            });
+        }
+        let slot = joined.unwrap_or(class_keys.len() - 1);
+        let ClassKeys { base, keys } = &mut class_keys[slot];
+        let base = *base;
+        reps.clear();
+        if !opts.prune {
             // Brute force keeps every orbit point as its own fresh uid;
             // no need to materialize the transformed functions just to
             // discard them.
-            let orbit = checked_orbit(n_in, n_out, npn).expect("orbit checked above") as usize;
-            reps.reserve(orbit);
-            for index in 0..orbit as u32 {
-                let uid = uid_class.len() as u32;
-                uid_class.push(class);
-                reps.push((index, uid));
-            }
-            orbit
+            reps.extend((0..orbit as u32).map(|index| (index, base + index)));
+            n_uids += orbit as u32;
+        } else if joined.is_some() {
+            met.clear();
+            met.resize(keys.len().div_ceil(64), 0);
+            walk_orbit(candidate, npn, |index, key| {
+                let entry = keys.get(key).expect("class members walk one orbit");
+                let (word, bit) = (entry as usize / 64, 1u64 << (entry % 64));
+                if met[word] & bit == 0 {
+                    met[word] |= bit;
+                    reps.push((index, base + entry));
+                }
+            });
+        } else {
+            // Past 2^20 keys the table grows on demand rather than
+            // reserving for an orbit that may be mostly duplicates.
+            keys.reserve(orbit.min(1 << 20));
+            walk_orbit(candidate, npn, |index, key| {
+                let (entry, fresh) = keys.insert(key);
+                if fresh {
+                    reps.push((index, base + entry));
+                }
+            });
+            n_uids = base + keys.len() as u32;
+        }
+        uniques.push(reps.len());
+        // The SAT-free screen runs serially up front, right after the
+        // walk, so `screened` counts — and the surviving work list — are
+        // identical for every shard count. Under sharing, outcomes are
+        // cached per uid: a classification is a property of the
+        // transformed function alone, so a class member inherits its
+        // owner's refutations (and confirmations) without a fresh pass,
+        // and only fresh classifications count toward `screened`.
+        let Some(screen) = screen else {
+            work.extend(reps.iter().map(|&(index, uid)| (c as u32, index, uid)));
+            continue;
         };
-        orbits.push(orbit);
-        all_reps.push(reps);
-    }
-    let mut class_counts = vec![0usize; n_classes as usize];
-    for &k in &classes {
-        class_counts[k] += 1;
-    }
-    let class_sizes: Vec<usize> = classes.iter().map(|&k| class_counts[k]).collect();
-    let n_uids = uid_class.len();
-    // The SAT-free screen runs serially up front, so `screened` counts —
-    // and the surviving work list — are identical for every shard count.
-    // Screen outcomes are cached per uid: a classification is a property
-    // of the transformed function alone, so a class member inherits its
-    // owner's refutations (and confirmations) without a fresh pass, and
-    // only fresh classifications count toward `screened`.
-    let mut screened = vec![0usize; candidates.len()];
-    let mut best_init = vec![usize::MAX; candidates.len()];
-    let work: Vec<(u32, u32, u32)> = if let Some(screen) = screen {
-        let mut uid_screen: Vec<Option<ScreenOutcome>> = vec![None; n_uids];
-        let mut scratch = OrbitScreenScratch::new();
-        let (mut unrank_tmp, mut ip, mut op) = (Vec::new(), Vec::new(), Vec::new());
-        let mut work = Vec::new();
-        for (c, reps) in all_reps.iter().enumerate() {
-            scratch.reset();
-            for &(index, uid) in reps {
-                let outcome = match uid_screen[uid as usize] {
-                    Some(cached) => cached,
-                    None => {
+        if share {
+            uid_screen.resize(n_uids as usize, None);
+        }
+        scratch.reset();
+        for &(index, uid) in &reps {
+            let cached = if share {
+                uid_screen[uid as usize]
+            } else {
+                None
+            };
+            let outcome = match cached {
+                Some(cached) => cached,
+                None => {
+                    let outcome = if opts.prune && screen.is_complete() {
+                        // Exact screening compares whole functions, and
+                        // the walk already keyed this one.
+                        screen.classify_key(keys.key(uid - base))
+                    } else {
                         let (in_neg, out_neg) = unrank_orbit_index(
                             index,
                             n_in,
@@ -813,54 +823,54 @@ pub(crate) fn plan_any_io(
                             &mut ip,
                             &mut op,
                         );
-                        let outcome = screen.classify_orbit(
-                            &candidates[c],
+                        screen.classify_orbit(
+                            candidate,
                             u64::from(index) / ip_period(n_in, n_out, npn),
                             &ip,
                             in_neg,
                             &op,
                             out_neg,
                             &mut scratch,
-                        );
+                        )
+                    };
+                    if share {
                         uid_screen[uid as usize] = Some(outcome);
-                        if outcome != ScreenOutcome::Unknown {
-                            screened[c] += 1;
-                        }
-                        outcome
                     }
-                };
-                match outcome {
-                    ScreenOutcome::Refuted => {}
-                    ScreenOutcome::Confirmed => {
-                        // Complete regime: every smaller representative
-                        // was exactly refuted, so this index is the
-                        // orbit-minimal witness — done with zero queries.
-                        best_init[c] = index as usize;
-                        break;
+                    if outcome != ScreenOutcome::Unknown {
+                        screened[c] += 1;
                     }
-                    ScreenOutcome::Unknown => work.push((c as u32, index, uid)),
+                    outcome
                 }
+            };
+            match outcome {
+                ScreenOutcome::Refuted => {}
+                ScreenOutcome::Confirmed => {
+                    // Complete regime: every smaller representative was
+                    // exactly refuted, so this index is the orbit-minimal
+                    // witness — done with zero queries.
+                    best_init[c] = index as usize;
+                    break;
+                }
+                ScreenOutcome::Unknown => work.push((c as u32, index, uid)),
             }
         }
-        work
-    } else {
-        all_reps
-            .iter()
-            .enumerate()
-            .flat_map(|(c, reps)| reps.iter().map(move |&(index, uid)| (c as u32, index, uid)))
-            .collect()
-    };
+    }
+    let mut class_counts = vec![0usize; n_classes];
+    for &k in &classes {
+        class_counts[k] += 1;
+    }
+    let class_sizes: Vec<usize> = classes.iter().map(|&k| class_counts[k]).collect();
     AnyIoPlan {
         n_in,
         n_out,
         npn,
         work,
-        n_uids,
+        n_uids: n_uids as usize,
         shared: share,
         best_init,
         screened,
-        orbits,
-        uniques: all_reps.iter().map(Vec::len).collect(),
+        orbits: vec![orbit; candidates.len()],
+        uniques,
         classes,
         class_sizes,
     }
@@ -1434,6 +1444,177 @@ mod tests {
         }
     }
 
+    /// A netlist of the given shape for planning without a screen: the
+    /// plan reads only the interface widths.
+    fn shape_netlist(n_in: usize, n_out: usize) -> Netlist {
+        let mut nl = Netlist::new("shape".to_string());
+        let ins: Vec<_> = (0..n_in).map(|i| nl.add_input(format!("x{i}"))).collect();
+        for o in 0..n_out {
+            nl.add_output(format!("y{o}"), ins[o % n_in]);
+        }
+        nl
+    }
+
+    /// Every orbit point of `f` in flat-index order as a lookup table,
+    /// materialized through the public [`IoInterpretation::apply`] in the
+    /// documented mixed-radix layout
+    /// `((ip·2^n_in + ig)·n_out! + op)·2^n_out + og`, with Gray-coded
+    /// negation positions.
+    fn orbit_tables(f: &VectorFunction, npn: bool) -> Vec<Vec<u16>> {
+        use mvf_logic::npn::{all_permutations, gray_code};
+        let negations = |n: usize| if npn { 1u64 << n } else { 1 };
+        let mut tables = Vec::new();
+        for in_perm in all_permutations(f.n_inputs()) {
+            for ig in 0..negations(f.n_inputs()) {
+                for out_perm in all_permutations(f.n_outputs()) {
+                    for og in 0..negations(f.n_outputs()) {
+                        let interp = IoInterpretation {
+                            in_perm: in_perm.clone(),
+                            in_neg: gray_code(ig) as u32,
+                            out_perm: out_perm.clone(),
+                            out_neg: gray_code(og) as u32,
+                        };
+                        tables.push(interp.apply(f).unwrap().to_lookup_table());
+                    }
+                }
+            }
+        }
+        tables
+    }
+
+    /// Everything a plan emits, in comparable form.
+    #[derive(Debug, PartialEq, Eq, Default)]
+    struct PlanSummary {
+        work: Vec<(u32, u32, u32)>,
+        n_uids: usize,
+        best_init: Vec<usize>,
+        screened: Vec<usize>,
+        orbits: Vec<usize>,
+        uniques: Vec<usize>,
+        classes: Vec<usize>,
+        class_sizes: Vec<usize>,
+    }
+
+    fn summary(plan: &AnyIoPlan) -> PlanSummary {
+        PlanSummary {
+            work: plan.work.clone(),
+            n_uids: plan.n_uids,
+            best_init: plan.best_init.clone(),
+            screened: plan.screened.clone(),
+            orbits: plan.orbits.clone(),
+            uniques: plan.uniques.clone(),
+            classes: plan.classes.clone(),
+            class_sizes: plan.class_sizes.clone(),
+        }
+    }
+
+    /// The brute-force twin of [`plan_any_io`]: uids from a `BTreeMap`
+    /// over whole lookup tables in first-appearance order, screen
+    /// outcomes from [`ConfigScreen::survivors`] (memoized per table in
+    /// `survives`, which must belong to `screen`).
+    fn oracle_plan(
+        candidates: &[VectorFunction],
+        orbits: &[Vec<Vec<u16>>],
+        opts: &AnyIoOptions,
+        screen: Option<&ConfigScreen>,
+        survives: &mut std::collections::BTreeMap<Vec<u16>, bool>,
+    ) -> PlanSummary {
+        use std::collections::{BTreeMap, BTreeSet};
+        let share = opts.class_share && opts.prune;
+        let (n_in, n_out) = (candidates[0].n_inputs(), candidates[0].n_outputs());
+        let mut uid_of: BTreeMap<&[u16], u32> = BTreeMap::new();
+        let mut uid_class: Vec<usize> = Vec::new();
+        let mut outcome_of: BTreeMap<u32, ScreenOutcome> = BTreeMap::new();
+        let mut n_classes = 0;
+        let mut out = PlanSummary::default();
+        for (c, (f, tables)) in candidates.iter().zip(orbits).enumerate() {
+            if !share {
+                uid_of.clear();
+            }
+            let class = match uid_of.get(f.to_lookup_table().as_slice()) {
+                Some(&uid) if share => uid_class[uid as usize],
+                _ => {
+                    n_classes += 1;
+                    n_classes - 1
+                }
+            };
+            let mut met = BTreeSet::new();
+            let mut reps = Vec::new();
+            for (index, table) in tables.iter().enumerate() {
+                let mut mint = || {
+                    uid_class.push(class);
+                    uid_class.len() as u32 - 1
+                };
+                let uid = if opts.prune {
+                    *uid_of.entry(table.as_slice()).or_insert_with(mint)
+                } else {
+                    mint()
+                };
+                if met.insert(uid) {
+                    reps.push((index as u32, uid, table));
+                }
+            }
+            out.orbits.push(tables.len());
+            out.uniques.push(reps.len());
+            out.classes.push(class);
+            let (mut screened, mut best) = (0, usize::MAX);
+            for (index, uid, table) in reps {
+                let Some(screen) = screen else {
+                    out.work.push((c as u32, index, uid));
+                    continue;
+                };
+                let outcome = match outcome_of.get(&uid) {
+                    Some(&cached) if share => cached,
+                    _ => {
+                        let alive = *survives.entry(table.clone()).or_insert_with(|| {
+                            let g = VectorFunction::from_lookup_table(n_in, n_out, table).unwrap();
+                            screen.survivors(&g).contains(&true)
+                        });
+                        let outcome = match (alive, screen.is_complete()) {
+                            (false, _) => ScreenOutcome::Refuted,
+                            (true, true) => ScreenOutcome::Confirmed,
+                            (true, false) => ScreenOutcome::Unknown,
+                        };
+                        outcome_of.insert(uid, outcome);
+                        if outcome != ScreenOutcome::Unknown {
+                            screened += 1;
+                        }
+                        outcome
+                    }
+                };
+                match outcome {
+                    ScreenOutcome::Refuted => {}
+                    ScreenOutcome::Confirmed => {
+                        best = index as usize;
+                        break;
+                    }
+                    ScreenOutcome::Unknown => out.work.push((c as u32, index, uid)),
+                }
+            }
+            out.screened.push(screened);
+            out.best_init.push(best);
+        }
+        out.class_sizes = out
+            .classes
+            .iter()
+            .map(|&k| out.classes.iter().filter(|&&j| j == k).count())
+            .collect();
+        out.n_uids = uid_class.len();
+        out
+    }
+
+    fn random_function(state: &mut u64, n_in: usize, n_out: usize) -> VectorFunction {
+        let table: Vec<u16> = (0..1usize << n_in)
+            .map(|_| {
+                *state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((*state >> 33) % (1 << n_out)) as u16
+            })
+            .collect();
+        VectorFunction::from_lookup_table(n_in, n_out, &table).unwrap()
+    }
+
     #[test]
     fn orbit_representatives_collapse_symmetric_candidates() {
         use mvf_logic::TruthTable;
@@ -1446,19 +1627,217 @@ mod tests {
         let xor3 = a.xor(&b).xor(&c);
         let maj = TruthTable::from_fn(3, |m| m.count_ones() >= 2);
         let sym = VectorFunction::new(3, vec![and3, xor3, maj]);
-        let (reps, orbit) = orbit_representatives(&sym, true, false);
-        assert_eq!(orbit, 36, "3! · 3!");
-        assert_eq!(reps.len(), 6, "input symmetry leaves only out-perms");
-        let (unpruned, _) = orbit_representatives(&sym, false, false);
-        assert_eq!(unpruned.len(), 36);
         // An asymmetric bijection keeps its whole orbit.
         let f = VectorFunction::from_lookup_table(3, 3, &[1, 0, 3, 2, 5, 7, 6, 4]).unwrap();
-        let (reps, orbit) = orbit_representatives(&f, true, false);
-        assert_eq!(orbit, 36);
-        assert_eq!(reps.len(), 36);
+        let nl = shape_netlist(3, 3);
+        let plan = |candidate: &VectorFunction, prune: bool, npn: bool| {
+            let opts = AnyIoOptions {
+                prune,
+                npn,
+                ..AnyIoOptions::default()
+            };
+            let plan = plan_any_io(&nl, std::slice::from_ref(candidate), &opts, None);
+            let orbit = orbit_tables(candidate, npn);
+            let want = oracle_plan(
+                std::slice::from_ref(candidate),
+                std::slice::from_ref(&orbit),
+                &opts,
+                None,
+                &mut Default::default(),
+            );
+            assert_eq!(summary(&plan), want, "prune {prune}, npn {npn}");
+            (plan.uniques[0], plan.orbits[0])
+        };
+        assert_eq!(plan(&sym, true, false), (6, 36), "only out-perms survive");
+        assert_eq!(plan(&sym, false, false), (36, 36));
+        assert_eq!(plan(&f, true, false), (36, 36));
         // The NPN orbit squares in the polarity dimensions.
-        let (_, npn_orbit) = orbit_representatives(&f, true, true);
-        assert_eq!(npn_orbit, 36 * 8 * 8, "3!·2³·3!·2³");
+        assert_eq!(plan(&f, true, true).1, 36 * 8 * 8, "3!·2³·3!·2³");
+    }
+
+    /// A circuit of the given shape and its true function: output `o`
+    /// is a NAND2 of inputs `o` and `o + 1` (mod `n_in`), camouflaged on
+    /// even outputs only — at most 25 configurations, and an output
+    /// negation lands on a fixed output or a camouflaged one depending on
+    /// where the interpretation puts it.
+    fn nand_circuit(
+        n_in: usize,
+        n_out: usize,
+        lib: &Library,
+        camo: &CamoLibrary,
+    ) -> (Netlist, VectorFunction) {
+        use mvf_logic::TruthTable;
+        let std_nand = lib.iter().find(|(_, c)| c.name() == "NAND2").unwrap().0;
+        let camo_nand = camo.iter().find(|(_, c)| c.name() == "NAND2").unwrap().0;
+        let mut nl = Netlist::new("nand_circuit".to_string());
+        let ins: Vec<_> = (0..n_in).map(|i| nl.add_input(format!("x{i}"))).collect();
+        let mut outputs = Vec::new();
+        for o in 0..n_out {
+            let (a, b) = (o % n_in, (o + 1) % n_in);
+            let cell = if o % 2 == 0 {
+                CellRef::Camo(camo_nand)
+            } else {
+                CellRef::Std(std_nand)
+            };
+            let (_, y) = nl.add_cell(format!("u{o}"), cell, vec![ins[a], ins[b]]);
+            nl.add_output(format!("y{o}"), y);
+            outputs.push(
+                TruthTable::var(a, n_in)
+                    .and(&TruthTable::var(b, n_in))
+                    .not(),
+            );
+        }
+        (nl, VectorFunction::new(n_in, outputs))
+    }
+
+    #[test]
+    fn plan_matches_brute_force_oracle() {
+        // Every shape against its NAND circuit with the screen off,
+        // complete, and (on 7→2, whose 128 minterms exceed a 64-vector
+        // batch) sampling. Candidates: the circuit's function, a
+        // pin-scrambled copy (same P class), seeded random chaff and —
+        // where the NPN tier runs — polarity-scrambled copies of the
+        // function and the chaff (same NPN class only). 7→2 keys span
+        // two words per output.
+        let (lib, camo) = setup();
+        let mut state = 0x05EE_D0F0_AC1E_u64;
+        for (n_in, n_out) in [(3, 3), (4, 4), (6, 4), (7, 2)] {
+            let (nl, truth) = nand_circuit(n_in, n_out, &lib, &camo);
+            let chaff = random_function(&mut state, n_in, n_out);
+            let rot = |n: usize| (0..n).map(|v| (v + 1) % n).collect::<Vec<_>>();
+            let rev = |n: usize| (0..n).rev().collect::<Vec<_>>();
+            let scrambled = IoInterpretation::from_perms(rot(n_in), rev(n_out))
+                .apply(&truth)
+                .unwrap();
+            let mut candidates = vec![truth, scrambled, chaff.clone()];
+            // The NPN orbit of a 4-input shape is 147,456 points per
+            // candidate, of a 6- or 7-input one millions.
+            let tiers: &[bool] = if n_in == 3 {
+                let npn_scramble = IoInterpretation {
+                    in_perm: rev(n_in),
+                    in_neg: 1,
+                    out_perm: rot(n_out),
+                    out_neg: 0b10,
+                };
+                candidates.push(npn_scramble.apply(&candidates[0]).unwrap());
+                candidates.push(npn_scramble.apply(&chaff).unwrap());
+                &[false, true]
+            } else {
+                &[false]
+            };
+            let build = |vectors| ConfigScreen::build(&nl, &lib, &camo, &candidates, vectors);
+            let mut screens = vec![(None, Default::default())];
+            let complete = build(DEFAULT_SCREEN_VECTORS).unwrap();
+            assert!(complete.is_complete());
+            screens.push((Some(complete), Default::default()));
+            if n_in == 7 {
+                let sampling = build(64).unwrap();
+                assert!(!sampling.is_complete());
+                screens.push((Some(sampling), Default::default()));
+            }
+            for &npn in tiers {
+                let orbits: Vec<Vec<Vec<u16>>> =
+                    candidates.iter().map(|f| orbit_tables(f, npn)).collect();
+                for (screen, survives) in &mut screens {
+                    for (prune, class_share) in [(true, false), (true, true), (false, false)] {
+                        let opts = AnyIoOptions {
+                            prune,
+                            npn,
+                            class_share,
+                            ..AnyIoOptions::default()
+                        };
+                        let plan = plan_any_io(&nl, &candidates, &opts, screen.as_ref());
+                        let want =
+                            oracle_plan(&candidates, &orbits, &opts, screen.as_ref(), survives);
+                        assert_eq!(
+                            summary(&plan),
+                            want,
+                            "{n_in}x{n_out}, npn {npn}, prune {prune}, share {class_share}, \
+                             screen {:?}",
+                            screen.as_ref().map(ConfigScreen::is_complete)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn orbit_screening_matches_screening_each_transformed_function() {
+        // Plans screen only representatives up to a confirmation, so the
+        // orbit paths get a pointwise check: at every orbit point the
+        // gather path — and, when complete, the key path — must classify
+        // exactly as the identity screen classifies the transformed
+        // function itself.
+        let (lib, camo) = setup();
+        for (n_in, n_out, npn, vectors) in [
+            (3, 3, true, DEFAULT_SCREEN_VECTORS),
+            (7, 2, false, 64), // sampling: 128 minterms, 64 vectors
+        ] {
+            let (nl, truth) = nand_circuit(n_in, n_out, &lib, &camo);
+            let rot: Vec<usize> = (0..n_in).map(|v| (v + 1) % n_in).collect();
+            let scrambled = IoInterpretation::from_perms(rot, (0..n_out).rev().collect())
+                .apply(&truth)
+                .unwrap();
+            let mut candidates = vec![truth.clone(), scrambled];
+            if npn {
+                // Realized only where an output negation meets a
+                // non-identity output permutation.
+                candidates.push(
+                    IoInterpretation {
+                        in_perm: (0..n_in).collect(),
+                        in_neg: 0,
+                        out_perm: (0..n_out).map(|o| (o + 1) % n_out).collect(),
+                        out_neg: 0b011,
+                    }
+                    .apply(&truth)
+                    .unwrap(),
+                );
+            }
+            let screen = ConfigScreen::build(&nl, &lib, &camo, &candidates, vectors).unwrap();
+            let layout = KeyLayout::new(n_in, n_out);
+            let mut key = vec![0u64; layout.width()];
+            let (mut unrank_tmp, mut ip, mut op) = (Vec::new(), Vec::new(), Vec::new());
+            let mut refuted = 0;
+            let orbit = checked_orbit(n_in, n_out, npn).unwrap() as u32;
+            for f in &candidates {
+                let mut scratch = OrbitScreenScratch::new();
+                for index in 0..orbit {
+                    let (in_neg, out_neg) = unrank_orbit_index(
+                        index,
+                        n_in,
+                        n_out,
+                        npn,
+                        &mut unrank_tmp,
+                        &mut ip,
+                        &mut op,
+                    );
+                    let g = IoInterpretation {
+                        in_perm: ip.clone(),
+                        in_neg,
+                        out_perm: op.clone(),
+                        out_neg,
+                    }
+                    .apply(f)
+                    .unwrap();
+                    let want = screen.classify_identity(&g);
+                    let ip_rank = u64::from(index) / ip_period(n_in, n_out, npn);
+                    let got =
+                        screen.classify_orbit(f, ip_rank, &ip, in_neg, &op, out_neg, &mut scratch);
+                    assert_eq!(got, want, "{n_in}x{n_out}, index {index}");
+                    if screen.is_complete() {
+                        layout.pack(&g, &mut key);
+                        assert_eq!(screen.classify_key(&key), want, "index {index}");
+                    }
+                    refuted += usize::from(want == ScreenOutcome::Refuted);
+                }
+            }
+            let total = candidates.len() * orbit as usize;
+            assert!(
+                0 < refuted && refuted < total,
+                "{n_in}x{n_out}: both outcomes occur"
+            );
+        }
     }
 
     #[test]
@@ -1466,13 +1845,15 @@ mod tests {
         // The walk's in-place Gray flips and the index unranking must
         // describe the same orbit point: re-deriving the transformed
         // function from the unranked interpretation reproduces the
-        // walk's signature at every one of the 2304 indices.
+        // walk's packed key at every one of the 2304 indices.
         let f = VectorFunction::from_lookup_table(3, 3, &[1, 0, 3, 2, 5, 7, 6, 4]).unwrap();
+        let layout = KeyLayout::new(3, 3);
+        let mut want = vec![0u64; layout.width()];
         let (mut unrank_tmp, mut ip, mut op) = (Vec::new(), Vec::new(), Vec::new());
         let mut permuted_in = VectorFunction::new(0, Vec::new());
         let mut permuted = VectorFunction::new(0, Vec::new());
         let mut count = 0usize;
-        let orbit = walk_orbit(&f, true, |index, sig| {
+        walk_orbit(&f, true, |index, key| {
             let (in_neg, out_neg) =
                 unrank_orbit_index(index, 3, 3, true, &mut unrank_tmp, &mut ip, &mut op);
             apply_orbit_point(
@@ -1484,7 +1865,8 @@ mod tests {
                 &mut permuted_in,
                 &mut permuted,
             );
-            assert_eq!(permuted.to_lookup_table(), sig, "index {index}");
+            layout.pack(&permuted, &mut want);
+            assert_eq!(want, key, "index {index}");
             // And the public interpretation type agrees with the
             // internal allocation-free pipeline.
             let interp = IoInterpretation {
@@ -1496,7 +1878,6 @@ mod tests {
             assert_eq!(interp.apply(&f).unwrap(), permuted, "index {index}");
             count += 1;
         });
-        assert_eq!(orbit, 2304);
         assert_eq!(count, 2304);
         // Index 0 is always the identity interpretation.
         let (in_neg, out_neg) =

@@ -5,11 +5,12 @@
 //! netlist is evaluated **once** on a batch of input vectors with every
 //! enumerable configuration of its [`ObfuscationSpace`] carried as
 //! extra word-parallel variables
-//! ([`ObfuscationSpace::eval_vectors`]). A candidate is compared
-//! against the cached per-config output words; a configuration that
-//! disagrees on any sampled vector is cleared from the candidate's
-//! surviving-config mask, and an **empty mask refutes the candidate
-//! with zero SAT calls** — soundly, because the SAT encoding's
+//! ([`ObfuscationSpace::eval_vectors`]). Each configuration's output
+//! columns on the batch form one tuple, and the screen keeps the set of
+//! distinct tuples. A candidate is compared by building its own tuple and
+//! testing membership: when no configuration produces it, every
+//! configuration disagrees on some sampled vector and the candidate is
+//! **refuted with zero SAT calls** — soundly, because the SAT encoding's
 //! configuration space is exactly the per-site product the screen
 //! enumerates (one independent exactly-one selector group per
 //! obfuscated site). The screen never looks at what the sites *mean* —
@@ -17,19 +18,21 @@
 //! the identical code path.
 //!
 //! Because circuit evaluation is permutation-independent, the same
-//! cached batch serves every candidate of a sweep *and* every
-//! `(in_perm, out_perm)` orbit point: comparing a permuted candidate is
-//! a permuted-index gather against the cached words, not a re-simulation.
+//! cached set serves every candidate of a sweep *and* every orbit point.
 //!
 //! Two regimes, both verdict-preserving:
 //!
 //! * **complete** — the vector batch covers all `2^n_in` minterms, so
 //!   agreement on the batch *is* functional equality: the screen both
 //!   refutes and confirms, and a confirmed orbit representative is the
-//!   witness (every smaller representative was exactly refuted first);
+//!   witness (every smaller representative was exactly refuted first).
+//!   Tuples are the packed truth-table keys the orbit pruner computes,
+//!   so an orbit point the pruner already keyed is classified from its
+//!   key alone;
 //! * **sampling** — fewer vectors than minterms (deterministic SplitMix64
 //!   stream seeded from the candidate batch): the screen only refutes,
-//!   and surviving candidates fall through to SAT unchanged.
+//!   and surviving candidates fall through to SAT unchanged. An orbit
+//!   point's tuple is a permuted-index gather against the batch.
 //!
 //! When the configuration product exceeds [`MAX_SCREEN_CONFIGS`] (real
 //! mapped circuits camouflage dozens of cells, each with 3–5 plausible
@@ -40,6 +43,8 @@ use mvf_cells::{CamoLibrary, Library};
 use mvf_logic::{VectorFunction, MAX_VARS};
 use mvf_netlist::Netlist;
 use mvf_obfuscate::ObfuscationSpace;
+
+use crate::keys::{KeyLayout, KeyTable};
 
 /// Hard cap on the enumerable configuration product: above this the
 /// screen disables itself rather than enumerate an exponential space.
@@ -92,13 +97,18 @@ pub(crate) enum ScreenOutcome {
 /// [`ObfuscationSpace`], so the same screen serves camouflage and
 /// locking alike.
 pub struct ConfigScreen {
-    /// `out_words[j][o][w]`: bit `b` is output `o` of the circuit under
-    /// configuration `j` on input `vectors[64 w + b]`.
-    out_words: Vec<Vec<Vec<u64>>>,
+    /// The distinct per-configuration output-column tuples. Complete
+    /// regime: packed function keys in `packed`'s layout. Sampling: the
+    /// `n_out` columns over `vectors`, output-major (bit `b` of word
+    /// `o·(vectors/64) + w` is output `o` on input `vectors[64 w + b]`).
+    tuples: KeyTable,
+    /// `config_tuple[j]`: the tuple entry of configuration `j`.
+    config_tuple: Vec<u32>,
     /// The screening input vectors (each below `2^n_in`).
     vectors: Vec<u64>,
-    /// Whether `vectors` covers every minterm (exact screening).
-    complete: bool,
+    /// The key layout when `vectors` covers every minterm (exact
+    /// screening); `None` when sampling.
+    packed: Option<KeyLayout>,
     n_out: usize,
 }
 
@@ -109,8 +119,8 @@ pub type CamoScreen = ConfigScreen;
 /// Per-candidate scratch for orbit screening: the permuted-index gather
 /// is cached per input permutation, the candidate columns per
 /// `(input permutation, input negation)` — output permutations only
-/// re-select columns and output negations are compare-time XOR masks —
-/// and everything is reset between candidates.
+/// re-place columns and output negations are XOR masks — and everything
+/// is reset between candidates.
 pub(crate) struct OrbitScreenScratch {
     /// `ys[m]`: the `in_perm`-gathered image of `vectors[m]` in the
     /// candidate's input frame (negation not yet applied).
@@ -123,7 +133,7 @@ pub(crate) struct OrbitScreenScratch {
     cur_ip: u64,
     /// Input negation mask `cols` was built for (`u64::MAX` = none yet).
     cur_neg: u64,
-    inv_op: Vec<usize>,
+    tuple: Vec<u64>,
 }
 
 impl OrbitScreenScratch {
@@ -133,7 +143,7 @@ impl OrbitScreenScratch {
             cols: Vec::new(),
             cur_ip: u64::MAX,
             cur_neg: u64::MAX,
-            inv_op: Vec::new(),
+            tuple: Vec::new(),
         }
     }
 
@@ -167,8 +177,9 @@ impl ConfigScreen {
     /// configuration product (bailing to `None` past
     /// [`MAX_SCREEN_CONFIGS`]), draws the vector batch — all minterms
     /// when they fit (`complete`), a SplitMix64 sample seeded from the
-    /// candidate batch otherwise — and evaluates the netlist once for
-    /// every `(configuration, vector)` pair.
+    /// candidate batch otherwise — evaluates the netlist once for every
+    /// `(configuration, vector)` pair, and keeps the distinct
+    /// per-configuration column tuples.
     pub fn build_in(
         space: &ObfuscationSpace<'_>,
         nl: &Netlist,
@@ -184,16 +195,20 @@ impl ConfigScreen {
         // of two with at least one full word per configuration block.
         let requested = n_vectors.next_power_of_two().clamp(64, 1usize << MAX_VARS);
         let minterms = 1usize << n_in;
-        let (complete, vectors): (bool, Vec<u64>) = if minterms <= requested {
+        let n_out = nl.outputs().len();
+        let (packed, vectors): (Option<KeyLayout>, Vec<u64>) = if minterms <= requested {
             // Complete regime: cycle the minterms up to word granularity
             // so the batch stays as small as exactness allows.
             let v = minterms.max(64);
-            (true, (0..v as u64).map(|m| m % minterms as u64).collect())
+            (
+                Some(KeyLayout::new(n_in, n_out)),
+                (0..v as u64).map(|m| m % minterms as u64).collect(),
+            )
         } else {
             let mask = (1u64 << n_in) - 1;
             let seed = batch_seed(candidates);
             (
-                false,
+                None,
                 (0..requested as u64)
                     .map(|i| splitmix64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & mask)
                     .collect(),
@@ -202,12 +217,21 @@ impl ConfigScreen {
         let out_words = space
             .eval_vectors(nl, &configs, &vectors)
             .expect("enumerated configurations are plausible by construction");
-        Some(ConfigScreen {
-            out_words,
+        let width = packed.map_or(n_out * vectors.len() / 64, |layout| layout.width());
+        let mut screen = ConfigScreen {
+            tuples: KeyTable::new(width),
+            config_tuple: Vec::with_capacity(out_words.len()),
             vectors,
-            complete,
-            n_out: nl.outputs().len(),
-        })
+            packed,
+            n_out,
+        };
+        let mut tuple = vec![0; width];
+        for cols in &out_words {
+            screen.assemble(|o| (o, cols[o].as_slice(), 0), &mut tuple);
+            let (entry, _) = screen.tuples.insert(&tuple);
+            screen.config_tuple.push(entry);
+        }
+        Some(screen)
     }
 
     /// The surviving-config mask of `candidate` under the identity
@@ -218,17 +242,30 @@ impl ConfigScreen {
     /// its sorted order. Exposed so tests can cross-check the mask
     /// against exhaustive per-configuration circuit evaluation.
     pub fn survivors(&self, candidate: &VectorFunction) -> Vec<bool> {
-        let want = self.identity_columns(candidate);
-        self.out_words
+        let entry = self.tuples.get(&self.identity_tuple(candidate));
+        self.config_tuple
             .iter()
-            .map(|per_cfg| per_cfg.iter().zip(&want).all(|(got, w)| got == w))
+            .map(|&t| Some(t) == entry)
             .collect()
     }
 
     /// Screens `candidate` under the identity interpretation.
     pub(crate) fn classify_identity(&self, candidate: &VectorFunction) -> ScreenOutcome {
-        let want = self.identity_columns(candidate);
-        self.classify_against(&want)
+        self.classify_tuple(&self.identity_tuple(candidate))
+    }
+
+    /// Screens an orbit point by its packed function key
+    /// ([`KeyLayout`] of the circuit's shape).
+    ///
+    /// # Panics
+    ///
+    /// Panics in the sampling regime, whose tuples are not keys.
+    pub(crate) fn classify_key(&self, key: &[u64]) -> ScreenOutcome {
+        assert!(
+            self.packed.is_some(),
+            "keys classify in the complete regime only"
+        );
+        self.classify_tuple(key)
     }
 
     /// Screens the NPN orbit point `(in_perm, in_neg, out_perm,
@@ -238,9 +275,8 @@ impl ConfigScreen {
     /// .permute_outputs(op).negate_outputs(out_neg)`, but served from
     /// the cached batch. The permuted-index gather is cached per
     /// `ip_rank`, candidate columns per `(ip_rank, in_neg)`; output
-    /// permutations re-select columns and output negations are
-    /// compare-time XOR masks, so polarity points cost no re-evaluation
-    /// of the batch.
+    /// permutations re-place columns and output negations are XOR
+    /// masks, so polarity points cost no re-evaluation of the batch.
     pub(crate) fn classify_orbit(
         &self,
         candidate: &VectorFunction,
@@ -288,40 +324,34 @@ impl ConfigScreen {
             }
             scratch.cur_neg = u64::from(in_neg);
         }
-        // Output permutation: output o of the permuted candidate is
-        // original output inv_op[o], a pure column re-selection.
-        scratch.inv_op.clear();
-        scratch.inv_op.resize(out_perm.len(), 0);
-        for (i, &dst) in out_perm.iter().enumerate() {
-            scratch.inv_op[dst] = i;
-        }
-        // Output negation flips the whole column; the batch is always a
+        // Output permutation: original output i lands at out_perm[i];
+        // output negation flips the landed column. The batch is always a
         // whole number of fully-populated 64-bit words, so an XOR with
         // all-ones is exact.
-        let survivor = self.out_words.iter().any(|per_cfg| {
-            per_cfg.iter().enumerate().all(|(o, got)| {
-                let col = &scratch.cols[scratch.inv_op[o]];
+        scratch.tuple.resize(self.tuples.width(), 0);
+        let cols = &scratch.cols;
+        self.assemble(
+            |i| {
+                let o = out_perm[i];
                 let flip = if out_neg >> o & 1 == 1 { !0u64 } else { 0 };
-                got.iter().zip(col).all(|(&g, &c)| g == c ^ flip)
-            })
-        });
-        self.outcome(survivor)
+                (o, cols[i].as_slice(), flip)
+            },
+            &mut scratch.tuple,
+        );
+        self.classify_tuple(&scratch.tuple)
     }
 
-    /// Approximate heap footprint of the cached evaluation batch in
-    /// bytes, for session-cache accounting.
+    /// Approximate heap footprint of the cached screen in bytes, for
+    /// session-cache accounting.
     pub fn bytes(&self) -> usize {
-        let words: usize = self
-            .out_words
-            .iter()
-            .map(|cfg| cfg.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        (words + self.vectors.len()) * std::mem::size_of::<u64>()
+        self.tuples.bytes()
+            + self.config_tuple.len() * std::mem::size_of::<u32>()
+            + self.vectors.len() * std::mem::size_of::<u64>()
     }
 
     /// Whether the batch covers every minterm (the screen is exact).
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.packed.is_some()
     }
 
     /// Vectors per comparison (the batch length).
@@ -329,8 +359,26 @@ impl ConfigScreen {
         self.vectors.len()
     }
 
-    /// The candidate's per-output column words on the screening batch.
-    fn identity_columns(&self, candidate: &VectorFunction) -> Vec<Vec<u64>> {
+    /// Writes a comparison tuple in this screen's layout: for every
+    /// source output `i`, `col(i)` names its position, its column words
+    /// over the batch, and an XOR mask.
+    fn assemble<'a>(&self, col: impl Fn(usize) -> (usize, &'a [u64], u64), tuple: &mut [u64]) {
+        tuple.fill(0);
+        for i in 0..self.n_out {
+            let (o, src, flip) = col(i);
+            match self.packed {
+                Some(layout) => layout.place(o, src, flip, tuple),
+                None => {
+                    for (dst, &w) in tuple[o * src.len()..].iter_mut().zip(src) {
+                        *dst = w ^ flip;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The candidate's tuple under the identity interpretation.
+    fn identity_tuple(&self, candidate: &VectorFunction) -> Vec<u64> {
         let wpv = self.vectors.len() / 64;
         let mut cols = vec![vec![0u64; wpv]; self.n_out];
         for (m, &x) in self.vectors.iter().enumerate() {
@@ -339,19 +387,13 @@ impl ConfigScreen {
                 col[m / 64] |= u64::from((e >> i) & 1) << (m % 64);
             }
         }
-        cols
+        let mut tuple = vec![0; self.tuples.width()];
+        self.assemble(|i| (i, cols[i].as_slice(), 0), &mut tuple);
+        tuple
     }
 
-    fn classify_against(&self, want: &[Vec<u64>]) -> ScreenOutcome {
-        let survivor = self
-            .out_words
-            .iter()
-            .any(|per_cfg| per_cfg.iter().zip(want).all(|(got, w)| got == w));
-        self.outcome(survivor)
-    }
-
-    fn outcome(&self, survivor: bool) -> ScreenOutcome {
-        match (survivor, self.complete) {
+    fn classify_tuple(&self, tuple: &[u64]) -> ScreenOutcome {
+        match (self.tuples.get(tuple).is_some(), self.packed.is_some()) {
             (false, _) => ScreenOutcome::Refuted,
             (true, true) => ScreenOutcome::Confirmed,
             (true, false) => ScreenOutcome::Unknown,

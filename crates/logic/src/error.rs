@@ -20,6 +20,8 @@ pub enum LogicError {
     BadPermutation,
     /// A lookup table had a length that is not a power of two.
     BadTableLength(usize),
+    /// A lookup table asked for more outputs than its 16-bit rows hold.
+    TooManyOutputs(usize),
 }
 
 impl fmt::Display for LogicError {
@@ -40,6 +42,12 @@ impl fmt::Display for LogicError {
             LogicError::BadPermutation => write!(f, "permutation is not a bijection"),
             LogicError::BadTableLength(n) => {
                 write!(f, "lookup table length {n} is not a power of two")
+            }
+            LogicError::TooManyOutputs(n) => {
+                write!(
+                    f,
+                    "requested {n} outputs, lookup-table rows hold at most 16"
+                )
             }
         }
     }

@@ -45,9 +45,10 @@ impl VectorFunction {
     ///
     /// # Errors
     ///
-    /// Returns [`LogicError::BadTableLength`] if `table.len() != 2^n_inputs`
-    /// and [`LogicError::TooManyVars`] if `n_inputs` exceeds the supported
-    /// maximum.
+    /// Returns [`LogicError::BadTableLength`] if `table.len() != 2^n_inputs`,
+    /// [`LogicError::TooManyVars`] if `n_inputs` exceeds the supported
+    /// maximum and [`LogicError::TooManyOutputs`] if `n_outputs` exceeds
+    /// the 16 bits of a row.
     pub fn from_lookup_table(
         n_inputs: usize,
         n_outputs: usize,
@@ -55,6 +56,9 @@ impl VectorFunction {
     ) -> Result<Self, LogicError> {
         if n_inputs > crate::MAX_VARS {
             return Err(LogicError::TooManyVars(n_inputs));
+        }
+        if n_outputs > u16::BITS as usize {
+            return Err(LogicError::TooManyOutputs(n_outputs));
         }
         if table.len() != 1 << n_inputs {
             return Err(LogicError::BadTableLength(table.len()));
@@ -469,5 +473,22 @@ mod tests {
             VectorFunction::from_lookup_table(3, 2, &[0; 7]),
             Err(LogicError::BadTableLength(7))
         ));
+    }
+
+    #[test]
+    fn outputs_beyond_the_row_width_rejected() {
+        // Every output bit of a 16-bit row is usable...
+        let full = VectorFunction::from_lookup_table(1, 16, &[0x8001, 0x7FFE]).unwrap();
+        assert_eq!(full.eval(0), 0x8001);
+        assert_eq!(full.eval(1), 0x7FFE);
+        // ...but a 17th output would have to invent bits the rows lack.
+        assert_eq!(
+            VectorFunction::from_lookup_table(1, 17, &[0, 1]),
+            Err(LogicError::TooManyOutputs(17))
+        );
+        assert_eq!(
+            VectorFunction::from_lookup_table(1, 1 << 40, &[0, 1]),
+            Err(LogicError::TooManyOutputs(1 << 40))
+        );
     }
 }

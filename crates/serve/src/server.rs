@@ -6,7 +6,7 @@
 //!
 //! | `cmd` | fields | response |
 //! |---|---|---|
-//! | `submit` | `id`, `workload` *or* `checkpoint`, optional `wait` | `status` (and `report` with `wait`) |
+//! | `submit` | `id`, `workload` *or* `checkpoint`, optional `wait` | `status` (and `report` with `wait`); a workload the service cannot run — a function without inputs, or an interpretation orbit too large for the adversary tier — is refused up front |
 //! | `status` | `id` | `status`, `error` when failed; done jobs add the sweep solver's inprocessing counters (`n_vivified`, `n_eliminated`, `n_reductions`) |
 //! | `result` | `id` | `report` (once done) |
 //! | `checkpoint` | `id` | `checkpoint` (latest boundary snapshot) |
@@ -26,7 +26,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use mvf::cells::{CamoLibrary, Library};
 use mvf::{lock_library, ObfuscationSpace, SchemeKind, Workload, WorkloadReport};
-use mvf_attack::SimplifyStats;
+use mvf_attack::{checked_orbit, SimplifyStats};
 
 use crate::checkpoint::Checkpoint;
 use crate::job::{resume_audit, run_audit, AuditOutcome, Control};
@@ -318,6 +318,9 @@ impl Inner {
                 None => return err_response("submit needs a workload or a checkpoint"),
             },
         };
+        if let Err(e) = check_runnable(&workload, self.cfg.attack_npn) {
+            return err_response(&format!("unsupported workload: {e}"));
+        }
         let wait = request
             .get("wait")
             .and_then(Value::as_bool)
@@ -487,6 +490,27 @@ impl Inner {
             None => err_response(&format!("no job '{id}'")),
         }
     }
+}
+
+/// Refuses, before it is queued, a workload the worker could not run to
+/// the end: a function without inputs has no circuit to map, and one
+/// whose interpretation orbit overflows [`checked_orbit`] at the
+/// service's adversary tier cannot be swept.
+fn check_runnable(workload: &Workload, npn: bool) -> Result<(), String> {
+    for (j, f) in workload.functions.iter().enumerate() {
+        let (n_in, n_out) = (f.n_inputs(), f.n_outputs());
+        if n_in == 0 {
+            return Err(format!("function {j} has no inputs"));
+        }
+        if checked_orbit(n_in, n_out, npn).is_none() {
+            let tier = if npn { "NPN" } else { "permutation" };
+            return Err(format!(
+                "function {j}: the {tier} interpretation orbit of {n_in} inputs and \
+                 {n_out} outputs exceeds the supported size"
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn worker_loop(inner: &Inner) {

@@ -128,8 +128,8 @@ pub fn encode_function(f: &VectorFunction) -> Value {
 ///
 /// # Errors
 ///
-/// [`WireError`] on missing/mistyped fields or a table whose length does
-/// not match `2^n_in`.
+/// [`WireError`] on missing/mistyped fields, a table whose length does
+/// not match `2^n_in`, or more outputs than a 16-bit row holds.
 pub fn decode_function(v: &Value) -> Result<VectorFunction, WireError> {
     let n_in = usize_field(v, "n_in")?;
     let n_out = usize_field(v, "n_out")?;
@@ -882,5 +882,19 @@ mod tests {
             decode_netlist(&orphan, &lib, &camo).is_err(),
             "undriven net must be rejected"
         );
+    }
+
+    #[test]
+    fn output_counts_beyond_the_row_width_are_rejected() {
+        let ok = Value::parse(r#"{"n_in":1,"n_out":16,"table":[65535,0]}"#).unwrap();
+        assert_eq!(decode_function(&ok).unwrap().n_outputs(), 16);
+        // A 17th output has no row bit to read; 2^40 outputs would ask
+        // for 2^40 truth tables.
+        for n_out in ["17", "1099511627776"] {
+            let bad =
+                Value::parse(&format!(r#"{{"n_in":1,"n_out":{n_out},"table":[1,0]}}"#)).unwrap();
+            let err = decode_function(&bad).expect_err("oversized output count accepted");
+            assert!(err.to_string().contains("outputs"), "{err}");
+        }
     }
 }

@@ -2,9 +2,14 @@
 //! → result, all through [`AuditService::handle`], plus the stdio loop
 //! over in-memory streams.
 
+use mvf::logic::VectorFunction;
+use mvf::merge::PinAssignment;
+use mvf::{SchemeKind, Workload};
+use mvf_attack::AnyIoProgress;
+use mvf_serve::checkpoint::GaFinal;
 use mvf_serve::json::Value;
 use mvf_serve::wire::encode_workload;
-use mvf_serve::{AuditService, ServeConfig};
+use mvf_serve::{AuditService, Checkpoint, CheckpointPhase, ServeConfig};
 
 fn tiny_cfg() -> ServeConfig {
     let mut cfg = ServeConfig::default();
@@ -222,5 +227,67 @@ fn checkpoint_files_are_written_when_a_dir_is_configured() {
     let cp = mvf_serve::Checkpoint::read(&path).expect("checkpoint file parses");
     assert_eq!(cp.seed, 9);
     std::fs::remove_file(&path).ok();
+    service.shutdown_and_join();
+}
+
+#[test]
+fn unrunnable_workloads_are_refused_and_the_service_keeps_answering() {
+    let service = AuditService::start(tiny_cfg());
+    let zero_inputs = VectorFunction::from_lookup_table(0, 1, &[1]).unwrap();
+    // 13! input permutations overflow the sweep's u32 orbit indices at
+    // the service's default (permutation) tier.
+    let wide = VectorFunction::from_lookup_table(13, 1, &vec![0; 1 << 13]).unwrap();
+    for (id, f) in [("zero", zero_inputs), ("wide", wide)] {
+        let workload = Workload::new(id, vec![f]).with_seed(1);
+        // A sweep-phase checkpoint of the same workload: resuming it
+        // would plan the same orbit.
+        let checkpoint = Checkpoint {
+            seed: 1,
+            scheme: SchemeKind::Camouflage,
+            failed_evaluations: 0,
+            phase: CheckpointPhase::Sweep {
+                ga: GaFinal {
+                    best: PinAssignment::identity(&workload.functions),
+                    history: Vec::new(),
+                    evaluations: 0,
+                },
+                progress: AnyIoProgress {
+                    pos: 0,
+                    best: vec![usize::MAX],
+                    queries: vec![0],
+                    resolved: Vec::new(),
+                },
+            },
+            workload: workload.clone(),
+        };
+        for request in [
+            format!(
+                "{{\"cmd\":\"submit\",\"id\":\"{id}\",\"wait\":true,\"workload\":{}}}",
+                encode_workload(&workload)
+            ),
+            format!(
+                "{{\"cmd\":\"submit\",\"id\":\"{id}-cp\",\"wait\":true,\"checkpoint\":{}}}",
+                checkpoint.to_value()
+            ),
+        ] {
+            let v = Value::parse(&service.handle(&request)).expect("response is JSON");
+            assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{id}");
+            let error = v.get("error").and_then(Value::as_str).unwrap();
+            assert!(error.contains("unsupported workload"), "{id}: {error}");
+        }
+    }
+    // Neither was queued: the worker is alive and the service answers.
+    let v = Value::parse(&service.handle("{\"cmd\":\"status\",\"id\":\"zero\"}")).unwrap();
+    assert!(v
+        .get("error")
+        .and_then(Value::as_str)
+        .unwrap()
+        .contains("no job"));
+    parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"fine\",\"wait\":true,\"workload\":{}}}",
+        workload_json(5)
+    )));
+    let status = parse_ok(&service.handle("{\"cmd\":\"status\",\"id\":\"fine\"}"));
+    assert_eq!(status.get("status").and_then(Value::as_str), Some("done"));
     service.shutdown_and_join();
 }
