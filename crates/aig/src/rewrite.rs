@@ -83,38 +83,67 @@ impl Recipe {
     }
 }
 
-/// Shared per-pass caches: NPN canonicalization and canonical recipes.
+/// Shared rewriting caches: NPN canonicalization and canonical recipes.
+///
+/// Every cut function of the pass has at most 4 variables, so its one
+/// word plus its arity identify it without hashing a heap table. Entries
+/// live in flat vectors indexed by first appearance, and a lookup hands
+/// out borrows instead of cloning a table and a transform.
 #[derive(Default)]
 pub(crate) struct RewriteCache {
-    npn: HashMap<TruthTable, (TruthTable, NpnTransform)>,
-    recipes: HashMap<TruthTable, Recipe>,
+    /// Cut function `(n_vars, word)` → entry index.
+    entries: HashMap<(usize, u64), usize>,
+    /// Per entry: the transform onto the function's NPN canon.
+    transforms: Vec<NpnTransform>,
+    /// Per entry: the index of the canon's recipe.
+    recipe_of: Vec<usize>,
+    /// Canon `(n_vars, word)` → recipe index.
+    canons: HashMap<(usize, u64), usize>,
+    /// One pre-optimized implementation per NPN class met so far.
+    recipes: Vec<Recipe>,
 }
 
 impl RewriteCache {
-    pub(crate) fn canonical(&mut self, f: &TruthTable) -> (TruthTable, NpnTransform) {
-        self.npn
-            .entry(f.clone())
-            .or_insert_with(|| npn_canonical(f))
-            .clone()
-    }
-
-    pub(crate) fn recipe(&mut self, canon: &TruthTable) -> &Recipe {
-        self.recipes
-            .entry(canon.clone())
-            .or_insert_with(|| Recipe::build(canon))
+    /// The transform taking `f` onto its NPN canon, and the canon's
+    /// recipe; `f` is canonicalized on its first appearance only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` has more than 6 variables.
+    pub(crate) fn lookup(&mut self, f: &TruthTable) -> (&NpnTransform, &Recipe) {
+        let key = (f.n_vars(), f.as_word());
+        let entry = match self.entries.get(&key) {
+            Some(&entry) => entry,
+            None => {
+                let (canon, t) = npn_canonical(f);
+                let recipes = &mut self.recipes;
+                let recipe = *self
+                    .canons
+                    .entry((canon.n_vars(), canon.as_word()))
+                    .or_insert_with(|| {
+                        recipes.push(Recipe::build(&canon));
+                        recipes.len() - 1
+                    });
+                let entry = self.transforms.len();
+                self.transforms.push(t);
+                self.recipe_of.push(recipe);
+                self.entries.insert(key, entry);
+                entry
+            }
+        };
+        (
+            &self.transforms[entry],
+            &self.recipes[self.recipe_of[entry]],
+        )
     }
 }
 
 /// Instantiation order of cut leaves for a canonical recipe: recipe input
-/// `j` must receive actual leaf `pinv[j]`, complemented per the transform.
+/// `t.perm[v]` receives actual leaf `v`, complemented per the transform.
 pub(crate) fn transformed_leaves(t: &NpnTransform, actual: &[Lit]) -> (Vec<Lit>, bool) {
-    let inv = t.inverse();
-    let n = actual.len();
-    let mut out = Vec::with_capacity(n);
-    for j in 0..n {
-        let src = inv.perm[j];
-        let neg = t.input_neg & (1 << src) != 0;
-        out.push(actual[src].xor_sign(neg));
+    let mut out = vec![Lit::FALSE; actual.len()];
+    for (v, &p) in t.perm.iter().enumerate() {
+        out[p] = actual[v].xor_sign(t.input_neg & (1 << v) != 0);
     }
     (out, t.output_neg)
 }
@@ -158,9 +187,12 @@ pub(crate) fn exclusive_cone_size(
     // Count, per cone node, how many of its fanout references come from
     // freed nodes; a node is freed when that count reaches its total
     // fanout. Iterate from the root downward (cone is in DFS order, but a
-    // fixpoint loop is simplest and the cones are tiny).
-    refs_inside.clear();
-    refs_inside.resize(aig.n_nodes(), 0);
+    // fixpoint loop is simplest and the cones are tiny). `refs_inside` is
+    // all zeros between calls: only cone entries are touched, and they
+    // are reset on the way out, so a call costs the cone, not the graph.
+    if refs_inside.len() < aig.n_nodes() {
+        refs_inside.resize(aig.n_nodes(), 0);
+    }
     let mut freed: Vec<u32> = vec![root.0];
     let mut frontier = vec![root.0];
     while let Some(id) = frontier.pop() {
@@ -175,6 +207,9 @@ pub(crate) fn exclusive_cone_size(
                 frontier.push(child);
             }
         }
+    }
+    for &id in &cone {
+        refs_inside[id as usize] = 0;
     }
     freed.len()
 }
@@ -223,9 +258,8 @@ pub(crate) fn rewrite_with_cache(
                 continue;
             }
             let actual: Vec<Lit> = leaf_ids.iter().map(|&l| map[l as usize]).collect();
-            let (canon, t) = cache.canonical(&f);
-            let (leaves, out_neg) = transformed_leaves(&t, &actual);
-            let recipe = cache.recipe(&canon);
+            let (t, recipe) = cache.lookup(&f);
+            let (leaves, out_neg) = transformed_leaves(t, &actual);
             let (cost, probed_out) = recipe.probe(&new, &leaves);
             // A candidate that resolves to the node we already have is a
             // no-op; skip it so it cannot displace real improvements.
@@ -239,7 +273,6 @@ pub(crate) fn rewrite_with_cache(
             if cost < freed || cost == 0 {
                 let score = (freed + 1).saturating_sub(cost);
                 if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                    let recipe = recipe.clone();
                     let lit = recipe.paste(&mut new, &leaves).xor_sign(out_neg);
                     best = Some((score, lit));
                 }
@@ -354,10 +387,8 @@ mod tests {
         assert_eq!(aig.output_functions()[0], f);
     }
 
-    #[test]
-    fn rewrite_large_random_graph() {
-        // A deterministic random 8-input graph: rewrite must preserve the
-        // function and never grow.
+    /// A deterministic random 8-input graph of 120 AND nodes.
+    fn random_graph() -> Aig {
         let mut g = Aig::new(8);
         let mut lits: Vec<Lit> = (0..8).map(|i| g.input(i)).collect();
         let mut state = 0xDEADBEEFu64;
@@ -375,6 +406,47 @@ mod tests {
         }
         let f = *lits.last().expect("non-empty");
         g.add_output("f", f);
-        check_rewrite(&g);
+        g
+    }
+
+    #[test]
+    fn rewrite_large_random_graph() {
+        // Rewrite must preserve the function and never grow.
+        check_rewrite(&random_graph());
+    }
+
+    #[test]
+    fn exclusive_cone_size_reuses_a_zeroed_buffer() {
+        // The reused reference-count buffer must give the count a fresh
+        // one gives, and be all zeros again after every call.
+        let g = random_graph();
+        let mut cuts = CutSet::new();
+        enumerate_cuts_into(&g, 4, 8, &mut cuts);
+        let fanouts = g.fanout_counts();
+        let mut reused = Vec::new();
+        for id in g.and_nodes() {
+            for cut in cuts.cuts_of(id.0) {
+                let warm = exclusive_cone_size(&g, id, cut.leaves(), &fanouts, &mut reused);
+                let cold = exclusive_cone_size(&g, id, cut.leaves(), &fanouts, &mut Vec::new());
+                assert_eq!(warm, cold, "node {} cut {:?}", id.0, cut.leaves());
+                assert!(reused.iter().all(|&r| r == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn cache_lookup_matches_direct_canonicalization() {
+        // Every entry is what canonicalizing and building would give,
+        // whether it is a first appearance or a repeat.
+        let mut cache = RewriteCache::default();
+        for round in 0..2 {
+            for bits in (0..1u64 << 16).step_by(251) {
+                let f = TruthTable::from_word(4, bits).unwrap();
+                let (canon, t) = npn_canonical(&f);
+                let (got_t, recipe) = cache.lookup(&f);
+                assert_eq!(*got_t, t, "round {round} f = {f:?}");
+                assert_eq!(recipe.aig.output_functions()[0], canon);
+            }
+        }
     }
 }

@@ -15,10 +15,12 @@ use crate::{balance, collapse, refactor, Aig};
 /// Two kinds of state live here:
 ///
 /// * **Semantic caches** — the NPN-canonicalization and recipe caches of
-///   the rewriting pass. These are keyed by truth table, so they are
-///   valid across *different* circuits: a fitness loop that synthesizes
-///   thousands of related circuits hits the same 4-variable classes over
-///   and over and skips the canonicalization and factoring work entirely.
+///   the rewriting pass. These are keyed by truth table (arity plus its
+///   one `u64` word, since cut functions have at most 4 variables), so
+///   they are valid across *different* circuits: a fitness loop that
+///   synthesizes thousands of related circuits hits the same 4-variable
+///   classes over and over and skips the canonicalization and factoring
+///   work entirely. Lookups return borrows of flat per-entry storage.
 /// * **Scratch buffers** — the flat CSR cut store ([`CutSet`]) and the
 ///   cut-function evaluation arena, whose allocations are retained across
 ///   passes and across calls.

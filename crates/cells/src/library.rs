@@ -1,5 +1,8 @@
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
+use mvf_logic::npn::all_permutations;
 use mvf_logic::TruthTable;
 
 /// The gate families of the base standard-cell library.
@@ -167,7 +170,15 @@ impl LibCell {
 #[derive(Debug, Clone)]
 pub struct Library {
     cells: Vec<LibCell>,
+    /// The pin-permutation match index, built on the first
+    /// [`Library::match_function`] call.
+    matches: OnceLock<MatchIndex>,
 }
+
+/// Every function a library cell realizes under some pin permutation,
+/// keyed by `(arity, function word)`, with the cell and permutation the
+/// standard mapper picks for it.
+type MatchIndex = HashMap<(usize, u64), (LibCellId, Vec<usize>)>;
 
 impl Library {
     /// The paper's base library: INV, BUF, NAND2–4, NOR2–4, AND2–4, OR2–4,
@@ -190,7 +201,59 @@ impl Library {
                     area_ge: kind.area_ge(),
                 })
                 .collect(),
+            matches: OnceLock::new(),
         }
+    }
+
+    /// The cell a subtree function `f` maps onto: among the cells whose
+    /// function equals `f.permute(perm)` for some pin permutation `perm`,
+    /// the first of least area in [`Library::iter`] order, together with
+    /// its first such `perm` in [`all_permutations`] order (data leaf `v`
+    /// drives pin `perm[v]`). `None` if no cell matches; tables wider than
+    /// 6 variables never match, since no cell has more than 4 pins.
+    ///
+    /// One hash lookup: the index of all cell functions under all pin
+    /// permutations is built on the first call and shared by clones made
+    /// afterwards.
+    pub fn match_function(&self, f: &TruthTable) -> Option<(LibCellId, &[usize])> {
+        if f.n_vars() > 6 {
+            return None;
+        }
+        self.matches
+            .get_or_init(|| self.build_match_index())
+            .get(&(f.n_vars(), f.as_word()))
+            .map(|(id, perm)| (*id, perm.as_slice()))
+    }
+
+    /// Builds the [`Library::match_function`] index. `f.permute(perm)`
+    /// equals a cell's function exactly when `f` is that function
+    /// permuted by `perm`'s inverse, so each cell contributes one key per
+    /// permutation. Walking cells in `iter()` order and permutations in
+    /// `all_permutations` order, a key moves to a later cell only if that
+    /// cell is strictly smaller, and a cell keeps its first permutation:
+    /// the tie-breaks of a scan over cells and permutations.
+    fn build_match_index(&self) -> MatchIndex {
+        let mut index = MatchIndex::new();
+        let mut inverse = Vec::new();
+        for (id, cell) in self.iter() {
+            let f = cell.function();
+            for perm in all_permutations(f.n_vars()) {
+                inverse.clear();
+                inverse.resize(perm.len(), 0);
+                for (v, &p) in perm.iter().enumerate() {
+                    inverse[p] = v;
+                }
+                let key_fn = f.permute(&inverse).expect("valid permutation");
+                let key = (key_fn.n_vars(), key_fn.as_word());
+                let taken = index.get(&key).is_some_and(|&(prev, _)| {
+                    prev == id || self.cell(prev).area_ge <= cell.area_ge
+                });
+                if !taken {
+                    index.insert(key, (id, perm));
+                }
+            }
+        }
+        index
     }
 
     /// Number of cells.
@@ -279,6 +342,54 @@ mod tests {
             assert_eq!(lib.cell(id).name(), name);
         }
         assert!(lib.cell_by_name("XOR2").is_none());
+    }
+
+    /// The scan [`Library::match_function`] replaced: every permutation
+    /// of `f` tried against every cell of its arity, skipping cells no
+    /// cheaper than the best match so far. Kept as the oracle of the index.
+    fn match_function_reference(lib: &Library, f: &TruthTable) -> Option<(LibCellId, Vec<usize>)> {
+        let perms = all_permutations(f.n_vars());
+        let permuted: Vec<TruthTable> = perms
+            .iter()
+            .map(|perm| f.permute(perm).expect("valid permutation"))
+            .collect();
+        let mut best: Option<(LibCellId, Vec<usize>, f64)> = None;
+        for (id, cell) in lib.iter() {
+            if cell.n_inputs() != f.n_vars() {
+                continue;
+            }
+            if best.as_ref().is_some_and(|b| b.2 <= cell.area_ge()) {
+                continue;
+            }
+            for (perm, g) in perms.iter().zip(&permuted) {
+                if g == cell.function() {
+                    best = Some((id, perm.clone(), cell.area_ge()));
+                    break;
+                }
+            }
+        }
+        best.map(|(id, perm, _)| (id, perm))
+    }
+
+    #[test]
+    fn match_index_equals_the_scan_on_every_small_function() {
+        let lib = Library::standard();
+        let mut matched = 0;
+        for n in 0..=4usize {
+            for bits in 0..(1u64 << (1 << n)) {
+                let f = TruthTable::from_word(n, bits).unwrap();
+                let got = lib.match_function(&f).map(|(id, perm)| (id, perm.to_vec()));
+                assert_eq!(got, match_function_reference(&lib, &f), "f = {f:?}");
+                if let Some((id, perm)) = got {
+                    assert_eq!(&f.permute(&perm).unwrap(), lib.cell(id).function());
+                    matched += 1;
+                }
+            }
+        }
+        // Every standard cell function is symmetric in its pins, so each
+        // of the 16 cells is matched by exactly one table.
+        assert_eq!(matched, lib.len());
+        assert!(lib.match_function(&TruthTable::zero(7)).is_none());
     }
 
     #[test]

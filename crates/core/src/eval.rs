@@ -34,8 +34,9 @@ use crate::error::MvfError;
 ///
 /// Holds the synthesis scratch (NPN-canonicalization and recipe caches,
 /// cut buffers, truth-table arena), the AIG→subject-graph lowering maps
-/// and the mapper's pin-permutation tables. Reuse never changes results:
-/// every cached entry equals what recomputation would produce.
+/// and the mappers' covering arenas; standard-cell matching goes through
+/// the library's own match index. Reuse never changes results: every
+/// cached entry equals what recomputation would produce.
 ///
 /// # Example
 ///

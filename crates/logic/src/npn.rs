@@ -10,10 +10,16 @@
 //!
 //! Canonicalization is exhaustive over the transform group, which is exact
 //! and fast for the arities used here (≤ 4 inputs for cells and cuts:
-//! 4!·2⁴·2 = 768 transforms).
+//! 4!·2⁴·2 = 768 transforms). [`npn_canonical`] runs the whole scan on
+//! single `u64` words: a table of at most 6 variables is one word, and on
+//! equal arity `TruthTable`'s order is numeric order on that word. The
+//! `2^n` input-negated words are computed once, each permutation's minterm
+//! map once, and the canonical table and transform are materialized only
+//! at the end, so a scan allocates nothing per transform.
 
 use std::collections::HashMap;
 
+use crate::tt::WORD_VAR;
 use crate::{LogicError, TruthTable, VectorFunction};
 
 /// A transform in the NPN group: permute inputs, negate a subset of inputs,
@@ -301,29 +307,71 @@ pub fn all_permutations(n: usize) -> Vec<Vec<usize>> {
 pub fn npn_canonical(f: &TruthTable) -> (TruthTable, NpnTransform) {
     assert!(f.n_vars() <= 6, "exhaustive NPN limited to 6 variables");
     let n = f.n_vars();
-    let mut best: Option<(TruthTable, NpnTransform)> = None;
+    let n_masks = 1usize << n;
+    let full = TruthTable::tail_mask(n);
+    // negated[mask] = f with the inputs in `mask` complemented; each mask
+    // extends a smaller one by its lowest set bit.
+    let mut negated = [0u64; 64];
+    negated[0] = f.as_word();
+    for mask in 1..n_masks {
+        let v = mask.trailing_zeros() as usize;
+        negated[mask] = flip_var_word(negated[mask & (mask - 1)], v, full);
+    }
+    // The scan order (permutations lexicographic, input masks ascending,
+    // the plain output before the complemented one) and the strict `<`
+    // decide which transform wins among those reaching the canon, and
+    // callers rely on that choice being stable.
+    let mut best: Option<(u64, [usize; 6], u32, bool)> = None;
+    let mut minterm_map = [0u8; 64];
     let mut perms = Permutations::new(n);
     while let Some(perm) = perms.next() {
-        for input_neg in 0..(1u32 << n) {
+        for (m, slot) in minterm_map[..n_masks].iter_mut().enumerate() {
+            let mut m2 = 0usize;
+            for (v, &p) in perm.iter().enumerate() {
+                m2 |= ((m >> v) & 1) << p;
+            }
+            *slot = m2 as u8;
+        }
+        for (input_neg, &src) in negated[..n_masks].iter().enumerate() {
+            let g = permute_word(src, &minterm_map);
             for output_neg in [false, true] {
-                let g = apply_parts(f, perm, input_neg, output_neg);
-                if best.as_ref().is_none_or(|(b, _)| g < *b) {
-                    // The transform itself is only materialized on an
-                    // improvement; every rejected candidate stays
-                    // allocation-free.
-                    best = Some((
-                        g,
-                        NpnTransform {
-                            perm: perm.to_vec(),
-                            input_neg,
-                            output_neg,
-                        },
-                    ));
+                let h = if output_neg { !g & full } else { g };
+                if best.is_none_or(|(word, ..)| h < word) {
+                    let mut kept = [0usize; 6];
+                    kept[..n].copy_from_slice(perm);
+                    best = Some((h, kept, input_neg as u32, output_neg));
                 }
             }
         }
     }
-    best.expect("at least the identity transform")
+    let (word, perm, input_neg, output_neg) = best.expect("at least the identity transform");
+    (
+        TruthTable::from_word(n, word).expect("at most 6 variables"),
+        NpnTransform {
+            perm: perm[..n].to_vec(),
+            input_neg,
+            output_neg,
+        },
+    )
+}
+
+/// `w` with input `v` complemented (`f(x) ← f(x ⊕ e_v)`), for a one-word
+/// table whose meaningful bits are `full`.
+fn flip_var_word(w: u64, v: usize, full: u64) -> u64 {
+    let shift = 1u32 << v;
+    let hi = w & WORD_VAR[v];
+    ((hi >> shift) | ((w & !WORD_VAR[v]) << shift)) & full
+}
+
+/// Moves bit `m` of `w` to bit `minterm_map[m]`, for every set bit `m`.
+fn permute_word(w: u64, minterm_map: &[u8; 64]) -> u64 {
+    let mut rest = w;
+    let mut out = 0u64;
+    while rest != 0 {
+        out |= 1u64 << minterm_map[rest.trailing_zeros() as usize];
+        rest &= rest - 1;
+    }
+    out
 }
 
 /// [`NpnTransform::apply`] over borrowed parts, so exhaustive scans can
@@ -601,6 +649,79 @@ impl IoInterpretation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating scan [`npn_canonical`] replaced: every transform
+    /// materialized as a `TruthTable` through [`apply_parts`]. Kept as the
+    /// oracle of the one-word kernel.
+    fn npn_canonical_reference(f: &TruthTable) -> (TruthTable, NpnTransform) {
+        let n = f.n_vars();
+        let mut best: Option<(TruthTable, NpnTransform)> = None;
+        let mut perms = Permutations::new(n);
+        while let Some(perm) = perms.next() {
+            for input_neg in 0..(1u32 << n) {
+                for output_neg in [false, true] {
+                    let g = apply_parts(f, perm, input_neg, output_neg);
+                    if best.as_ref().is_none_or(|(b, _)| g < *b) {
+                        best = Some((
+                            g,
+                            NpnTransform {
+                                perm: perm.to_vec(),
+                                input_neg,
+                                output_neg,
+                            },
+                        ));
+                    }
+                }
+            }
+        }
+        best.expect("at least the identity transform")
+    }
+
+    fn assert_matches_reference(f: &TruthTable) {
+        let got = npn_canonical(f);
+        assert_eq!(got, npn_canonical_reference(f), "f = {f:?}");
+        assert_eq!(got.1.apply(f), got.0, "transform must reach the canon");
+    }
+
+    /// SplitMix64: a seeded word stream for sampling wide functions.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn word_kernel_matches_reference_on_small_functions() {
+        for n in 0..=3usize {
+            for bits in 0..(1u64 << (1 << n)) {
+                assert_matches_reference(&TruthTable::from_word(n, bits).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn word_kernel_matches_reference_on_sampled_wide_functions() {
+        let mut state = 0x4E50_4E00_u64;
+        for (n, samples) in [(4usize, 256), (5, 24), (6, 2)] {
+            for _ in 0..samples {
+                let f = TruthTable::from_word(n, splitmix(&mut state)).unwrap();
+                assert_matches_reference(&f);
+            }
+        }
+    }
+
+    /// The exhaustive four-input oracle: seconds in a release build,
+    /// minutes in a debug one, so it runs on request
+    /// (`cargo test --release -p mvf-logic -- --ignored`).
+    #[test]
+    #[ignore]
+    fn word_kernel_matches_reference_on_every_four_input_function() {
+        for bits in 0..(1u64 << 16) {
+            assert_matches_reference(&TruthTable::from_word(4, bits).unwrap());
+        }
+    }
 
     #[test]
     fn permutation_count() {

@@ -5,7 +5,7 @@ use crate::{LogicError, MAX_VARS};
 /// Bit patterns of the first six variables inside a single 64-bit word.
 ///
 /// Bit `m` of `WORD_VAR[v]` is set iff bit `v` of the minterm index `m` is 1.
-const WORD_VAR: [u64; 6] = [
+pub(crate) const WORD_VAR: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
     0xF0F0_F0F0_F0F0_F0F0,
@@ -127,7 +127,7 @@ impl TruthTable {
     }
 
     /// Mask of the meaningful bits in the (single) word of a small table.
-    fn tail_mask(n_vars: usize) -> u64 {
+    pub(crate) fn tail_mask(n_vars: usize) -> u64 {
         if n_vars >= 6 {
             u64::MAX
         } else {

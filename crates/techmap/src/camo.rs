@@ -12,27 +12,45 @@
 //! imaging adversary.
 
 use mvf_cells::{CamoLibrary, CellKind, Library};
+use mvf_logic::npn::all_permutations;
 use mvf_logic::TruthTable;
 use mvf_netlist::{CellId, CellRef, Netlist};
 
 use crate::engine::{Engine, MapError, Match, Subtree};
-use crate::plain::{perms_for, MatchScratch};
+use crate::plain::{standard_match, MatchScratch};
 
 /// Reusable matcher state for [`map_camouflage_with`], mirroring
 /// [`MatchScratch`] for the camouflage matcher.
 ///
-/// Holds the lazily-filled pin-permutation tables per arity and the
-/// permuted-function buffer (shared [`MatchScratch`] shape), plus the
-/// deduplicated required-function candidate buffer that is otherwise
-/// allocated once per candidate subtree. Sharing one `CamoMatchScratch`
-/// across many mapping calls — the Phase-III path of a fitness or
-/// validation loop (see `mvf::EvalContext`) — removes the matcher's
-/// dominant transient allocations without changing any mapping decision.
+/// Holds the covering engine's arenas ([`MatchScratch`]), the
+/// lazily-filled pin-permutation tables per arity that the
+/// plausible-set cover test walks, and the deduplicated required-function
+/// candidate buffer that is otherwise allocated once per candidate
+/// subtree. Standard cells are matched through the library's index, as
+/// in [`crate::map_standard_with`]. Sharing one `CamoMatchScratch` across
+/// many mapping calls — the Phase-III path of a fitness or validation
+/// loop (see `mvf::EvalContext`) — removes the matcher's dominant
+/// transient allocations without changing any mapping decision.
 #[derive(Debug, Default)]
 pub struct CamoMatchScratch {
     matcher: MatchScratch,
+    /// `perms[k]` = all permutations of `0..k`, in [`all_permutations`]
+    /// order; filled lazily per arity.
+    perms: Vec<Option<Vec<Vec<usize>>>>,
     /// Deduplicated requirement set of the current subtree.
     required: Vec<TruthTable>,
+}
+
+/// Lazily fills and returns the permutation table for arity `k`. A free
+/// function (not a method) so callers can hold disjoint borrows of the
+/// other `CamoMatchScratch` fields at the same time.
+fn perms_for(perms: &mut Vec<Option<Vec<Vec<usize>>>>, k: usize) -> &[Vec<usize>] {
+    if perms.len() <= k {
+        perms.resize(k + 1, None);
+    }
+    perms[k]
+        .get_or_insert_with(|| all_permutations(k))
+        .as_slice()
 }
 
 /// Options for [`map_camouflage`].
@@ -176,12 +194,10 @@ pub fn map_camouflage_with(
     // Disjoint scratch borrows: the matcher closure owns the permutation
     // tables and candidate buffers, the covering engine owns its arenas.
     let CamoMatchScratch {
-        matcher:
-            MatchScratch {
-                perms,
-                permuted,
-                engine: engine_scratch,
-            },
+        matcher: MatchScratch {
+            engine: engine_scratch,
+        },
+        perms,
         required,
     } = scratch;
     let matcher = |st: &Subtree| -> Option<Match> {
@@ -238,41 +254,15 @@ pub fn map_camouflage_with(
             });
         }
 
-        // The pin-permutation table for this arity, computed once and
-        // shared by the standard-cell scan and every camouflaged cover
-        // test below.
-        let perms = perms_for(perms, k);
-
-        // Standard cells for select-independent subtrees. The subtree
-        // function is permuted once per permutation (into the reused
-        // buffer), not once per permutation × cell.
+        // Standard cells for select-independent subtrees: one lookup in
+        // the library's pin-permutation index.
         if options.allow_standard_cells && required.len() == 1 {
-            let f = &required[0];
-            permuted.clear();
-            for perm in perms {
-                permuted.push(f.permute(perm).expect("valid permutation"));
-            }
-            for (id, cell) in lib.iter() {
-                if cell.n_inputs() != k {
-                    continue;
-                }
-                if best.as_ref().is_some_and(|b| b.area <= cell.area_ge()) {
-                    continue;
-                }
-                for (perm, g) in perms.iter().zip(permuted.iter()) {
-                    if g == cell.function() {
-                        best = Some(Match {
-                            cell: CellRef::Std(id),
-                            pin_perm: perm.clone(),
-                            funcs_by_assign: vec![g.clone()],
-                            area: cell.area_ge(),
-                            override_leaves: None,
-                        });
-                        break;
-                    }
-                }
-            }
+            best = standard_match(lib, &required[0]);
         }
+
+        // The pin-permutation table for this arity, computed once and
+        // shared by every camouflaged cover test below.
+        let perms = perms_for(perms, k);
 
         // Camouflaged cells: plausible-set containment (Alg. 1 line 8).
         for (id, cell) in camo.cells_with_arity(k) {
@@ -297,7 +287,7 @@ pub fn map_camouflage_with(
         best
     };
 
-    let (choices, _) = engine.cover(matcher, engine_scratch)?;
+    let choices = engine.cover(matcher, engine_scratch)?;
     let (netlist, raw_witnesses) = engine.emit(&choices, true, &format!("{}_camo", subject.name()));
     let witness = CamoWitness {
         cells: raw_witnesses

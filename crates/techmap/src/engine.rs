@@ -55,11 +55,13 @@ pub(crate) struct LeafScratch {
 }
 
 /// Cone-evaluation state: one [`TtArena`] slot per cone net, grown on
-/// demand, plus the reused net→slot binding map.
+/// demand, plus the reused net→slot bindings.
 #[derive(Debug, Default)]
 pub(crate) struct ConeScratch {
     arena: TtArena,
-    slots: HashMap<NetId, usize>,
+    /// `(net, slot)` bindings of the current cone. A cone holds a few
+    /// dozen nets at most, so a linear scan beats hashing.
+    slots: Vec<(NetId, usize)>,
     /// Stack-disciplined pin-slot buffer for the recursive evaluation.
     pins: Vec<usize>,
     next_slot: usize,
@@ -72,6 +74,18 @@ impl ConeScratch {
         self.arena.ensure_slots(self.next_slot);
         s
     }
+}
+
+/// The covering engine's view of one net, from a dense per-net table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NetKind {
+    /// An ordinary data net.
+    Plain,
+    /// Driven by a tie cell with this value.
+    Const(bool),
+    /// A select input at this position of the select list (the bit index
+    /// of the select value).
+    Select(usize),
 }
 
 /// Errors reported by the mappers.
@@ -142,10 +156,8 @@ pub(crate) struct Engine<'a> {
     pub nl: &'a Netlist,
     pub lib: &'a Library,
     pub camo: Option<&'a CamoLibrary>,
-    /// Nets carrying constants (driven by tie cells), with their value.
-    pub const_nets: HashMap<NetId, bool>,
-    /// Global select-input indices by net.
-    pub select_nets: HashMap<NetId, usize>,
+    /// Per net (indexed by `NetId`): constant, select or plain.
+    pub kinds: Vec<NetKind>,
     pub fanouts: Vec<u32>,
     pub max_depth: usize,
     pub max_data_leaves: usize,
@@ -164,28 +176,25 @@ impl<'a> Engine<'a> {
     ) -> Result<Self, MapError> {
         nl.check_with_camo(lib, camo)
             .map_err(|e| MapError::BadSubject(e.to_string()))?;
-        let mut const_nets = HashMap::new();
+        let mut kinds = vec![NetKind::Plain; nl.n_nets()];
         for (_, c) in nl.cells() {
             if let CellRef::Std(id) = c.cell {
                 let f = lib.cell(id).function();
                 if f.n_vars() == 0 {
-                    const_nets.insert(c.output, f.is_one());
+                    kinds[c.output.0 as usize] = NetKind::Const(f.is_one());
                 }
             }
         }
         // Map each select net to its *position* in the select list (bit
         // index of the select value), not its raw input index.
-        let mut select_nets = HashMap::new();
         for (pos, &idx) in select_inputs.iter().enumerate() {
-            let net = nl.inputs()[idx];
-            select_nets.insert(net, pos);
+            kinds[nl.inputs()[idx].0 as usize] = NetKind::Select(pos);
         }
         Ok(Engine {
             nl,
             lib,
             camo,
-            const_nets,
-            select_nets,
+            kinds,
             fanouts: nl.fanout_counts(),
             max_depth,
             max_data_leaves,
@@ -193,10 +202,18 @@ impl<'a> Engine<'a> {
         })
     }
 
+    fn kind(&self, net: NetId) -> NetKind {
+        self.kinds[net.0 as usize]
+    }
+
+    fn is_const(&self, net: NetId) -> bool {
+        matches!(self.kind(net), NetKind::Const(_))
+    }
+
     /// `true` iff the net may be expanded through during subtree
     /// enumeration: cell-driven, single fanout, not constant.
     fn expandable(&self, net: NetId) -> Option<CellId> {
-        if self.const_nets.contains_key(&net) {
+        if self.is_const(net) {
             return None;
         }
         if self.fanouts[net.0 as usize] != 1 {
@@ -283,14 +300,10 @@ impl<'a> Engine<'a> {
             let mut data = 0usize;
             let mut sel = 0usize;
             for p in ps..pe {
-                let n = s.pool[p as usize];
-                if self.const_nets.contains_key(&n) {
-                    continue;
-                }
-                if self.select_nets.contains_key(&n) {
-                    sel += 1;
-                } else {
-                    data += 1;
+                match self.kind(s.pool[p as usize]) {
+                    NetKind::Const(_) => {}
+                    NetKind::Select(_) => sel += 1,
+                    NetKind::Plain => data += 1,
                 }
             }
             if data > self.max_data_leaves || sel > self.max_selects {
@@ -321,13 +334,10 @@ impl<'a> Engine<'a> {
         let mut data_leaves = Vec::new();
         let mut select_leaves = Vec::new();
         for &n in leaves {
-            if self.const_nets.contains_key(&n) {
-                continue;
-            }
-            if self.select_nets.contains_key(&n) {
-                select_leaves.push(n);
-            } else {
-                data_leaves.push(n);
+            match self.kind(n) {
+                NetKind::Const(_) => {}
+                NetKind::Select(_) => select_leaves.push(n),
+                NetKind::Plain => data_leaves.push(n),
             }
         }
         let k = data_leaves.len();
@@ -337,31 +347,32 @@ impl<'a> Engine<'a> {
         cone.next_slot = 0;
         cone.arena.reset(n_vars, leaves.len() + 2);
         debug_assert!(cone.pins.is_empty());
-        for (i, &n) in data_leaves.iter().enumerate() {
+        for (i, &n) in data_leaves.iter().chain(&select_leaves).enumerate() {
             let slot = cone.alloc_slot();
             cone.arena.write_var(slot, i);
-            cone.slots.insert(n, slot);
-        }
-        for (j, &n) in select_leaves.iter().enumerate() {
-            let slot = cone.alloc_slot();
-            cone.arena.write_var(slot, k + j);
-            cone.slots.insert(n, slot);
+            cone.slots.push((n, slot));
         }
         // One shared minterm-product slot for every composition below.
         let tmp = cone.alloc_slot();
         let root_slot = self.eval_cone_slots(root, tmp, cone);
         let f = cone.arena.to_table(root_slot);
         // ABSFUNC: one function per select assignment, projected onto the
-        // data variables.
-        let data_vars: Vec<usize> = (0..k).collect();
-        let mut funcs = Vec::with_capacity(1 << s);
-        for a in 0..(1usize << s) {
-            let mut g = f.clone();
-            for j in 0..s {
-                g = g.cofactor(k + j, a & (1 << j) != 0);
-            }
-            funcs.push(g.project(&data_vars));
-        }
+        // data variables. Without selects the cone function already is
+        // over exactly the data variables `0..k`.
+        let funcs = if s == 0 {
+            vec![f]
+        } else {
+            let data_vars: Vec<usize> = (0..k).collect();
+            (0..(1usize << s))
+                .map(|a| {
+                    let mut g = f.clone();
+                    for j in 0..s {
+                        g = g.cofactor(k + j, a & (1 << j) != 0);
+                    }
+                    g.project(&data_vars)
+                })
+                .collect()
+        };
         Subtree {
             data_leaves,
             select_leaves,
@@ -377,16 +388,16 @@ impl<'a> Engine<'a> {
         let cell = self.nl.cell(root);
         let pin_base = cone.pins.len();
         for &net in &cell.inputs {
-            let slot = if let Some(&slot) = cone.slots.get(&net) {
+            let slot = if let Some(&(_, slot)) = cone.slots.iter().find(|&&(n, _)| n == net) {
                 slot
-            } else if let Some(&v) = self.const_nets.get(&net) {
+            } else if let NetKind::Const(v) = self.kind(net) {
                 let slot = cone.alloc_slot();
                 if v {
                     cone.arena.write_one(slot);
                 } else {
                     cone.arena.write_zero(slot);
                 }
-                cone.slots.insert(net, slot);
+                cone.slots.push((net, slot));
                 slot
             } else {
                 let child = self
@@ -394,7 +405,7 @@ impl<'a> Engine<'a> {
                     .driver(net)
                     .expect("leaf set must cover the cone frontier");
                 let slot = self.eval_cone_slots(child, tmp, cone);
-                cone.slots.insert(net, slot);
+                cone.slots.push((net, slot));
                 slot
             };
             cone.pins.push(slot);
@@ -423,24 +434,26 @@ impl<'a> Engine<'a> {
         dst
     }
 
-    /// Runs the covering DP with the supplied matcher and returns per-cell
-    /// choices and costs. The scratch carries the flat enumeration and
-    /// cone-evaluation arenas across cells (and, via the mappers'
-    /// `MatchScratch`, across calls).
+    /// Runs the covering DP with the supplied matcher and returns the
+    /// chosen cover per cell (indexed by `CellId`; tie cells have none).
+    /// The scratch carries the flat enumeration and cone-evaluation arenas
+    /// across cells (and, via the mappers' `MatchScratch`, across calls).
     pub fn cover<M>(
         &self,
         mut matcher: M,
         scratch: &mut EngineScratch,
-    ) -> Result<(HashMap<CellId, Choice>, HashMap<CellId, f64>), MapError>
+    ) -> Result<Vec<Option<Choice>>, MapError>
     where
         M: FnMut(&Subtree) -> Option<Match>,
     {
-        let mut costs: HashMap<CellId, f64> = HashMap::new();
-        let mut choices: HashMap<CellId, Choice> = HashMap::new();
+        // Dense per-cell tables; a cell not yet covered costs infinity.
+        let mut costs = vec![f64::INFINITY; self.nl.n_cells()];
+        let mut choices: Vec<Option<Choice>> = Vec::new();
+        choices.resize_with(self.nl.n_cells(), || None);
         let EngineScratch { leaf, cone } = scratch;
         for cell in self.nl.topo_cells() {
             let out = self.nl.cell(cell).output;
-            if self.const_nets.contains_key(&out) {
+            if self.is_const(out) {
                 continue; // tie cells are emitted directly
             }
             let mut best: Option<(f64, Choice)> = None;
@@ -450,13 +463,10 @@ impl<'a> Engine<'a> {
                 let st = self.characterize_with(cell, &leaf.pool[ls as usize..le as usize], cone);
                 let Some(m) = matcher(&st) else { continue };
                 let mut cost = m.area;
-                let chosen_leaves = m.override_leaves.unwrap_or_else(|| st.data_leaves.clone());
                 for &leaf in &st.data_leaves {
                     if let Some(d) = self.nl.driver(leaf) {
-                        if !self.const_nets.contains_key(&leaf)
-                            && self.fanouts[leaf.0 as usize] == 1
-                        {
-                            cost += costs.get(&d).copied().unwrap_or(f64::INFINITY);
+                        if !self.is_const(leaf) && self.fanouts[leaf.0 as usize] == 1 {
+                            cost += costs[d.0 as usize];
                         }
                         // Multi-fanout leaves are tree inputs: their
                         // cost is paid once at their own root.
@@ -466,8 +476,8 @@ impl<'a> Engine<'a> {
                     best = Some((
                         cost,
                         Choice {
-                            leaves: chosen_leaves,
-                            select_leaves: st.select_leaves.clone(),
+                            leaves: m.override_leaves.unwrap_or(st.data_leaves),
+                            select_leaves: st.select_leaves,
                             cell: m.cell,
                             pin_perm: m.pin_perm,
                             funcs_by_assign: m.funcs_by_assign,
@@ -480,10 +490,10 @@ impl<'a> Engine<'a> {
                     cell: self.nl.cell(cell).name.clone(),
                 });
             };
-            costs.insert(cell, cost);
-            choices.insert(cell, choice);
+            costs[cell.0 as usize] = cost;
+            choices[cell.0 as usize] = Some(choice);
         }
-        Ok((choices, costs))
+        Ok(choices)
     }
 
     /// Emits the chosen covers into a fresh netlist. Select inputs are
@@ -495,14 +505,14 @@ impl<'a> Engine<'a> {
     /// select assignment)`.
     pub fn emit(
         &self,
-        choices: &HashMap<CellId, Choice>,
+        choices: &[Option<Choice>],
         drop_selects: bool,
         name: &str,
     ) -> (Netlist, Vec<(CellId, Vec<usize>, Vec<TruthTable>)>) {
         let mut out = Netlist::new(name);
         let mut net_map: HashMap<NetId, NetId> = HashMap::new();
         for &pi in self.nl.inputs() {
-            if drop_selects && self.select_nets.contains_key(&pi) {
+            if drop_selects && matches!(self.kind(pi), NetKind::Select(_)) {
                 continue;
             }
             let mapped = out.add_input(self.nl.net_name(pi).to_string());
@@ -520,13 +530,13 @@ impl<'a> Engine<'a> {
             net_map: &mut HashMap<NetId, NetId>,
             tie_map: &mut HashMap<bool, NetId>,
             emitted: &mut HashMap<CellId, NetId>,
-            choices: &HashMap<CellId, Choice>,
+            choices: &[Option<Choice>],
             witnesses: &mut Vec<(CellId, Vec<usize>, Vec<TruthTable>)>,
         ) -> NetId {
             if let Some(&m) = net_map.get(&net) {
                 return m;
             }
-            if let Some(&v) = eng.const_nets.get(&net) {
+            if let NetKind::Const(v) = eng.kind(net) {
                 if let Some(&t) = tie_map.get(&v) {
                     net_map.insert(net, t);
                     return t;
@@ -550,7 +560,9 @@ impl<'a> Engine<'a> {
                 net_map.insert(net, t);
                 return t;
             }
-            let choice = &choices[&driver];
+            let choice = choices[driver.0 as usize]
+                .as_ref()
+                .expect("every covered cell has a choice");
             let mut mapped_leaves = Vec::with_capacity(choice.leaves.len());
             for &leaf in &choice.leaves {
                 mapped_leaves.push(emit_net(
@@ -588,7 +600,10 @@ impl<'a> Engine<'a> {
                 let select_ids: Vec<usize> = choice
                     .select_leaves
                     .iter()
-                    .map(|n| eng.select_nets[n])
+                    .map(|&n| match eng.kind(n) {
+                        NetKind::Select(pos) => pos,
+                        kind => unreachable!("select leaf {n:?} is {kind:?}"),
+                    })
                     .collect();
                 witnesses.push((cid, select_ids, choice.funcs_by_assign.clone()));
             }

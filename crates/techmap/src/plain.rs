@@ -5,7 +5,6 @@
 //! the area ABC reports after mapping as the genetic algorithm's fitness.
 
 use mvf_cells::Library;
-use mvf_logic::npn::all_permutations;
 use mvf_logic::TruthTable;
 use mvf_netlist::{CellRef, Netlist};
 
@@ -13,35 +12,31 @@ use crate::engine::{Engine, EngineScratch, MapError, Match, Subtree};
 
 /// Reusable matcher state for [`map_standard_with`].
 ///
-/// Holds the pin-permutation tables per arity (computed once instead of
-/// once per subtree × cell), a buffer of permuted subtree functions
-/// (computed once per subtree instead of once per cell), and the covering
-/// engine's `EngineScratch` (flat leaf-set arena and `TtArena`-backed
-/// cone evaluation). Sharing one `MatchScratch` across many mapping calls
-/// — the Phase-II fitness loop — removes the dominant transient
-/// allocations of the mapper without changing any mapping decision.
+/// Matching itself needs no scratch: each candidate subtree is one lookup
+/// in the library's pin-permutation index
+/// ([`Library::match_function`]). What remains is the covering engine's
+/// `EngineScratch` (flat leaf-set arena and `TtArena`-backed cone
+/// evaluation). Sharing one `MatchScratch` across
+/// many mapping calls — the Phase-II fitness loop — removes the mapper's
+/// transient allocations without changing any mapping decision.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    /// `perms[k]` = all permutations of `0..k`, in [`all_permutations`]
-    /// order; filled lazily per arity.
-    pub(crate) perms: Vec<Option<Vec<Vec<usize>>>>,
-    /// Permuted variants of the current subtree function, parallel to
-    /// `perms[k]`.
-    pub(crate) permuted: Vec<TruthTable>,
     /// The covering engine's enumeration and cone-evaluation arenas.
     pub(crate) engine: EngineScratch,
 }
 
-/// Lazily fills and returns the permutation table for arity `k`. A free
-/// function (not a method) so callers can hold disjoint borrows of the
-/// other `MatchScratch` fields at the same time.
-pub(crate) fn perms_for(perms: &mut Vec<Option<Vec<Vec<usize>>>>, k: usize) -> &[Vec<usize>] {
-    if perms.len() <= k {
-        perms.resize(k + 1, None);
-    }
-    perms[k]
-        .get_or_insert_with(|| all_permutations(k))
-        .as_slice()
+/// The standard-cell cover of a select-free subtree function `f`: the
+/// library index's cell and pin permutation, if any cell matches.
+pub(crate) fn standard_match(lib: &Library, f: &TruthTable) -> Option<Match> {
+    let (id, perm) = lib.match_function(f)?;
+    let cell = lib.cell(id);
+    Some(Match {
+        cell: CellRef::Std(id),
+        pin_perm: perm.to_vec(),
+        funcs_by_assign: vec![cell.function().clone()],
+        area: cell.area_ge(),
+        override_leaves: None,
+    })
 }
 
 /// Options for [`map_standard`].
@@ -101,8 +96,8 @@ pub fn map_standard(
 }
 
 /// [`map_standard`] with a caller-owned [`MatchScratch`]: identical
-/// mapping decisions, but permutation tables and permuted-function
-/// buffers are reused across calls.
+/// mapping decisions, but the covering engine's arenas are reused across
+/// calls.
 ///
 /// # Errors
 ///
@@ -122,48 +117,11 @@ pub fn map_standard_with(
         options.max_leaves,
         0,
     )?;
-    // Disjoint scratch borrows: the matcher closure owns the permutation
-    // tables and buffers, the covering engine owns its arenas.
-    let MatchScratch {
-        perms,
-        permuted,
-        engine: engine_scratch,
-    } = scratch;
     let matcher = |st: &Subtree| -> Option<Match> {
         debug_assert_eq!(st.funcs_by_assign.len(), 1, "plain mapping has no selects");
-        let f = &st.funcs_by_assign[0];
-        let k = st.data_leaves.len();
-        // Permute the subtree function once per permutation, not once per
-        // permutation × cell.
-        let perms = perms_for(perms, k);
-        permuted.clear();
-        for perm in perms {
-            permuted.push(f.permute(perm).expect("valid permutation"));
-        }
-        let mut best: Option<Match> = None;
-        for (id, cell) in lib.iter() {
-            if cell.n_inputs() != k {
-                continue;
-            }
-            if best.as_ref().is_some_and(|b| b.area <= cell.area_ge()) {
-                continue;
-            }
-            for (perm, g) in perms.iter().zip(permuted.iter()) {
-                if g == cell.function() {
-                    best = Some(Match {
-                        cell: CellRef::Std(id),
-                        pin_perm: perm.clone(),
-                        funcs_by_assign: vec![g.clone()],
-                        area: cell.area_ge(),
-                        override_leaves: None,
-                    });
-                    break;
-                }
-            }
-        }
-        best
+        standard_match(lib, &st.funcs_by_assign[0])
     };
-    let (choices, _) = engine.cover(matcher, engine_scratch)?;
+    let choices = engine.cover(matcher, &mut scratch.engine)?;
     let (mapped, _) = engine.emit(&choices, false, &format!("{}_mapped", subject.name()));
     Ok(mapped)
 }
