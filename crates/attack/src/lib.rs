@@ -191,10 +191,11 @@ pub struct AnyIoOptions {
     pub screen_vectors: usize,
     /// Freezes the encoding's interface and runs
     /// [`mvf_sat::Solver::simplify`] (vivification + bounded variable
-    /// elimination) once after encoding, so every query of the orbit
-    /// amortizes the simplified clause database. Never changes a
-    /// verdict or a witness (verdicts are mathematically determined);
-    /// `false` is the unsimplified baseline for tests and benches.
+    /// elimination) once after encoding. Never changes a verdict or a
+    /// witness (verdicts are mathematically determined). Off by
+    /// default: the constant-folded encoding leaves little to simplify,
+    /// and on the `redteam-sat` benchmark the pass made both encoding
+    /// and the queries slower; `true` is kept to measure it.
     pub inprocess: bool,
     /// Extends the interpretation orbit from the permutation subgroup
     /// (`n_in!·n_out!`) to the full NPN group
@@ -223,7 +224,7 @@ impl Default for AnyIoOptions {
             prune: true,
             screen: true,
             screen_vectors: DEFAULT_SCREEN_VECTORS,
-            inprocess: true,
+            inprocess: false,
             npn: false,
             class_share: false,
         }
@@ -1038,7 +1039,7 @@ pub struct SweepOptions {
     pub screen_vectors: usize,
     /// Freezes the interface and runs [`mvf_sat::Solver::simplify`]
     /// once after encoding — see [`AnyIoOptions::inprocess`]. Never
-    /// changes a verdict.
+    /// changes a verdict; off by default.
     pub inprocess: bool,
 }
 
@@ -1048,7 +1049,7 @@ impl Default for SweepOptions {
             shards: 1,
             screen: true,
             screen_vectors: DEFAULT_SCREEN_VECTORS,
-            inprocess: true,
+            inprocess: false,
         }
     }
 }
@@ -1275,9 +1276,8 @@ pub fn random_camouflage(
 /// topological order) with its camouflaged look-alike. `period == 1`
 /// camouflages everything; larger periods leave standard gates between
 /// the camouflaged ones — the mixed shape real camouflage-mapped merged
-/// circuits have, and the shape SAT preprocessing bites hardest on
-/// (standard gates downstream of camouflaged ones keep free pin
-/// variables that bounded variable elimination can resolve away).
+/// circuits have, where only the standard gates downstream of a
+/// camouflaged one stay configuration-dependent in the SAT encoding.
 ///
 /// # Errors
 ///

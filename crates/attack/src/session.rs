@@ -3,10 +3,12 @@
 //! Three pieces turn the one-shot sweeps of the crate root into a
 //! long-running audit service's building blocks:
 //!
-//! * [`SweepSession`] — one camouflaged netlist encoded **once** and kept
-//!   hot: repeated sweeps against the same circuit reuse the flat clause
-//!   arena, accumulate learnt clauses (warm starts), and share cached
-//!   [`CamoScreen`](crate::CamoScreen) vector batches keyed by candidate batch.
+//! * [`SweepSession`] — one obfuscated netlist encoded **once** (the
+//!   constant-folded encoding, used as is: sessions never run
+//!   [`Solver::simplify`]) and kept hot: repeated sweeps against the
+//!   same circuit reuse the flat clause arena, accumulate learnt clauses
+//!   (warm starts), and share cached [`CamoScreen`](crate::CamoScreen)
+//!   vector batches keyed by candidate batch.
 //! * [`AnyIoJob`] — a stepped, pausable interpretation-freedom sweep: the
 //!   work list is processed in caller-sized chunks, and the complete
 //!   mutable state between chunks is a handful of integer vectors
@@ -390,16 +392,15 @@ impl SweepSession {
     /// Encodes `nl` once and fingerprints the space's `(scheme,
     /// netlist, libraries)` content as the session key.
     ///
-    /// The encoding is interface-frozen and simplified up front
-    /// (vivification + bounded variable elimination), matching the
-    /// default `inprocess` option of the one-shot sweeps — so warm
-    /// starts served from this session (including
-    /// [`SweepSession::any_io_job`] clones) are bit-identical to their
-    /// cold counterparts, query counts included.
+    /// The constant-folded encoding is kept as built, with no up-front
+    /// [`Solver::simplify`] (the default of the one-shot sweeps'
+    /// `inprocess` option). Warm starts served from this session
+    /// (including [`SweepSession::any_io_job`] clones) report the same
+    /// verdicts, witnesses and query counts as their cold counterparts
+    /// whatever that option says, because SAT answers are
+    /// mathematically determined.
     pub fn new_in(space: &ObfuscationSpace<'_>, nl: &Netlist) -> SweepSession {
-        let mut cnf = space.encode(nl);
-        cnf.freeze_interface();
-        cnf.solver.simplify();
+        let cnf = space.encode(nl);
         SweepSession {
             key: space.fingerprint(nl),
             cnf,

@@ -631,17 +631,18 @@ fn main() {
     // --- SAT inprocessing: simplified vs untouched clause database. ----
     // The 3-bit any-IO orbit again, but over a *partially* camouflaged
     // target — every third gate camouflaged, standard gates in between,
-    // the mixed shape real camouflage-mapped circuits have. (A fully
-    // camouflaged netlist is already tight at encode time: add-time
-    // strengthening resolves the standard-cell rows away, leaving
-    // simplify nothing to remove.) The sweep runs with and without the
-    // vivification + bounded-variable-elimination pass (and the restart-
-    // boundary vivification that follows it). Inprocessing costs one
-    // up-front simplification and amortizes over the orbit's SAT
-    // queries; verdicts, witnesses and query counts never change. The
-    // SAT-free screen is disabled here — on the mixed target it settles
-    // the whole orbit without a single solver call, which is its own
-    // section's story; this section measures the solver.
+    // the mixed shape real camouflage-mapped circuits have. The encoding
+    // already folds every input-determined net away, so simplify finds
+    // only a few redundant site-clause literals and eliminable site
+    // variables to remove. The sweep runs with and without the
+    // vivification + bounded-variable-elimination pass. Inprocessing
+    // costs one up-front simplification and amortizes over the orbit's
+    // SAT queries; verdicts, witnesses and query counts never change.
+    // The library leaves it off by default because it does not pay;
+    // this section keeps measuring it (`MVF_SAT_INPROCESS` defaults on).
+    // The SAT-free screen is disabled here — on the mixed target it
+    // settles the whole orbit without a single solver call, which is its
+    // own section's story; this section measures the solver.
     let target3_mixed = mvf_attack::partial_camouflage(&f3, &lib, &camo, 3).expect("buildable");
     let inprocess_on_opts = mvf_attack::AnyIoOptions {
         shards: 1,

@@ -12,7 +12,7 @@
 //! | `MVF_PAPER_SCALE` | population 24 / generations ~415 as in the paper | off |
 //! | `MVF_THREADS` | fitness-evaluation worker threads (`parallel` feature; results are bit-identical to serial) | all cores |
 //! | `MVF_SCREEN_VECTORS` | screening batch size of the `micro` bench's screen-then-solve section (verdicts are bit-identical for every value) | 256 |
-//! | `MVF_SAT_INPROCESS` | SAT inprocessing (clause vivification + bounded variable elimination) in the bench sweeps; `0` disables it (verdicts and witnesses are bit-identical either way) | 1 |
+//! | `MVF_SAT_INPROCESS` | SAT inprocessing (clause vivification + bounded variable elimination) in the bench flows' sweeps and the `micro` bench's `sat_inprocess` section; `0` disables it (verdicts and witnesses are bit-identical either way). On here so the benches keep measuring it, although the library default is off | 1 |
 //! | `MVF_SAT_WATCH_SLACK` | CSR watch-list compaction slack, in percent of the kept entries (a pure memory-layout knob — behavior is bit-identical for every value) | 50 |
 //! | `MVF_BENCH_OUT` | path of the `micro` bench's JSON report | `BENCH_sim.json` at the repo root |
 //! | `MVF_SERVE_ADDR` | TCP listen address of the `mvf-serve` audit service; unset = stdio | unset |
@@ -112,8 +112,8 @@ pub fn screen_vectors() -> usize {
 }
 
 /// Whether bench sweeps run SAT inprocessing (`MVF_SAT_INPROCESS`,
-/// default on; `0` disables). Inprocessing never changes a verdict or
-/// witness, so every setting is safe.
+/// default on, unlike the library default; `0` disables). Inprocessing
+/// never changes a verdict or witness, so every setting is safe.
 pub fn sat_inprocess() -> bool {
     env_usize("MVF_SAT_INPROCESS", 1) != 0
 }

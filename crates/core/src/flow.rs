@@ -158,9 +158,10 @@ impl Default for FlowBuilder {
             // The screen-then-solve funnel never changes a verdict, so
             // it is on unless an audit explicitly wants SAT-only runs.
             attack_screen: true,
-            // Likewise SAT inprocessing: verdicts and witnesses are
-            // bit-identical either way, only solve time changes.
-            attack_inprocess: true,
+            // SAT inprocessing never changes a verdict either, but it
+            // does not pay on the constant-folded encoding (see
+            // `attack_inprocess`), so it is opt-in.
+            attack_inprocess: false,
         }
     }
 }
@@ -343,14 +344,15 @@ impl FlowBuilder {
         self
     }
 
-    /// Enables or disables SAT inprocessing in the red-team pass (on by
+    /// Enables or disables SAT inprocessing in the red-team pass (off by
     /// default): after each workload's netlist is encoded, the solver
     /// runs one vivification-and-variable-elimination pass
-    /// (`mvf_sat::Solver::simplify`) and keeps vivifying between
-    /// restarts, shrinking the clause database before the candidate
-    /// queries hit it. Verdicts, witness permutations and query counts
-    /// are bit-identical either way; disable only for unsimplified
-    /// SAT baselines.
+    /// (`mvf_sat::Solver::simplify`) before the candidate queries hit
+    /// it. Verdicts, witness permutations and query counts are
+    /// bit-identical either way. The encoding already folds every
+    /// input-determined net away, and on the `redteam-sat` benchmark
+    /// the pass cost more than it saved, so enable it only to measure
+    /// it.
     #[must_use]
     pub fn attack_inprocess(mut self, enabled: bool) -> Self {
         self.attack_inprocess = enabled;

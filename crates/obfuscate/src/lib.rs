@@ -6,7 +6,7 @@
 //! per-site choice sets** (one independent choice per obfuscated cell,
 //! each choice a concrete truth table over the cell's pins) presents the
 //! attack stack with exactly the same shape: a configuration odometer for
-//! the screen, frozen selector variables for the SAT encoding, a
+//! the screen, selector variables for the SAT encoding, a
 //! word-parallel vector-evaluation hook, and a fingerprint contribution
 //! for session keying.
 //!

@@ -165,9 +165,12 @@ impl<'a> ObfuscationSpace<'a> {
         }
     }
 
-    /// Tseitin-encodes the netlist with one frozen exactly-one selector
-    /// group per obfuscated site — the SAT half of the configuration
-    /// space [`ObfuscationSpace::enumerate_configs`] enumerates.
+    /// Tseitin-encodes the netlist, unrolled over every input row and
+    /// constant-folded per row ([`mvf_sat::encode_netlist`]), with one
+    /// exactly-one selector group per obfuscated site — the SAT half of
+    /// the configuration space [`ObfuscationSpace::enumerate_configs`]
+    /// enumerates. Nothing is frozen: callers that simplify the solver
+    /// call [`CircuitCnf::freeze_interface`] first.
     ///
     /// # Panics
     ///

@@ -101,10 +101,8 @@ impl Solver {
             lits.push(Lit::from_code(self.arena[cr + 1 + k]));
         }
         // Clauses satisfied at level 0 are entailed by the permanent
-        // trail: drop them outright. On minterm-unrolled encodings the
-        // row-input units satisfy most per-row clauses, so this is where
-        // the bulk of the DB shrink comes from. The one exception is a
-        // clause serving as a level-0 reason — removing it would dangle
+        // trail: drop them outright. The one exception is a clause
+        // serving as a level-0 reason — removing it would dangle
         // `reason[]`, so it stays.
         if lits.iter().any(|&l| self.lit_value(l) == Some(true)) {
             if self.is_locked(cr as u32) {

@@ -47,10 +47,12 @@ pub enum AuditOutcome {
         /// The audit report, byte-identical on the wire to the
         /// corresponding `Flow::run_many` entry.
         report: Box<WorkloadReport>,
-        /// The sweep solver's inprocessing counters (all zero when the
-        /// flow failed before any sweep ran). Reported by the service's
-        /// `status` response; never part of the report itself, so
-        /// resume bit-identity is unaffected.
+        /// The sweep solver's counters (all zero when the flow failed
+        /// before any sweep ran; `n_vivified` and `n_eliminated` are
+        /// always zero, since the job's sweep never simplifies its
+        /// encoding). Reported by the service's `status` response;
+        /// never part of the report itself, so resume bit-identity is
+        /// unaffected.
         sat: SimplifyStats,
     },
     /// Paused by the observer; resume later with [`resume_audit`].

@@ -47,7 +47,7 @@ pub mod wire;
 
 pub use checkpoint::{Checkpoint, CheckpointPhase};
 pub use job::{audit, resume_audit, run_audit, AuditOutcome, Control};
-pub use server::AuditService;
+pub use server::{AuditService, MAX_LINE_BYTES};
 pub use store::SessionStore;
 
 use std::path::PathBuf;

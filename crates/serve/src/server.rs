@@ -7,11 +7,15 @@
 //! | `cmd` | fields | response |
 //! |---|---|---|
 //! | `submit` | `id`, `workload` *or* `checkpoint`, optional `wait` | `status` (and `report` with `wait`); a workload the service cannot run — a function without inputs, or an interpretation orbit too large for the adversary tier — is refused up front |
-//! | `status` | `id` | `status`, `error` when failed; done jobs add the sweep solver's inprocessing counters (`n_vivified`, `n_eliminated`, `n_reductions`) |
+//! | `status` | `id` | `status`, `error` when failed; done jobs add the sweep solver's inprocessing counters (`n_vivified`, `n_eliminated`, `n_reductions`; the first two are 0, since the service's sweeps never simplify their encoding) |
 //! | `result` | `id` | `report` (once done) |
 //! | `checkpoint` | `id` | `checkpoint` (latest boundary snapshot) |
 //! | `cancel` | `id` | `status` — the job pauses at its next boundary |
 //! | `shutdown` | — | `ok`; queued jobs are left unstarted |
+//!
+//! A request line that is not UTF-8, or longer than [`MAX_LINE_BYTES`],
+//! gets exactly one `ok:false` response; the rest of the line is
+//! discarded and serving continues with the next one.
 //!
 //! Jobs run on one worker thread that owns the [`SessionStore`], so
 //! repeated submissions of the same circuit warm-start automatically.
@@ -34,6 +38,81 @@ use crate::json::Value;
 use crate::store::SessionStore;
 use crate::wire::{decode_workload, encode_report_in};
 use crate::ServeConfig;
+
+/// The longest request line the service reads, in bytes before the
+/// `\n`. Far above any checkpoint the service emits (its `resolved`
+/// list holds one `[uid, bool]` pair per SAT-resolved orbit function),
+/// and a bound on what one client line can make the service buffer.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// The request-line reader both front ends share: reads bytes, not
+/// `String`s, so a line that is over-long or not UTF-8 costs that line
+/// an error response instead of ending the stream.
+struct LineReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(inner: R) -> Self {
+        LineReader {
+            inner,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The next line without its `\n` or `\r\n` terminator: `None` at
+    /// the end of the stream, `Some(Err(message))` for a line longer
+    /// than [`MAX_LINE_BYTES`] or not UTF-8. A bad line is still read to
+    /// its end, so the next call starts at the following line.
+    fn next_line(&mut self) -> std::io::Result<Option<Result<&str, String>>> {
+        self.buf.clear();
+        let mut too_long = false;
+        let mut read_any = false;
+        loop {
+            let chunk = match self.inner.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                if !read_any {
+                    return Ok(None);
+                }
+                break;
+            }
+            read_any = true;
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let data = &chunk[..newline.unwrap_or(chunk.len())];
+            if !too_long {
+                if self.buf.len() + data.len() > MAX_LINE_BYTES {
+                    too_long = true;
+                    // Release the partial line rather than keep its
+                    // capacity for the rest of the connection.
+                    self.buf = Vec::new();
+                } else {
+                    self.buf.extend_from_slice(data);
+                }
+            }
+            let used = newline.map_or(chunk.len(), |i| i + 1);
+            self.inner.consume(used);
+            if newline.is_some() {
+                break;
+            }
+        }
+        if too_long {
+            return Ok(Some(Err(format!(
+                "request line longer than {MAX_LINE_BYTES} bytes"
+            ))));
+        }
+        if self.buf.last() == Some(&b'\r') {
+            self.buf.pop();
+        }
+        Ok(Some(
+            std::str::from_utf8(&self.buf).map_err(|_| "request line is not valid UTF-8".into()),
+        ))
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -155,7 +234,9 @@ impl AuditService {
 
     /// Serves the line protocol over a reader/writer pair until EOF or
     /// `shutdown`. This is the stdio front end of the `mvf-serve`
-    /// binary, factored over generic streams so tests can drive it.
+    /// binary, factored over generic streams so tests can drive it. A
+    /// line that is not UTF-8 or longer than [`MAX_LINE_BYTES`] gets
+    /// one error response, and serving continues.
     ///
     /// # Errors
     ///
@@ -165,12 +246,13 @@ impl AuditService {
         reader: R,
         mut writer: W,
     ) -> std::io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = self.handle(&line);
+        let mut lines = LineReader::new(reader);
+        while let Some(line) = lines.next_line()? {
+            let response = match line {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => self.handle(line),
+                Err(message) => err_response(&message),
+            };
             writer.write_all(response.as_bytes())?;
             writer.write_all(b"\n")?;
             writer.flush()?;
@@ -212,17 +294,17 @@ impl AuditService {
                     stream.set_nonblocking(false)?;
                     let inner = Arc::clone(&self.inner);
                     std::thread::spawn(move || {
-                        let reader = std::io::BufReader::new(match stream.try_clone() {
-                            Ok(s) => s,
-                            Err(_) => return,
-                        });
+                        let Ok(read_half) = stream.try_clone() else {
+                            return;
+                        };
+                        let mut lines = LineReader::new(std::io::BufReader::new(read_half));
                         let mut writer = stream;
-                        for line in reader.lines() {
-                            let Ok(line) = line else { break };
-                            if line.trim().is_empty() {
-                                continue;
-                            }
-                            let response = inner.handle(&line);
+                        while let Ok(Some(line)) = lines.next_line() {
+                            let response = match line {
+                                Ok(line) if line.trim().is_empty() => continue,
+                                Ok(line) => inner.handle(line),
+                                Err(message) => err_response(&message),
+                            };
                             if writer.write_all(response.as_bytes()).is_err()
                                 || writer.write_all(b"\n").is_err()
                             {

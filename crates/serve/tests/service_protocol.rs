@@ -74,8 +74,8 @@ fn submit_wait_returns_a_wellformed_report() {
         "result must return the identical report"
     );
     // A done job's status surfaces the sweep solver's inprocessing
-    // counters; the encode-time simplification eliminates variables on
-    // every real netlist, so the counter is live, not just present.
+    // counters. Sessions no longer simplify their encoding, so nothing
+    // is vivified or eliminated.
     let status = parse_ok(&service.handle("{\"cmd\":\"status\",\"id\":\"a\"}"));
     assert_eq!(status.get("status").and_then(Value::as_str), Some("done"));
     for counter in ["n_vivified", "n_eliminated", "n_reductions"] {
@@ -84,9 +84,10 @@ fn submit_wait_returns_a_wellformed_report() {
             "done status must carry {counter}: {status}"
         );
     }
+    let counter = |name: &str| status.get(name).and_then(Value::as_u64).unwrap();
     assert!(
-        status.get("n_eliminated").and_then(Value::as_u64).unwrap() > 0,
-        "the sweep encoding must have eliminated variables"
+        counter("n_vivified") == 0 && counter("n_eliminated") == 0,
+        "sessions must not simplify the sweep encoding: {status}"
     );
     service.shutdown_and_join();
 }
@@ -208,6 +209,38 @@ fn the_stdio_loop_answers_line_by_line_and_honors_shutdown() {
     let first = parse_ok(lines[0]);
     assert!(first.get("report").is_some());
     parse_ok(lines[1]);
+    assert!(service.is_shutdown());
+    service.shutdown_and_join();
+}
+
+#[test]
+fn malformed_lines_get_one_error_each_and_the_loop_keeps_serving() {
+    use std::io::Read;
+    let service = AuditService::start(tiny_cfg());
+    // Not UTF-8, then one byte over the length cap (streamed, never
+    // materialized here), then a status request, then a CRLF shutdown.
+    let over_long = std::io::repeat(b'a').take(mvf_serve::MAX_LINE_BYTES as u64 + 1);
+    let input = std::io::Cursor::new(b"\xff\xfe\n".to_vec())
+        .chain(over_long)
+        .chain(std::io::Cursor::new(
+            b"\n{\"cmd\":\"status\",\"id\":\"ghost\"}\n{\"cmd\":\"shutdown\"}\r\n".to_vec(),
+        ));
+    let mut output: Vec<u8> = Vec::new();
+    service
+        .serve_lines(std::io::BufReader::new(input), &mut output)
+        .expect("malformed lines are answered, not returned as errors");
+    let lines: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+    assert_eq!(lines.len(), 4, "one response per request line: {lines:?}");
+    for (line, needle) in lines[..3]
+        .iter()
+        .zip(["not valid UTF-8", "longer than", "no job"])
+    {
+        let v = Value::parse(line).expect("error response is JSON");
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{line}");
+        let error = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains(needle), "{line}");
+    }
+    parse_ok(lines[3]);
     assert!(service.is_shutdown());
     service.shutdown_and_join();
 }

@@ -39,6 +39,12 @@
 //! queries and stay bit-identical across shard counts; and the sampling
 //! regime (more minterms than vectors) must refute chaff SAT-free
 //! without ever changing an identity-sweep verdict.
+//!
+//! The constant-folded encoding is checked against simulation: on
+//! seeded netlists of both obfuscation families, every configuration's
+//! selectors must be satisfiable with row outputs equal to
+//! `ObfuscationSpace::eval_vectors`, and a netlist without sites must
+//! encode to unit-pinned row outputs only.
 
 use mvf_attack::{
     is_plausible, plausibility_sweep, plausibility_sweep_any_io, plausibility_sweep_any_io_sharded,
@@ -1692,4 +1698,221 @@ fn sampling_screen_refutes_chaff_without_changing_verdicts() {
         )),
         "identity inputs, swapped outputs"
     );
+}
+
+/// A seeded netlist over `n_in` inputs: `n_std` random standard cells
+/// with `n_sites` sites drawn from `site_cells` interleaved among them,
+/// followed by the shapes constant folding must get right — BUF/INV
+/// chains over a site output and over an input, an output driven
+/// straight by a primary input, two outputs on one net, and an output
+/// that is constant in every row where input 0 is 0. The first site's
+/// first two pins read inputs 0 and 1, so a MUX key gate there has
+/// agreeing choices in the rows where the two are equal.
+fn folding_netlist(
+    rng: &mut XorShift,
+    lib: &Library,
+    site_cells: &[mvf_cells::CamoCellId],
+    choices: &CamoLibrary,
+    n_in: usize,
+    n_std: usize,
+    n_sites: usize,
+) -> mvf_netlist::Netlist {
+    use mvf_cells::CellKind;
+    use mvf_netlist::{CellRef, Netlist};
+    let std_cells: Vec<_> = lib.iter().map(|(id, _)| id).collect();
+    let cell = |kind| CellRef::Std(lib.cell_by_kind(kind).expect("standard cell"));
+    let mut nl = Netlist::new("folding");
+    let mut pool: Vec<_> = (0..n_in).map(|i| nl.add_input(format!("a{i}"))).collect();
+    let inputs = pool.clone();
+    let mut site_slots: Vec<usize> = Vec::new();
+    while site_slots.len() < n_sites {
+        let slot = (rng.next() as usize) % (n_std + n_sites);
+        if !site_slots.contains(&slot) {
+            site_slots.push(slot);
+        }
+    }
+    let mut last_site = None;
+    for slot in 0..(n_std + n_sites) {
+        let (cell_ref, n_pins) = if site_slots.contains(&slot) {
+            let id = site_cells[(rng.next() as usize) % site_cells.len()];
+            (CellRef::Camo(id), choices.cell(id).n_inputs())
+        } else {
+            let id = std_cells[(rng.next() as usize) % std_cells.len()];
+            (CellRef::Std(id), lib.cell(id).n_inputs())
+        };
+        let first_site = last_site.is_none() && matches!(cell_ref, CellRef::Camo(_));
+        let pins = (0..n_pins)
+            .map(|p| {
+                if first_site && p < 2 {
+                    inputs[p]
+                } else {
+                    pool[(rng.next() as usize) % pool.len()]
+                }
+            })
+            .collect();
+        let (_, y) = nl.add_cell(format!("u{slot}"), cell_ref, pins);
+        if matches!(cell_ref, CellRef::Camo(_)) {
+            last_site = Some(y);
+        }
+        pool.push(y);
+    }
+    let site = last_site.expect("at least one site");
+    let (_, c0) = nl.add_cell("c0", cell(CellKind::Inv), vec![site]);
+    let (_, c1) = nl.add_cell("c1", cell(CellKind::Buf), vec![c0]);
+    let (_, c2) = nl.add_cell("c2", cell(CellKind::Inv), vec![c1]);
+    let (_, k0) = nl.add_cell("k0", cell(CellKind::Inv), vec![inputs[0]]);
+    let (_, k1) = nl.add_cell("k1", cell(CellKind::Buf), vec![k0]);
+    let (_, gated) = nl.add_cell("g", cell(CellKind::And(2)), vec![inputs[0], site]);
+    nl.add_output("chain", c2);
+    nl.add_output("chain_inv", c1);
+    nl.add_output("const_chain", k1);
+    nl.add_output("input", inputs[n_in - 1]);
+    let shared = pool[n_in + (rng.next() as usize) % (pool.len() - n_in)];
+    nl.add_output("shared0", shared);
+    nl.add_output("shared1", shared);
+    nl.add_output("gated", gated);
+    nl
+}
+
+/// Checks the encoding of `nl` against simulation: for every
+/// configuration, assuming its selectors is satisfiable, the model's row
+/// outputs equal `eval_vectors`, and forcing any one row output to the
+/// other value is unsatisfiable.
+fn check_encoding_against_simulation(
+    space: &mvf_obfuscate::ObfuscationSpace<'_>,
+    nl: &mvf_netlist::Netlist,
+    rng: &mut XorShift,
+) {
+    let mut cnf = space.encode(nl);
+    let configs = space
+        .enumerate_configs(nl, 4096)
+        .expect("enumerable configuration product");
+    let rows = 1usize << nl.inputs().len();
+    // Batches hold at least 64 vectors: repeat the rows to fill one.
+    let vectors: Vec<u64> = (0..rows.max(64) as u64).map(|v| v % rows as u64).collect();
+    let want = space
+        .eval_vectors(nl, &configs, &vectors)
+        .expect("enumerated configurations are valid");
+    let n_out = nl.outputs().len();
+    let bit = |j: usize, o: usize, m: usize| (want[j][o][m / 64] >> (m % 64)) & 1 == 1;
+    for (j, config) in configs.iter().enumerate() {
+        let mut assumptions: Vec<Lit> = config
+            .iter()
+            .map(|(cid, f)| {
+                let mvf_netlist::CellRef::Camo(id) = nl.cell(*cid).cell else {
+                    unreachable!("configurations bind sites only")
+                };
+                let k = space
+                    .choices()
+                    .cell(id)
+                    .plausible()
+                    .iter()
+                    .position(|g| g == f)
+                    .expect("bound choice is in the site's choice set");
+                Lit::pos(cnf.config_vars[cid][k])
+            })
+            .collect();
+        assert!(cnf.solver.solve_with(&assumptions), "configuration {j}");
+        for m in 0..rows {
+            for o in 0..n_out {
+                assert_eq!(
+                    cnf.solver.value(cnf.row_outputs[m][o]),
+                    Some(bit(j, o, m)),
+                    "configuration {j}, row {m}, output {o}"
+                );
+            }
+        }
+        let (m, o) = ((rng.next() as usize) % rows, (rng.next() as usize) % n_out);
+        assumptions.push(Lit::with_polarity(cnf.row_outputs[m][o], !bit(j, o, m)));
+        assert!(
+            !cnf.solver.solve_with(&assumptions),
+            "configuration {j} fixes row {m}, output {o}"
+        );
+    }
+}
+
+#[test]
+fn folded_encoding_matches_simulation_under_both_families() {
+    let lib = Library::standard();
+    let camo = CamoLibrary::from_library(&lib);
+    let lock = mvf_obfuscate::lock_library(&lib);
+    // Camouflaged sites with at most two pins keep three sites' product
+    // small (3 or 5 choices each); the lock library's two key gates are
+    // both used.
+    let camo_sites: Vec<_> = camo
+        .iter()
+        .filter(|(_, c)| c.n_inputs() <= 2)
+        .map(|(id, _)| id)
+        .collect();
+    let lock_sites: Vec<_> = lock.iter().map(|(id, _)| id).collect();
+    let mkey = lock
+        .iter()
+        .find(|(_, c)| c.name() == mvf_obfuscate::MKEY_NAME)
+        .map(|(id, _)| id)
+        .expect("MUX key gate");
+    let spaces = [
+        (
+            mvf_obfuscate::ObfuscationSpace::camouflage(&lib, &camo),
+            camo_sites,
+        ),
+        (
+            mvf_obfuscate::ObfuscationSpace::locking(&lib, &lock),
+            lock_sites,
+        ),
+    ];
+    let mut rng = XorShift(0xF01D_ED0E_C0DE_0001);
+    for (space, site_cells) in &spaces {
+        for round in 0..24 {
+            let n_in = 2 + round % 3;
+            let n_sites = 1 + round % 3;
+            let nl = folding_netlist(
+                &mut rng,
+                &lib,
+                site_cells,
+                space.choices(),
+                n_in,
+                4 + round,
+                n_sites,
+            );
+            check_encoding_against_simulation(space, &nl, &mut rng);
+        }
+    }
+    // A MUX key gate on inputs 0 and 1: its choices agree in the rows
+    // where the two are equal, so those rows fold it like a wire.
+    let (lock_space, _) = &spaces[1];
+    let nl = folding_netlist(&mut rng, &lib, &[mkey], &lock, 3, 3, 1);
+    check_encoding_against_simulation(lock_space, &nl, &mut rng);
+}
+
+#[test]
+fn a_netlist_without_sites_encodes_to_pinned_outputs_only() {
+    // Every net of a site-free netlist is a constant in every row, so
+    // the folded encoding is one unit-pinned variable per row output
+    // and stores no clause at all.
+    let lib = Library::standard();
+    let camo = CamoLibrary::from_library(&lib);
+    let space = mvf_obfuscate::ObfuscationSpace::camouflage(&lib, &camo);
+    let std_cells: Vec<_> = lib.iter().map(|(id, _)| id).collect();
+    let mut rng = XorShift(0x51DE_F4EE_0000_0003);
+    for n_in in 1..=4usize {
+        let mut nl = mvf_netlist::Netlist::new("site_free");
+        let mut pool: Vec<_> = (0..n_in).map(|i| nl.add_input(format!("a{i}"))).collect();
+        for u in 0..8 {
+            let id = std_cells[(rng.next() as usize) % std_cells.len()];
+            let pins = (0..lib.cell(id).n_inputs())
+                .map(|_| pool[(rng.next() as usize) % pool.len()])
+                .collect();
+            let (_, y) = nl.add_cell(format!("u{u}"), id.into(), pins);
+            pool.push(y);
+        }
+        for (o, &net) in pool.iter().rev().take(3).enumerate() {
+            nl.add_output(format!("y{o}"), net);
+        }
+        nl.add_output("a0", pool[0]);
+        let n_out = nl.outputs().len();
+        let cnf = space.encode(&nl);
+        assert_eq!(cnf.solver.n_vars(), (1 << n_in) * n_out, "n_in = {n_in}");
+        assert_eq!(cnf.solver.n_clauses(), 0, "n_in = {n_in}");
+        check_encoding_against_simulation(&space, &nl, &mut rng);
+    }
 }
