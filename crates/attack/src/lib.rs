@@ -189,14 +189,6 @@ pub struct AnyIoOptions {
     /// screen is exact. Larger batches refute more chaff per build at
     /// higher screening cost. Defaults to [`DEFAULT_SCREEN_VECTORS`].
     pub screen_vectors: usize,
-    /// Freezes the encoding's interface and runs
-    /// [`mvf_sat::Solver::simplify`] (vivification + bounded variable
-    /// elimination) once after encoding. Never changes a verdict or a
-    /// witness (verdicts are mathematically determined). Off by
-    /// default: the constant-folded encoding leaves little to simplify,
-    /// and on the `redteam-sat` benchmark the pass made both encoding
-    /// and the queries slower; `true` is kept to measure it.
-    pub inprocess: bool,
     /// Extends the interpretation orbit from the permutation subgroup
     /// (`n_in!·n_out!`) to the full NPN group
     /// (`n_in!·2^n_in·n_out!·2^n_out`): the adversary also considers
@@ -224,7 +216,6 @@ impl Default for AnyIoOptions {
             prune: true,
             screen: true,
             screen_vectors: DEFAULT_SCREEN_VECTORS,
-            inprocess: false,
             npn: false,
             class_share: false,
         }
@@ -631,10 +622,6 @@ pub fn plausibility_sweep_any_io_in(
         .flatten();
     let plan = plan_any_io(nl, candidates, opts, screen.as_ref());
     let mut cnf = space.encode(nl);
-    if opts.inprocess {
-        cnf.freeze_interface();
-        cnf.solver.simplify();
-    }
     run_any_io_plan(&plan, &mut cnf.solver, &cnf.row_outputs, candidates, opts)
 }
 
@@ -1037,10 +1024,6 @@ pub struct SweepOptions {
     pub screen: bool,
     /// Screening batch size — see [`AnyIoOptions::screen_vectors`].
     pub screen_vectors: usize,
-    /// Freezes the interface and runs [`mvf_sat::Solver::simplify`]
-    /// once after encoding — see [`AnyIoOptions::inprocess`]. Never
-    /// changes a verdict; off by default.
-    pub inprocess: bool,
 }
 
 impl Default for SweepOptions {
@@ -1049,7 +1032,6 @@ impl Default for SweepOptions {
             shards: 1,
             screen: true,
             screen_vectors: DEFAULT_SCREEN_VECTORS,
-            inprocess: false,
         }
     }
 }
@@ -1145,10 +1127,6 @@ pub fn plausibility_sweep_in(
     }
     if !pending.is_empty() {
         let mut cnf = space.encode(nl);
-        if opts.inprocess {
-            cnf.freeze_interface();
-            cnf.solver.simplify();
-        }
         let shards = match opts.shards {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,

@@ -4,8 +4,7 @@
 //! long-running audit service's building blocks:
 //!
 //! * [`SweepSession`] — one obfuscated netlist encoded **once** (the
-//!   constant-folded encoding, used as is: sessions never run
-//!   [`Solver::simplify`]) and kept hot: repeated sweeps against the
+//!   constant-folded encoding) and kept hot: repeated sweeps against the
 //!   same circuit reuse the flat clause arena, accumulate learnt clauses
 //!   (warm starts), and share cached [`CamoScreen`](crate::CamoScreen)
 //!   vector batches keyed by candidate batch.
@@ -232,17 +231,12 @@ impl AnyIoJob {
             .then(|| ConfigScreen::build_in(space, nl, &candidates, opts.screen_vectors))
             .flatten();
         let plan = plan_any_io(nl, &candidates, opts, screen.as_ref());
-        let mut cnf = space.encode(nl);
-        if opts.inprocess {
-            cnf.freeze_interface();
-            cnf.solver.simplify();
-        }
+        let cnf = space.encode(nl);
         AnyIoJob::from_parts(plan, candidates, cnf.solver, cnf.row_outputs)
     }
 
-    /// The solver's pre/inprocessing counters — what vivification,
-    /// variable elimination and learnt-DB reduction have done to this
-    /// job's clause database (warm-started jobs inherit the session
+    /// The solver's clause-database counters — the learnt-DB reductions
+    /// run on this job's solver (warm-started jobs inherit the session
     /// solver's counters through [`Solver::clone_db`]).
     pub fn sat_stats(&self) -> mvf_sat::SimplifyStats {
         self.solver.simplify_stats()
@@ -392,13 +386,10 @@ impl SweepSession {
     /// Encodes `nl` once and fingerprints the space's `(scheme,
     /// netlist, libraries)` content as the session key.
     ///
-    /// The constant-folded encoding is kept as built, with no up-front
-    /// [`Solver::simplify`] (the default of the one-shot sweeps'
-    /// `inprocess` option). Warm starts served from this session
-    /// (including [`SweepSession::any_io_job`] clones) report the same
-    /// verdicts, witnesses and query counts as their cold counterparts
-    /// whatever that option says, because SAT answers are
-    /// mathematically determined.
+    /// Warm starts served from this session (including
+    /// [`SweepSession::any_io_job`] clones) report the same verdicts,
+    /// witnesses and query counts as their cold counterparts, because
+    /// SAT answers are mathematically determined.
     pub fn new_in(space: &ObfuscationSpace<'_>, nl: &Netlist) -> SweepSession {
         let cnf = space.encode(nl);
         SweepSession {
@@ -406,12 +397,6 @@ impl SweepSession {
             cnf,
             screens: Vec::new(),
         }
-    }
-
-    /// The session solver's pre/inprocessing counters (see
-    /// [`AnyIoJob::sat_stats`]).
-    pub fn sat_stats(&self) -> mvf_sat::SimplifyStats {
-        self.cnf.solver.simplify_stats()
     }
 
     /// The session's content fingerprint.

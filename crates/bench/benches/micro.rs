@@ -2,11 +2,9 @@
 //! simulation, serial vs parallel GA fitness evaluation through the full
 //! flow, per-call-allocating vs context-reusing fitness evaluation,
 //! batched vs re-encoding SAT plausibility sweeps (`sat_sweep`),
-//! order-heap vs linear-scan SAT decisions (`sat_decide`), sharded vs
-//! serial plausibility sweeps (`sweep_parallel`), signature-pruned
-//! interpretation-freedom sweeps (`sweep_any_io`), inprocessed
-//! (vivified + variable-eliminated) vs untouched clause databases
-//! (`sat_inprocess`), the SAT-free
+//! sharded vs serial plausibility sweeps (`sweep_parallel`),
+//! signature-pruned interpretation-freedom sweeps (`sweep_any_io`), the
+//! NPN-complete adversary with class sharing (`sweep_npn`), the SAT-free
 //! screen-then-solve funnel vs a SAT-only sweep (`sat_screen`), the
 //! scheme-generic sweep over a key-gate-locked circuit vs brute-force
 //! key enumeration (`sweep_locking`), CSR vs
@@ -325,60 +323,6 @@ fn main() {
     println!("sat sweep  : {sat_sweep_ns:>12.0} ns / candidate (one clause arena, assumptions)");
     println!("sat speedup: {sat_speedup:>12.2}x");
 
-    // --- SAT decisions: order-heap vs linear activity scan. ------------
-    // An under-constrained random 3-CNF over 20k variables: nearly every
-    // step is a decision, so the per-decision variable selection cost
-    // dominates the solve.
-    let decide_vars = 20_000usize;
-    let decide_clauses = 20_000usize;
-    let build_decide_solver = |heap: bool| {
-        use mvf_sat::{Lit, Solver, Var};
-        let mut s = Solver::new();
-        s.set_decision_heap(heap);
-        s.set_watch_slack(mvf_bench::sat_watch_slack());
-        for _ in 0..decide_vars {
-            s.new_var();
-        }
-        let mut state = 0xDEC1DE_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..decide_clauses {
-            let c: Vec<Lit> = (0..3)
-                .map(|_| {
-                    let v = Var((next() % decide_vars as u64) as u32);
-                    if next() & 1 == 1 {
-                        Lit::neg(v)
-                    } else {
-                        Lit::pos(v)
-                    }
-                })
-                .collect();
-            s.add_clause(&c);
-        }
-        s
-    };
-    let mut heap_solver = build_decide_solver(true);
-    let mut linear_solver = build_decide_solver(false);
-    assert_eq!(
-        heap_solver.solve(),
-        linear_solver.solve(),
-        "heap and linear decide modes must agree"
-    );
-    let sat_decide_heap_ns = time_ns(|| {
-        black_box(heap_solver.solve());
-    });
-    let sat_decide_linear_ns = time_ns(|| {
-        black_box(linear_solver.solve());
-    });
-    let sat_decide_speedup = sat_decide_linear_ns / sat_decide_heap_ns;
-    println!("sat decide linear: {sat_decide_linear_ns:>12.0} ns / solve (O(n) activity scan)");
-    println!("sat decide heap  : {sat_decide_heap_ns:>12.0} ns / solve (binary order heap)");
-    println!("sat decide speedup: {sat_decide_speedup:>11.2}x ({decide_vars} vars)");
-
     // --- Sharded plausibility sweep vs serial. -------------------------
     let sweep_shards = mvf_ga::resolve_threads(0).max(2);
     let serial_sweep = mvf_attack::plausibility_sweep(&target, &lib, &camo, sweep_candidates);
@@ -627,111 +571,6 @@ fn main() {
          {npn_shared_cost} screen passes + SAT queries, {npn_saved} saved)"
     );
     println!("npn speedup: {npn_speedup:>12.2}x (bit-identical verdicts + witnesses)");
-
-    // --- SAT inprocessing: simplified vs untouched clause database. ----
-    // The 3-bit any-IO orbit again, but over a *partially* camouflaged
-    // target — every third gate camouflaged, standard gates in between,
-    // the mixed shape real camouflage-mapped circuits have. The encoding
-    // already folds every input-determined net away, so simplify finds
-    // only a few redundant site-clause literals and eliminable site
-    // variables to remove. The sweep runs with and without the
-    // vivification + bounded-variable-elimination pass. Inprocessing
-    // costs one up-front simplification and amortizes over the orbit's
-    // SAT queries; verdicts, witnesses and query counts never change.
-    // The library leaves it off by default because it does not pay;
-    // this section keeps measuring it (`MVF_SAT_INPROCESS` defaults on).
-    // The SAT-free screen is disabled here — on the mixed target it
-    // settles the whole orbit without a single solver call, which is its
-    // own section's story; this section measures the solver.
-    let target3_mixed = mvf_attack::partial_camouflage(&f3, &lib, &camo, 3).expect("buildable");
-    let inprocess_on_opts = mvf_attack::AnyIoOptions {
-        shards: 1,
-        inprocess: mvf_bench::sat_inprocess(),
-        screen: false,
-        ..mvf_attack::AnyIoOptions::default()
-    };
-    let inprocess_off_opts = mvf_attack::AnyIoOptions {
-        shards: 1,
-        inprocess: false,
-        screen: false,
-        ..mvf_attack::AnyIoOptions::default()
-    };
-    let inprocess_on = mvf_attack::plausibility_sweep_any_io_with(
-        &target3_mixed,
-        &lib,
-        &camo,
-        &any_io_candidates,
-        &inprocess_on_opts,
-    );
-    let inprocess_off = mvf_attack::plausibility_sweep_any_io_with(
-        &target3_mixed,
-        &lib,
-        &camo,
-        &any_io_candidates,
-        &inprocess_off_opts,
-    );
-    let sat_inprocess_identical = inprocess_on == inprocess_off;
-    assert!(
-        sat_inprocess_identical,
-        "inprocessing must not change any verdict, witness or query count"
-    );
-    // What the simplification pass actually removed, measured through a
-    // job over the same sweep (the job's solver is the sweep's solver).
-    let sat_inprocess_stats = {
-        let mut job = mvf_attack::AnyIoJob::new(
-            &target3_mixed,
-            &lib,
-            &camo,
-            any_io_candidates.clone(),
-            &inprocess_on_opts,
-        );
-        while !job.is_done() {
-            job.step(usize::MAX);
-        }
-        job.sat_stats()
-    };
-    assert!(
-        !mvf_bench::sat_inprocess() || sat_inprocess_stats.clauses_removed > 0,
-        "the simplification pass must remove clauses on the bench encoding"
-    );
-    assert!(
-        !mvf_bench::sat_inprocess() || sat_inprocess_stats.literals_removed > 0,
-        "the simplification pass must remove literals on the bench encoding"
-    );
-    let sat_inprocess_queries: usize = inprocess_on.iter().map(|v| v.queries).sum();
-    let sat_inprocess_on_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_any_io_with(
-            black_box(&target3),
-            &lib,
-            &camo,
-            &any_io_candidates,
-            &inprocess_on_opts,
-        ));
-    }) / sat_inprocess_queries as f64;
-    let sat_inprocess_off_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_any_io_with(
-            black_box(&target3),
-            &lib,
-            &camo,
-            &any_io_candidates,
-            &inprocess_off_opts,
-        ));
-    }) / sat_inprocess_queries as f64;
-    let sat_inprocess_speedup = sat_inprocess_off_ns / sat_inprocess_on_ns;
-    println!(
-        "inprocess off: {sat_inprocess_off_ns:>11.0} ns / query (untouched encoding, \
-         {sat_inprocess_queries} orbit queries)"
-    );
-    println!(
-        "inprocess on : {sat_inprocess_on_ns:>11.0} ns / query ({} clauses, {} literals \
-         removed; {} vars eliminated)",
-        sat_inprocess_stats.clauses_removed,
-        sat_inprocess_stats.literals_removed,
-        sat_inprocess_stats.n_eliminated,
-    );
-    println!(
-        "inprocess speedup: {sat_inprocess_speedup:>7.2}x (bit-identical verdicts + witnesses)"
-    );
 
     // --- Screen-then-solve: SAT-free refutation vs SAT-only sweep. -----
     // A hand-built 3-camo-cell circuit keeps the doping-configuration
@@ -1237,13 +1076,6 @@ fn main() {
             "    \"sweep_ns\": {:.0},\n",
             "    \"speedup\": {:.2}\n",
             "  }},\n",
-            "  \"sat_decide\": {{\n",
-            "    \"n_vars\": {},\n",
-            "    \"n_clauses\": {},\n",
-            "    \"linear_ns\": {:.0},\n",
-            "    \"heap_ns\": {:.0},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }},\n",
             "  \"sweep_parallel\": {{\n",
             "    \"workload\": \"PRESENT random-camouflage\",\n",
             "    \"candidates\": {},\n",
@@ -1274,19 +1106,6 @@ fn main() {
             "    \"class_queries_saved\": {},\n",
             "    \"solo_ns\": {:.0},\n",
             "    \"shared_ns\": {:.0},\n",
-            "    \"speedup\": {:.2},\n",
-            "    \"bit_identical\": {}\n",
-            "  }},\n",
-            "  \"sat_inprocess\": {{\n",
-            "    \"workload\": \"3-bit mixed camouflage (every 3rd gate), interpretation freedom\",\n",
-            "    \"candidates\": {},\n",
-            "    \"clauses_removed\": {},\n",
-            "    \"literals_removed\": {},\n",
-            "    \"n_vivified\": {},\n",
-            "    \"n_eliminated\": {},\n",
-            "    \"queries\": {},\n",
-            "    \"off_query_ns\": {:.0},\n",
-            "    \"on_query_ns\": {:.0},\n",
             "    \"speedup\": {:.2},\n",
             "    \"bit_identical\": {}\n",
             "  }},\n",
@@ -1358,11 +1177,6 @@ fn main() {
         sat_percand_ns,
         sat_sweep_ns,
         sat_speedup,
-        decide_vars,
-        decide_clauses,
-        sat_decide_linear_ns,
-        sat_decide_heap_ns,
-        sat_decide_speedup,
         sweep_candidates.len(),
         sweep_shards,
         sweep_serial_ns,
@@ -1387,16 +1201,6 @@ fn main() {
         npn_shared_ns,
         npn_speedup,
         npn_identical,
-        any_io_candidates.len(),
-        sat_inprocess_stats.clauses_removed,
-        sat_inprocess_stats.literals_removed,
-        sat_inprocess_stats.n_vivified,
-        sat_inprocess_stats.n_eliminated,
-        sat_inprocess_queries,
-        sat_inprocess_off_ns,
-        sat_inprocess_on_ns,
-        sat_inprocess_speedup,
-        sat_inprocess_identical,
         screen_candidates.len(),
         sat_screen_vectors,
         sat_screened,

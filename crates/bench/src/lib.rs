@@ -12,8 +12,6 @@
 //! | `MVF_PAPER_SCALE` | population 24 / generations ~415 as in the paper | off |
 //! | `MVF_THREADS` | fitness-evaluation worker threads (`parallel` feature; results are bit-identical to serial) | all cores |
 //! | `MVF_SCREEN_VECTORS` | screening batch size of the `micro` bench's screen-then-solve section (verdicts are bit-identical for every value) | 256 |
-//! | `MVF_SAT_INPROCESS` | SAT inprocessing (clause vivification + bounded variable elimination) in the bench flows' sweeps and the `micro` bench's `sat_inprocess` section; `0` disables it (verdicts and witnesses are bit-identical either way). On here so the benches keep measuring it, although the library default is off | 1 |
-//! | `MVF_SAT_WATCH_SLACK` | CSR watch-list compaction slack, in percent of the kept entries (a pure memory-layout knob — behavior is bit-identical for every value) | 50 |
 //! | `MVF_BENCH_OUT` | path of the `micro` bench's JSON report | `BENCH_sim.json` at the repo root |
 //! | `MVF_SERVE_ADDR` | TCP listen address of the `mvf-serve` audit service; unset = stdio | unset |
 //! | `MVF_CHECKPOINT_STEPS` | GA generations between `mvf-serve` checkpoints | 1 |
@@ -97,10 +95,7 @@ pub fn bench_config() -> FlowConfig {
 
 /// Builds the flow for benchmarking.
 pub fn bench_flow() -> Flow<Ga> {
-    Flow::builder()
-        .config(bench_config())
-        .attack_inprocess(sat_inprocess())
-        .build()
+    Flow::builder().config(bench_config()).build()
 }
 
 /// The screening batch size for the screen-then-solve bench section
@@ -109,20 +104,4 @@ pub fn bench_flow() -> Flow<Ga> {
 /// batches refute more chaff per screen build at higher screening cost.
 pub fn screen_vectors() -> usize {
     env_usize("MVF_SCREEN_VECTORS", mvf_attack::DEFAULT_SCREEN_VECTORS)
-}
-
-/// Whether bench sweeps run SAT inprocessing (`MVF_SAT_INPROCESS`,
-/// default on, unlike the library default; `0` disables). Inprocessing
-/// never changes a verdict or witness, so every setting is safe.
-pub fn sat_inprocess() -> bool {
-    env_usize("MVF_SAT_INPROCESS", 1) != 0
-}
-
-/// The CSR watch-list compaction slack percentage
-/// (`MVF_SAT_WATCH_SLACK`, default 50): how much free headroom each
-/// rebuilt watch list keeps, as a fraction of its live entries. A pure
-/// memory-layout knob — solver behavior is bit-identical for every
-/// value.
-pub fn sat_watch_slack() -> u32 {
-    env_usize("MVF_SAT_WATCH_SLACK", 50) as u32
 }

@@ -72,10 +72,6 @@ impl From<mvf_sim::ValidationError> for MvfError {
     }
 }
 
-/// The pre-0.2 name of [`MvfError`].
-#[deprecated(since = "0.2.0", note = "renamed to `MvfError`")]
-pub type FlowError = MvfError;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -135,7 +135,6 @@ pub struct FlowBuilder {
     attack_npn: bool,
     attack_class_share: bool,
     attack_screen: bool,
-    attack_inprocess: bool,
 }
 
 impl Default for FlowBuilder {
@@ -158,10 +157,6 @@ impl Default for FlowBuilder {
             // The screen-then-solve funnel never changes a verdict, so
             // it is on unless an audit explicitly wants SAT-only runs.
             attack_screen: true,
-            // SAT inprocessing never changes a verdict either, but it
-            // does not pay on the constant-folded encoding (see
-            // `attack_inprocess`), so it is opt-in.
-            attack_inprocess: false,
         }
     }
 }
@@ -344,21 +339,6 @@ impl FlowBuilder {
         self
     }
 
-    /// Enables or disables SAT inprocessing in the red-team pass (off by
-    /// default): after each workload's netlist is encoded, the solver
-    /// runs one vivification-and-variable-elimination pass
-    /// (`mvf_sat::Solver::simplify`) before the candidate queries hit
-    /// it. Verdicts, witness permutations and query counts are
-    /// bit-identical either way. The encoding already folds every
-    /// input-determined net away, and on the `redteam-sat` benchmark
-    /// the pass cost more than it saved, so enable it only to measure
-    /// it.
-    #[must_use]
-    pub fn attack_inprocess(mut self, enabled: bool) -> Self {
-        self.attack_inprocess = enabled;
-        self
-    }
-
     /// Builds a flow with the default [`Ga`] strategy configured from
     /// [`FlowConfig::ga`].
     pub fn build(self) -> Flow<Ga> {
@@ -386,7 +366,6 @@ impl FlowBuilder {
             attack_npn: self.attack_npn,
             attack_class_share: self.attack_class_share,
             attack_screen: self.attack_screen,
-            attack_inprocess: self.attack_inprocess,
         }
     }
 }
@@ -411,16 +390,6 @@ pub struct Flow<S = Ga> {
     pub(crate) attack_npn: bool,
     pub(crate) attack_class_share: bool,
     pub(crate) attack_screen: bool,
-    pub(crate) attack_inprocess: bool,
-}
-
-impl Flow<Ga> {
-    /// Creates a flow over the standard library and its camouflaged
-    /// variants.
-    #[deprecated(since = "0.2.0", note = "use `Flow::builder()` instead")]
-    pub fn new(config: FlowConfig) -> Self {
-        FlowBuilder::new().config(config).build()
-    }
 }
 
 impl Flow {
@@ -780,28 +749,6 @@ mod tests {
             .finish(&funcs, a, Vec::new(), 0)
             .expect("finish succeeds");
         assert!(result.mapped_area_ge > 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_flow_new_matches_builder() {
-        let funcs = optimal_sboxes()[..2].to_vec();
-        let mut config = FlowConfig::default();
-        config.ga.population = 6;
-        config.ga.generations = 1;
-        config.ga.seed = 0xD0;
-        let old = Flow::new(config.clone()).run(&funcs).expect("shim runs");
-        let new = Flow::builder()
-            .config(config)
-            .build()
-            .run(&funcs)
-            .expect("builder runs");
-        assert_eq!(old.assignment, new.assignment);
-        assert_eq!(
-            old.synthesized_area_ge.to_bits(),
-            new.synthesized_area_ge.to_bits()
-        );
-        assert_eq!(old.mapped_area_ge.to_bits(), new.mapped_area_ge.to_bits());
     }
 
     #[test]

@@ -72,8 +72,6 @@ mod flow;
 mod report;
 mod workload;
 
-#[allow(deprecated)]
-pub use error::FlowError;
 pub use error::MvfError;
 pub use eval::{random_assignment, synthesized_area_ge, EvalContext, PinObjective};
 pub use flow::{Flow, FlowBuilder, FlowConfig, FlowResult, RandomBaseline};

@@ -316,7 +316,6 @@ impl<S: SearchStrategy> Flow<S> {
                             npn: self.attack_npn,
                             class_share: self.attack_class_share,
                             screen: self.attack_screen,
-                            inprocess: self.attack_inprocess,
                             ..mvf_attack::AnyIoOptions::default()
                         },
                     );
@@ -329,7 +328,6 @@ impl<S: SearchStrategy> Flow<S> {
                         &mvf_attack::SweepOptions {
                             shards,
                             screen: self.attack_screen,
-                            inprocess: self.attack_inprocess,
                             ..mvf_attack::SweepOptions::default()
                         },
                     );

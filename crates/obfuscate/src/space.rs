@@ -169,8 +169,7 @@ impl<'a> ObfuscationSpace<'a> {
     /// constant-folded per row ([`mvf_sat::encode_netlist`]), with one
     /// exactly-one selector group per obfuscated site — the SAT half of
     /// the configuration space [`ObfuscationSpace::enumerate_configs`]
-    /// enumerates. Nothing is frozen: callers that simplify the solver
-    /// call [`CircuitCnf::freeze_interface`] first.
+    /// enumerates.
     ///
     /// # Panics
     ///

@@ -5,8 +5,8 @@
 //! camouflaged netlist reduces to satisfiability over the doping-
 //! configuration variables (see the `mvf-attack` crate). The solver is a
 //! compact conflict-driven clause-learning implementation with two-watched
-//! literals, first-UIP learning, VSIDS-style activities and geometric
-//! restarts.
+//! literals, first-UIP learning, VSIDS-style activities, EMA-driven
+//! stabilizing restarts and tiered learnt-clause reduction.
 //!
 //! # Example
 //!
@@ -26,12 +26,10 @@
 #![warn(missing_docs)]
 
 mod cnf;
-mod eliminate;
 mod reduce;
 mod restart;
 mod solver;
 mod tseitin;
-mod vivify;
 
 pub use cnf::{Lit, Var};
 pub use solver::{SimplifyStats, Solver};

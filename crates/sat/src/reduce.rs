@@ -2,31 +2,17 @@
 //!
 //! [`Solver::reduce_db`] drops cold learnt clauses once the live count
 //! passes the reduction threshold, then compacts the arena in place.
-//! Two ranking policies share the pass:
+//! Learnts live in three tiers assigned at learn time — core (LBD ≤ 2,
+//! never dropped), mid (LBD ≤ 6) and local — and locals are promoted to
+//! mid when they keep producing conflicts (see `Solver::bump_clause`).
+//! Reduction drops locals before mids, so a clause that proved itself
+//! outlives a one-conflict wonder of equal LBD; within a tier, higher
+//! LBD and then lower activity go first.
 //!
-//! * **Baseline** (`set_reduce_tiered(false)`): clauses ranked by (LBD
-//!   descending, activity ascending, ref ascending) — the original
-//!   "drop the cold half" heuristic, kept bit-identical for the
-//!   equivalence corpora.
-//! * **Tiered** (default): learnts live in three tiers assigned at learn
-//!   time — core (LBD ≤ 2, never dropped), mid (LBD ≤ 6) and local —
-//!   and locals are promoted to mid when they keep producing conflicts
-//!   (see `Solver::bump_clause`). Reduction drops locals before mids,
-//!   so a clause that proved itself outlives a one-conflict wonder of
-//!   equal LBD.
-//!
-//! Both policies remove the same *number* of clauses from the same
-//! candidate set (glue and locked clauses are never candidates); only
-//! the order — which half is "cold" — differs.
-//!
-//! [`compact_arena`] is the shared back end: it slides live blocks over
-//! dead ones with `copy_within` and remaps every clause reference —
-//! watch lists, reasons, the problem-clause index and the learnt
-//! metadata — through dead-block prefix sums. Vivification and variable
-//! elimination queue their dead blocks (including shrink gaps disguised
-//! as pseudo-clauses) in `dead_problem`; reduction and
-//! [`Solver::simplify`] drain that queue here, so arena growth stays
-//! bounded across arbitrarily long sweeps.
+//! [`compact_arena`] slides live blocks over dead ones with
+//! `copy_within` and remaps every clause reference — watch lists,
+//! reasons and the learnt metadata — through dead-block prefix sums, so
+//! arena growth stays bounded across arbitrarily long sweeps.
 //!
 //! [`compact_arena`]: Solver::compact_arena
 
@@ -44,18 +30,15 @@ pub(crate) fn tier_of(lbd: u32) -> u8 {
 
 impl Solver {
     /// Learnt-DB reduction: drops the cold half of the learnt clauses
-    /// (ranked per the active policy, see the [module docs](self)) and
-    /// compacts the flat arena in place, draining any dead problem
-    /// blocks queued by inprocessing. Safe at any decision level.
+    /// (ranked as the [module docs](self) describe) and compacts the
+    /// flat arena in place. Safe at any decision level.
     pub(crate) fn reduce_db(&mut self) {
         let n = self.learnt_refs.len();
         if n == 0 {
             return;
         }
         // Rank the removable learnts worst-first. Glue (learn-time
-        // LBD ≤ 2 ⟺ tier 0) and locked clauses are never candidates, so
-        // the candidate *set* is identical in both policies.
-        let tiered = self.tiered_reduce;
+        // LBD ≤ 2 ⟺ tier 0) and locked clauses are never candidates.
         let mut cand = std::mem::take(&mut self.rank_tmp);
         cand.clear();
         for i in 0..n {
@@ -65,12 +48,8 @@ impl Solver {
         }
         cand.sort_unstable_by(|&a, &b| {
             let (a, b) = (a as usize, b as usize);
-            let by_tier = if tiered {
-                self.learnt_tier[b].cmp(&self.learnt_tier[a])
-            } else {
-                std::cmp::Ordering::Equal
-            };
-            by_tier
+            self.learnt_tier[b]
+                .cmp(&self.learnt_tier[a])
                 .then(self.learnt_lbd[b].cmp(&self.learnt_lbd[a]))
                 .then(self.learnt_act[a].total_cmp(&self.learnt_act[b]))
                 .then(self.learnt_refs[a].cmp(&self.learnt_refs[b]))
@@ -83,8 +62,7 @@ impl Solver {
             self.rank_tmp = cand;
             return;
         }
-        // Dead refs ascending: the dropped learnts plus any problem
-        // blocks inprocessing already detached.
+        // Dead refs ascending.
         let mut dead = std::mem::take(&mut self.dead_refs);
         dead.clear();
         dead.extend(
@@ -92,7 +70,6 @@ impl Solver {
                 .iter()
                 .map(|&i| self.learnt_refs[i as usize]),
         );
-        dead.append(&mut self.dead_problem);
         dead.sort_unstable();
         self.dead_refs = dead;
         self.rank_tmp = cand;
@@ -109,13 +86,12 @@ impl Solver {
         }
     }
 
-    /// Compacts the arena over the dead blocks listed (sorted ascending,
-    /// non-empty, duplicate-free) in `self.dead_refs`, then remaps every
-    /// clause reference: watch lists, reasons, the problem-clause index
-    /// and the learnt metadata (entries for dead refs are dropped).
-    /// Dead blocks must already be fully detached. Safe at any decision
-    /// level. `n_clauses` is the caller's business.
-    pub(crate) fn compact_arena(&mut self) {
+    /// Compacts the arena over the dead learnt blocks listed (sorted
+    /// ascending, non-empty, duplicate-free) in `self.dead_refs`, then
+    /// remaps every clause reference: watch lists, reasons and the learnt
+    /// metadata (entries for dead refs are dropped). Safe at any
+    /// decision level. `n_clauses` is the caller's business.
+    fn compact_arena(&mut self) {
         let dead = std::mem::take(&mut self.dead_refs);
         if dead.is_empty() {
             self.dead_refs = dead;
@@ -165,25 +141,15 @@ impl Solver {
                 Some(remap(r))
             }
         });
-        // Reasons: locked learnts are never dropped and dead problem
-        // blocks are never reasons (a level-0 reason clause is level-0
-        // satisfied, which inprocessing skips), so every reason stays
-        // live.
+        // Reasons: locked learnts are never dropped, so every reason
+        // stays live.
         for r in &mut self.reason {
             if *r != NO_CLAUSE {
                 debug_assert!(dead.binary_search(r).is_err(), "reason clause dropped");
                 *r = remap(*r);
             }
         }
-        // Problem-clause index: inprocessing removes its dead entries
-        // eagerly, so this is a pure remap (order is preserved).
-        for r in &mut self.clause_refs {
-            debug_assert!(dead.binary_search(r).is_err(), "dead ref still indexed");
-            *r = remap(*r);
-        }
-        // Learnt metadata: drop dead entries, remap the rest. The dead
-        // list interleaves problem blocks, so membership is a binary
-        // search rather than a two-pointer sweep.
+        // Learnt metadata: drop dead entries, remap the rest.
         let mut w = 0usize;
         for i in 0..self.learnt_refs.len() {
             let r = self.learnt_refs[i];

@@ -16,12 +16,7 @@
 //!   instances the agile mode keeps abandoning. Stable periods grow
 //!   geometrically (×2) each time the mode recurs.
 //!
-//! The EMAs advance on *every* conflict in every restart mode — they
-//! are pure observers — but steer restarts only when
-//! [`Solver::set_restart_ema`] is on and Luby mode is off
-//! ([`Solver::set_restart_luby`] takes precedence, preserving the
-//! pre-existing Luby semantics). With both off, the geometric schedule
-//! runs bit-identically to the pre-EMA solver.
+//! This is the solver's only restart schedule.
 
 use crate::solver::Solver;
 
@@ -47,7 +42,7 @@ impl Solver {
         self.mode_conflicts += 1;
     }
 
-    /// EMA-mode restart decision, given the conflicts accumulated since
+    /// The restart decision, given the conflicts accumulated since
     /// the last restart. Also performs the focused/stable mode switches
     /// (those depend only on the mode clock, not on restarting).
     pub(crate) fn ema_wants_restart(&mut self, since_restart: u64) -> bool {

@@ -46,27 +46,6 @@ pub struct CircuitCnf {
     pub row_outputs: Vec<Vec<Var>>,
 }
 
-impl CircuitCnf {
-    /// Freezes the encoding's interface against variable elimination:
-    /// every configuration selector (read back as the witness) and every
-    /// row-output variable (assumed on by plausibility queries). Call
-    /// before [`Solver::simplify`], which the sweeps run only when asked
-    /// to (their `inprocess` option). The folded encoding has no per-row
-    /// input variables, so nothing else needs protection.
-    pub fn freeze_interface(&mut self) {
-        for vars in self.config_vars.values() {
-            for &v in vars {
-                self.solver.set_frozen(v, true);
-            }
-        }
-        for row in &self.row_outputs {
-            for &v in row {
-                self.solver.set_frozen(v, true);
-            }
-        }
-    }
-}
-
 /// A net's value in the row being encoded.
 #[derive(Debug, Clone, Copy)]
 enum NetVal {

@@ -392,13 +392,24 @@ impl Checkpoint {
             Some("ga") => CheckpointPhase::Ga(ga_state_from(field(v, "ga")?)?),
             Some("sweep") => {
                 let ga = field(v, "ga")?;
+                let progress = progress_from(field(v, "sweep")?)?;
+                // The sweep has one candidate per workload function; a
+                // cursor of any other width cannot be resumed.
+                let n = workload.functions.len();
+                if progress.best.len() != n || progress.queries.len() != n {
+                    return Err(CheckpointError::Malformed(format!(
+                        "sweep progress covers {} / {} candidates, the workload has {n}",
+                        progress.best.len(),
+                        progress.queries.len()
+                    )));
+                }
                 CheckpointPhase::Sweep {
                     ga: GaFinal {
                         best: decode_assignment(field(ga, "best")?)?,
                         history: history_from(ga, "history")?,
                         evaluations: usize_field(ga, "evaluations")?,
                     },
-                    progress: progress_from(field(v, "sweep")?)?,
+                    progress,
                 }
             }
             _ => {

@@ -49,8 +49,8 @@ pub enum AuditOutcome {
         report: Box<WorkloadReport>,
         /// The sweep solver's counters (all zero when the flow failed
         /// before any sweep ran; `n_vivified` and `n_eliminated` are
-        /// always zero, since the job's sweep never simplifies its
-        /// encoding). Reported by the service's `status` response;
+        /// always zero, since the solver has no inprocessing).
+        /// Reported by the service's `status` response;
         /// never part of the report itself, so resume bit-identity is
         /// unaffected.
         sat: SimplifyStats,

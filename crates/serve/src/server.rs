@@ -6,8 +6,8 @@
 //!
 //! | `cmd` | fields | response |
 //! |---|---|---|
-//! | `submit` | `id`, `workload` *or* `checkpoint`, optional `wait` | `status` (and `report` with `wait`); a workload the service cannot run — a function without inputs, or an interpretation orbit too large for the adversary tier — is refused up front |
-//! | `status` | `id` | `status`, `error` when failed; done jobs add the sweep solver's inprocessing counters (`n_vivified`, `n_eliminated`, `n_reductions`; the first two are 0, since the service's sweeps never simplify their encoding) |
+//! | `submit` | `id`, `workload` *or* `checkpoint`, optional `wait` | `status` (and `report` with `wait`); a workload the service cannot run — a function without inputs, or an interpretation orbit too large for the adversary tier — is refused up front, as is a sweep-phase checkpoint whose cursor does not cover exactly the workload's functions |
+//! | `status` | `id` | `status`, `error` when failed; done jobs add the sweep solver's counters (`n_vivified`, `n_eliminated`, `n_reductions`; the first two are always 0, since the solver has no inprocessing) |
 //! | `result` | `id` | `report` (once done) |
 //! | `checkpoint` | `id` | `checkpoint` (latest boundary snapshot) |
 //! | `cancel` | `id` | `status` — the job pauses at its next boundary |
@@ -148,7 +148,7 @@ struct JobEntry {
     /// Whether this submission resumes from `checkpoint`.
     resume: bool,
     report: Option<Box<WorkloadReport>>,
-    /// The sweep solver's inprocessing counters, once the job is done.
+    /// The sweep solver's counters, once the job is done.
     sat: Option<SimplifyStats>,
 }
 
@@ -489,8 +489,8 @@ impl Inner {
                     ("id".into(), Value::str(&id)),
                     ("status".into(), Value::str(entry.phase.name())),
                 ];
-                // A finished job also reports what inprocessing did to
-                // its sweep solver.
+                // A finished job also reports its sweep solver's
+                // counters.
                 if let Some(sat) = &entry.sat {
                     fields.push(("n_vivified".into(), Value::u64(sat.n_vivified)));
                     fields.push(("n_eliminated".into(), Value::u64(sat.n_eliminated)));

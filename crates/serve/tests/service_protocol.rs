@@ -73,9 +73,8 @@ fn submit_wait_returns_a_wellformed_report() {
         v.get("report").map(Value::to_string),
         "result must return the identical report"
     );
-    // A done job's status surfaces the sweep solver's inprocessing
-    // counters. Sessions no longer simplify their encoding, so nothing
-    // is vivified or eliminated.
+    // A done job's status surfaces the sweep solver's counters. The
+    // solver has no inprocessing, so nothing is vivified or eliminated.
     let status = parse_ok(&service.handle("{\"cmd\":\"status\",\"id\":\"a\"}"));
     assert_eq!(status.get("status").and_then(Value::as_str), Some("done"));
     for counter in ["n_vivified", "n_eliminated", "n_reductions"] {
@@ -87,7 +86,7 @@ fn submit_wait_returns_a_wellformed_report() {
     let counter = |name: &str| status.get(name).and_then(Value::as_u64).unwrap();
     assert!(
         counter("n_vivified") == 0 && counter("n_eliminated") == 0,
-        "sessions must not simplify the sweep encoding: {status}"
+        "the solver has no inprocessing: {status}"
     );
     service.shutdown_and_join();
 }
@@ -173,6 +172,65 @@ fn protocol_errors_are_reported_not_panicked() {
         let error = v.get("error").and_then(Value::as_str).unwrap();
         assert!(error.contains(needle), "{request} → {error}");
     }
+    service.shutdown_and_join();
+}
+
+#[test]
+fn sweep_checkpoints_of_the_wrong_width_are_refused_and_the_service_keeps_answering() {
+    let service = AuditService::start(tiny_cfg());
+    let workload =
+        Workload::new("PRESENT x2", mvf_sboxes::optimal_sboxes()[..2].to_vec()).with_seed(4);
+    // Sweep cursors whose witness bounds or query counts cover three
+    // candidates, not these two functions.
+    for (id, best, queries) in [
+        ("best", vec![usize::MAX; 3], vec![0; 2]),
+        ("queries", vec![usize::MAX; 2], vec![0; 3]),
+    ] {
+        let checkpoint = Checkpoint {
+            seed: 4,
+            scheme: SchemeKind::Camouflage,
+            failed_evaluations: 0,
+            phase: CheckpointPhase::Sweep {
+                ga: GaFinal {
+                    best: PinAssignment::identity(&workload.functions),
+                    history: Vec::new(),
+                    evaluations: 0,
+                },
+                progress: AnyIoProgress {
+                    pos: 0,
+                    best,
+                    queries,
+                    resolved: Vec::new(),
+                },
+            },
+            workload: workload.clone(),
+        };
+        let v = Value::parse(&service.handle(&format!(
+            "{{\"cmd\":\"submit\",\"id\":\"{id}\",\"checkpoint\":{}}}",
+            checkpoint.to_value()
+        )))
+        .expect("response is JSON");
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{id}");
+        let error = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("bad checkpoint"), "{id}: {error}");
+        // Refused up front: no job was queued, and the service answers.
+        let status =
+            Value::parse(&service.handle(&format!("{{\"cmd\":\"status\",\"id\":\"{id}\"}}")))
+                .unwrap();
+        assert!(
+            status
+                .get("error")
+                .and_then(Value::as_str)
+                .unwrap()
+                .contains("no job"),
+            "{id}: {status}"
+        );
+    }
+    // The worker is still alive: a good workload runs to completion.
+    parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"fine\",\"wait\":true,\"workload\":{}}}",
+        workload_json(5)
+    )));
     service.shutdown_and_join();
 }
 

@@ -97,8 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .permute_outputs(&[1, 3, 0, 2])?;
     // Run the sweep through a job so the solver's counters are
     // observable afterwards (verdicts are identical to
-    // `plausibility_sweep_any_io`). Inprocessing is off by default, so
-    // only learnt-clause reductions can be nonzero here.
+    // `plausibility_sweep_any_io`).
     let mut job = AnyIoJob::new(
         &baseline,
         &lib,
@@ -110,11 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         job.step(usize::MAX);
     }
     let sat = job.sat_stats();
-    println!(
-        "  solver: {} clause-DB reductions; {} clauses vivified and {} variables \
-         eliminated (inprocessing is opt-in)",
-        sat.n_reductions, sat.n_vivified, sat.n_eliminated
-    );
+    println!("  solver: {} clause-DB reductions", sat.n_reductions);
     let verdicts = job.verdicts();
     let v = &verdicts[0];
     println!(

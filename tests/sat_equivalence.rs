@@ -8,27 +8,27 @@
 //! attack test corpus, and a propagation-heavy stress case that leans on
 //! the in-place database reuse across queries.
 //!
-//! The scaling layers ride the same corpus: the order-heap decision mode
-//! must agree with the linear activity scan on every verdict *and* model,
-//! learnt-DB reduction under a tiny cap must leave every verdict
-//! unchanged while bounding arena growth, and the sharded parallel sweep
-//! must be bit-identical to the serial sweep for every shard count.
+//! The scaling layers ride the same corpus: learnt-DB reduction under a
+//! tiny cap must leave every verdict unchanged while bounding arena
+//! growth, a pigeonhole refutation under assumptions must drive the
+//! solver through restarts and reductions at its default learnt limit
+//! and leave it able to find a model afterwards, and the sharded
+//! parallel sweep must be bit-identical to the serial sweep for every
+//! shard count.
 //!
 //! The interpretation-freedom layer gets its own corpus: the any-IO
 //! sweep (serial and sharded 1/2/4) must match brute-force permutation
-//! enumeration on 3-bit blocks — verdicts *and* witness interpretations —
-//! signature pruning (P-equivalence dedup of permuted candidates) must
-//! never change an answer while strictly
-//! cutting queries on symmetric candidates, the CSR watch pool must be
-//! bit-identical to the `Vec<Vec<_>>` baseline, and Luby restarts must
-//! be verdict-equivalent to the geometric schedule.
+//! enumeration on 3-bit blocks, fully and partially camouflaged —
+//! verdicts *and* witness interpretations — and signature pruning
+//! (P-equivalence dedup of permuted candidates) must never change an
+//! answer while strictly cutting queries on symmetric candidates.
 //!
 //! The NPN completion extends that corpus to the full 2304-point
 //! 3-bit orbit: the sweep must match a batched brute-force oracle
 //! built from public logic primitives — verdicts *and* witness
 //! transforms — and cross-candidate class sharing must be
 //! answer-invisible while cutting work by at least the duplication
-//! factor, for every shard count, with inprocessing on.
+//! factor, for every shard count.
 //!
 //! The screen-then-solve funnel rides both corpora and two hand-built
 //! circuits whose doping-configuration product is enumerable: screening
@@ -174,56 +174,6 @@ fn assumption_queries_match_brute_force_and_are_undone() {
 }
 
 #[test]
-fn heap_and_linear_decide_modes_agree_on_the_full_corpus() {
-    // The order heap breaks activity ties toward the lowest variable
-    // index — exactly the linear scan's "first maximum" rule — so the
-    // two modes must produce identical verdicts and identical models on
-    // the whole random corpus, with and without assumptions.
-    let mut rng = XorShift(0x04DE_4000_0000_0001);
-    for round in 0..40 {
-        let n_vars = 4 + (rng.next() as usize) % 9; // 4..=12
-        let n_clauses = 2 + (rng.next() as usize) % 40;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 4);
-        let mut heap = Solver::new();
-        let mut linear = Solver::new();
-        linear.set_decision_heap(false);
-        for _ in 0..n_vars {
-            heap.new_var();
-            linear.new_var();
-        }
-        for c in &clauses {
-            heap.add_clause(c);
-            linear.add_clause(c);
-        }
-        // Interleave plain and assumption queries on both solvers.
-        for q in 0..6 {
-            let n_assumptions = (rng.next() as usize) % 3;
-            let mut assumptions = Vec::with_capacity(n_assumptions);
-            for _ in 0..n_assumptions {
-                assumptions.push(random_lit(&mut rng, n_vars));
-            }
-            let vh = heap.solve_with(&assumptions);
-            let vl = linear.solve_with(&assumptions);
-            assert_eq!(vh, vl, "round {round}, query {q}: verdicts differ");
-            assert_eq!(
-                vh,
-                brute_force(&clauses, &assumptions, n_vars),
-                "round {round}, query {q}: wrong verdict"
-            );
-            if vh {
-                for v in 0..n_vars {
-                    assert_eq!(
-                        heap.value(Var(v as u32)),
-                        linear.value(Var(v as u32)),
-                        "round {round}, query {q}: models diverge at var {v}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn reduce_db_under_assumptions_keeps_verdicts_and_bounds_the_arena() {
     // A capped solver is forced through many learnt-DB reductions while
     // answering assumption queries; every verdict must equal both the
@@ -290,6 +240,46 @@ fn reduce_db_under_assumptions_keeps_verdicts_and_bounds_the_arena() {
             );
         }
     }
+}
+
+#[test]
+fn pigeonhole_8_into_8_with_a_closed_hole_is_unsat_then_sat() {
+    // Pigeonhole 8-into-8 with the last hole closed by eight assumptions
+    // is pigeonhole 8-into-7: unsatisfiable by counting, and conflict-
+    // heavy enough to take the solver at its default learnt limit
+    // through both phases of its EMA restart schedule and through
+    // learnt-DB reductions. Without the assumptions every pigeon has a
+    // hole of its own, so the same solver must then find a model.
+    const N: usize = 8;
+    let mut s = Solver::new();
+    let p: Vec<Vec<Var>> = (0..N)
+        .map(|_| (0..N).map(|_| s.new_var()).collect())
+        .collect();
+    let mut clauses: Vec<Vec<Lit>> = p
+        .iter()
+        .map(|row| row.iter().map(|&v| Lit::pos(v)).collect())
+        .collect();
+    for j in 0..N {
+        for a in 0..N {
+            for b in (a + 1)..N {
+                clauses.push(vec![Lit::neg(p[a][j]), Lit::neg(p[b][j])]);
+            }
+        }
+    }
+    for c in &clauses {
+        s.add_clause(c);
+    }
+    let last_hole_closed: Vec<Lit> = p.iter().map(|row| Lit::neg(row[N - 1])).collect();
+    assert!(
+        !s.solve_with(&last_hole_closed),
+        "8 pigeons cannot sit alone in 7 holes"
+    );
+    assert!(
+        s.n_reductions() > 0,
+        "the refutation must reduce the learnt DB at the default limit"
+    );
+    assert!(s.solve(), "8 pigeons fit 8 holes once the assumptions go");
+    assert!(model_satisfies(&s, &clauses), "model violates a clause");
 }
 
 #[test]
@@ -449,46 +439,62 @@ fn npn_interpretations(n_in: usize, n_out: usize) -> Vec<IoInterpretation> {
 
 #[test]
 fn any_io_sweep_matches_brute_force_and_every_shard_count() {
-    let (lib, camo, circuit, candidates) = any_io_corpus();
-    let serial = plausibility_sweep_any_io(&circuit, &lib, &camo, &candidates);
-    assert_eq!(serial.len(), candidates.len());
-    // Serial sweep vs. brute-force permutation enumeration: verdict and
-    // witness must coincide exactly (the sweep's witness is defined as
-    // the first satisfying pair in the same enumeration order).
-    for (j, (f, v)) in candidates.iter().zip(&serial).enumerate() {
-        let (want, want_witness) = brute_force_any_io(&circuit, &lib, &camo, f);
-        assert_eq!(v.plausible, want, "candidate {j}: verdict");
-        assert_eq!(v.witness, want_witness, "candidate {j}: witness");
-        assert_eq!(v.orbit, 36, "candidate {j}: 3! · 3! orbit");
-        assert!(v.unique <= v.orbit);
-        if !v.plausible {
-            assert_eq!(
-                v.queries + v.screened,
-                v.unique,
-                "candidate {j}: a refutation must cover every representative \
-                 (screened SAT-free or queried)"
-            );
+    let (lib, camo, full_circuit, candidates) = any_io_corpus();
+    // The fully camouflaged corpus circuit, and a mixed one of the same
+    // function with standard gates between the camouflaged ones (every
+    // third gate camouflaged).
+    let mixed_circuit =
+        mvf_attack::partial_camouflage(&candidates[1], &lib, &camo, 3).expect("buildable");
+    for (name, circuit) in [("full", full_circuit), ("mixed", mixed_circuit)] {
+        let serial = plausibility_sweep_any_io(&circuit, &lib, &camo, &candidates);
+        assert_eq!(serial.len(), candidates.len());
+        // Serial sweep vs. brute-force permutation enumeration: verdict
+        // and witness must coincide exactly (the sweep's witness is
+        // defined as the first satisfying pair in the same enumeration
+        // order).
+        for (j, (f, v)) in candidates.iter().zip(&serial).enumerate() {
+            let (want, want_witness) = brute_force_any_io(&circuit, &lib, &camo, f);
+            assert_eq!(v.plausible, want, "{name}, candidate {j}: verdict");
+            assert_eq!(v.witness, want_witness, "{name}, candidate {j}: witness");
+            assert_eq!(v.orbit, 36, "{name}, candidate {j}: 3! · 3! orbit");
+            assert!(v.unique <= v.orbit);
+            if !v.plausible {
+                assert_eq!(
+                    v.queries + v.screened,
+                    v.unique,
+                    "{name}, candidate {j}: a refutation must cover every \
+                     representative (screened SAT-free or queried)"
+                );
+            }
         }
-    }
-    // The corpus covers both polarities.
-    assert!(serial[0].plausible, "scrambled true function");
-    assert!(serial[1].plausible, "true function, identity witness");
-    assert_eq!(
-        serial[1].witness,
-        Some(IoInterpretation::from_perms(vec![0, 1, 2], vec![0, 1, 2])),
-        "identity interpretation is orbit index 0"
-    );
-    assert!(!serial[3].plausible, "the identity LUT is not in the orbit");
-    // Sharded sweeps: bit-identical verdicts *and* witnesses for every
-    // shard count (queries may differ — early exit is cooperative).
-    let key = |vs: &[AnyIoVerdict]| -> Vec<(bool, Option<IoInterpretation>)> {
-        vs.iter()
-            .map(|v| (v.plausible, v.witness.clone()))
-            .collect()
-    };
-    for shards in [1usize, 2, 4] {
-        let sharded = plausibility_sweep_any_io_sharded(&circuit, &lib, &camo, &candidates, shards);
-        assert_eq!(key(&serial), key(&sharded), "shards = {shards}");
+        // The corpus covers both polarities.
+        assert!(serial[0].plausible, "{name}: scrambled true function");
+        assert!(
+            serial[1].plausible,
+            "{name}: true function, identity witness"
+        );
+        assert_eq!(
+            serial[1].witness,
+            Some(IoInterpretation::from_perms(vec![0, 1, 2], vec![0, 1, 2])),
+            "{name}: identity interpretation is orbit index 0"
+        );
+        assert!(
+            !serial[3].plausible,
+            "{name}: the identity LUT is not in the orbit"
+        );
+        // Sharded sweeps: bit-identical verdicts *and* witnesses for
+        // every shard count (queries may differ — early exit is
+        // cooperative).
+        let key = |vs: &[AnyIoVerdict]| -> Vec<(bool, Option<IoInterpretation>)> {
+            vs.iter()
+                .map(|v| (v.plausible, v.witness.clone()))
+                .collect()
+        };
+        for shards in [1usize, 2, 4] {
+            let sharded =
+                plausibility_sweep_any_io_sharded(&circuit, &lib, &camo, &candidates, shards);
+            assert_eq!(key(&serial), key(&sharded), "{name}, shards = {shards}");
+        }
     }
 }
 
@@ -725,16 +731,15 @@ fn npn_class_sharing_never_changes_answers_and_cuts_work_by_the_class_size() {
 }
 
 #[test]
-fn npn_sharded_sweep_with_sharing_and_inprocessing_is_consistent() {
+fn npn_sharded_sweep_with_sharing_is_consistent() {
     // Everything on at once: the full NPN orbit, cross-candidate class
-    // sharing, solver inprocessing, and 1/2/4 shards must all agree on
-    // every verdict and witness (query counts may differ under sharded
-    // sharing — cache races are benign).
+    // sharing, and 1/2/4 shards must all agree on every verdict and
+    // witness (query counts may differ under sharded sharing — cache
+    // races are benign).
     let (lib, camo, circuit, candidates) = npn_corpus();
     let opts = AnyIoOptions {
         npn: true,
         class_share: true,
-        inprocess: true,
         ..AnyIoOptions::default()
     };
     let serial = plausibility_sweep_any_io_with(&circuit, &lib, &camo, &candidates, &opts);
@@ -764,95 +769,6 @@ fn npn_sharded_sweep_with_sharing_and_inprocessing_is_consistent() {
             },
         );
         assert_eq!(key(&serial), key(&sharded), "shards = {shards}");
-    }
-}
-
-#[test]
-fn csr_and_vec_watch_lists_agree_on_verdicts_and_models() {
-    // The CSR watch pool preserves the Vec<Vec<_>> baseline's list
-    // orders and traversal exactly, so whole solver runs — verdicts and
-    // models, under assumption sequences — must be bit-identical.
-    let mut rng = XorShift(0xC5_2000_0001);
-    for round in 0..25 {
-        let n_vars = 5 + (rng.next() as usize) % 8; // 5..=12
-        let n_clauses = 4 + (rng.next() as usize) % 36;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 4);
-        let mut csr = Solver::new();
-        let mut vecs = Solver::new();
-        vecs.set_watch_csr(false);
-        for _ in 0..n_vars {
-            csr.new_var();
-            vecs.new_var();
-        }
-        for c in &clauses {
-            csr.add_clause(c);
-            vecs.add_clause(c);
-        }
-        for q in 0..6 {
-            let n_assumptions = (rng.next() as usize) % 3;
-            let mut assumptions = Vec::with_capacity(n_assumptions);
-            for _ in 0..n_assumptions {
-                assumptions.push(random_lit(&mut rng, n_vars));
-            }
-            let vc = csr.solve_with(&assumptions);
-            let vv = vecs.solve_with(&assumptions);
-            assert_eq!(vc, vv, "round {round}, query {q}: verdicts differ");
-            assert_eq!(
-                vc,
-                brute_force(&clauses, &assumptions, n_vars),
-                "round {round}, query {q}: wrong verdict"
-            );
-            if vc {
-                for v in 0..n_vars {
-                    assert_eq!(
-                        csr.value(Var(v as u32)),
-                        vecs.value(Var(v as u32)),
-                        "round {round}, query {q}: models diverge at var {v}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn luby_and_geometric_restarts_are_verdict_equivalent() {
-    // Restart scheduling (and Luby mode's rare stagnation phase flips)
-    // may change the search trajectory but never an answer.
-    let mut rng = XorShift(0x1B1_BEEF_0001);
-    for round in 0..20 {
-        let n_vars = 6 + (rng.next() as usize) % 6; // 6..=11
-        let n_clauses = 20 + (rng.next() as usize) % 30;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 3);
-        let mut geo = Solver::new();
-        let mut lub = Solver::new();
-        lub.set_restart_luby(true);
-        for _ in 0..n_vars {
-            geo.new_var();
-            lub.new_var();
-        }
-        for c in &clauses {
-            geo.add_clause(c);
-            lub.add_clause(c);
-        }
-        for q in 0..5 {
-            let n_assumptions = (rng.next() as usize) % 3;
-            let mut assumptions = Vec::with_capacity(n_assumptions);
-            for _ in 0..n_assumptions {
-                assumptions.push(random_lit(&mut rng, n_vars));
-            }
-            let want = brute_force(&clauses, &assumptions, n_vars);
-            assert_eq!(
-                geo.solve_with(&assumptions),
-                want,
-                "round {round}, query {q}: geometric"
-            );
-            assert_eq!(
-                lub.solve_with(&assumptions),
-                want,
-                "round {round}, query {q}: luby"
-            );
-        }
     }
 }
 
@@ -907,402 +823,6 @@ fn propagation_heavy_stress() {
         s.n_clauses() > before,
         "conflict learning must grow the clause arena"
     );
-}
-
-/// An all-techniques-off solver: the seed CDCL loop with no
-/// inprocessing, geometric restarts and flat (untired) reduction.
-fn baseline_solver(n_vars: usize) -> Solver {
-    let mut s = Solver::new();
-    s.set_vivify(false);
-    s.set_eliminate(false);
-    s.set_restart_ema(false);
-    s.set_reduce_tiered(false);
-    for _ in 0..n_vars {
-        s.new_var();
-    }
-    s
-}
-
-#[test]
-fn simplify_with_all_techniques_off_is_a_no_op() {
-    // Disabled means disabled: with every inprocessing toggle off,
-    // `simplify` must leave the arena untouched, report zero work, and
-    // change no verdict or model relative to never calling it.
-    let mut rng = XorShift(0x0FF0_0FF0_0000_0001);
-    for round in 0..20 {
-        let n_vars = 4 + (rng.next() as usize) % 9;
-        let n_clauses = 2 + (rng.next() as usize) % 40;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 4);
-        let mut plain = baseline_solver(n_vars);
-        let mut simplified = baseline_solver(n_vars);
-        for c in &clauses {
-            plain.add_clause(c);
-            simplified.add_clause(c);
-        }
-        let words = simplified.arena_words();
-        simplified.simplify();
-        assert_eq!(
-            simplified.arena_words(),
-            words,
-            "round {round}: all-off simplify touched the arena"
-        );
-        assert_eq!(
-            simplified.simplify_stats(),
-            mvf_sat::SimplifyStats::default(),
-            "round {round}: all-off simplify reported work"
-        );
-        for q in 0..6 {
-            let n_assumptions = (rng.next() as usize) % 3;
-            let mut assumptions = Vec::with_capacity(n_assumptions);
-            for _ in 0..n_assumptions {
-                assumptions.push(random_lit(&mut rng, n_vars));
-            }
-            let vp = plain.solve_with(&assumptions);
-            assert_eq!(
-                vp,
-                simplified.solve_with(&assumptions),
-                "round {round}, query {q}: verdicts differ"
-            );
-            if vp {
-                for v in 0..n_vars {
-                    assert_eq!(
-                        plain.value(Var(v as u32)),
-                        simplified.value(Var(v as u32)),
-                        "round {round}, query {q}: models diverge at var {v}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn vivification_on_and_off_match_brute_force() {
-    // Vivification rewrites problem clauses into equivalent (not merely
-    // equisatisfiable) ones, so with the other techniques off the
-    // vivified solver must agree with brute force — verdicts and
-    // satisfying models — across assumption sequences, with no model
-    // reconstruction involved.
-    let mut rng = XorShift(0x71F1_F1ED_0000_0003);
-    for round in 0..25 {
-        let n_vars = 5 + (rng.next() as usize) % 8; // 5..=12
-        let n_clauses = 10 + (rng.next() as usize) % 30;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 4);
-        let mut viv = baseline_solver(n_vars);
-        viv.set_vivify(true);
-        let mut off = baseline_solver(n_vars);
-        for c in &clauses {
-            viv.add_clause(c);
-            off.add_clause(c);
-        }
-        viv.simplify();
-        for q in 0..8 {
-            let n_assumptions = (rng.next() as usize) % 3;
-            let mut assumptions = Vec::with_capacity(n_assumptions);
-            for _ in 0..n_assumptions {
-                assumptions.push(random_lit(&mut rng, n_vars));
-            }
-            let want = brute_force(&clauses, &assumptions, n_vars);
-            assert_eq!(
-                viv.solve_with(&assumptions),
-                want,
-                "round {round}, query {q}: vivified verdict"
-            );
-            assert_eq!(
-                off.solve_with(&assumptions),
-                want,
-                "round {round}, query {q}: baseline verdict"
-            );
-            if want {
-                assert!(
-                    model_satisfies(&viv, &clauses),
-                    "round {round}, query {q}: vivified model violates an \
-                     original clause"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn elimination_reconstructs_models_under_assumptions() {
-    // Bounded variable elimination removes variables from the problem;
-    // `model()` must transparently reconstruct their values, so every
-    // satisfying assignment — including ones constrained through frozen
-    // assumption variables — must satisfy every ORIGINAL clause.
-    let mut rng = XorShift(0xB7E0_0000_0000_0005);
-    for round in 0..25 {
-        let n_vars = 5 + (rng.next() as usize) % 8; // 5..=12
-        let n_clauses = 6 + (rng.next() as usize) % 26;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 3);
-        // Pre-draw the whole query schedule so the assumption variables
-        // can be frozen before elimination runs.
-        let queries: Vec<Vec<Lit>> = (0..8)
-            .map(|_| {
-                let n = (rng.next() as usize) % 3;
-                (0..n).map(|_| random_lit(&mut rng, n_vars)).collect()
-            })
-            .collect();
-        let mut bve = baseline_solver(n_vars);
-        bve.set_eliminate(true);
-        for c in &clauses {
-            bve.add_clause(c);
-        }
-        for q in &queries {
-            for a in q {
-                bve.set_frozen(a.var(), true);
-            }
-        }
-        bve.simplify();
-        let eliminated = (0..n_vars)
-            .filter(|&v| bve.is_eliminated(Var(v as u32)))
-            .count();
-        for (q, assumptions) in queries.iter().enumerate() {
-            let want = brute_force(&clauses, assumptions, n_vars);
-            assert_eq!(
-                bve.solve_with(assumptions),
-                want,
-                "round {round}, query {q}: verdict after elimination"
-            );
-            if want {
-                assert!(
-                    model_satisfies(&bve, &clauses),
-                    "round {round}, query {q}: reconstructed model violates \
-                     an original clause ({eliminated} vars eliminated)"
-                );
-                for a in assumptions {
-                    assert_eq!(
-                        bve.value(a.var()),
-                        Some(!a.is_negative()),
-                        "round {round}, query {q}: assumption dropped"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn ema_and_geometric_restarts_are_verdict_equivalent() {
-    // The fast/slow-EMA stabilizing schedule changes only WHEN the
-    // search restarts, never an answer: on a conflict-heavy corpus both
-    // modes must match brute force, and the EMA solver's models must
-    // satisfy every clause.
-    let mut rng = XorShift(0xE3A0_0000_0000_0009);
-    for round in 0..20 {
-        let n_vars = 6 + (rng.next() as usize) % 6; // 6..=11
-        let n_clauses = 20 + (rng.next() as usize) % 30;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 3);
-        let mut ema = baseline_solver(n_vars);
-        ema.set_restart_ema(true);
-        let mut geo = baseline_solver(n_vars);
-        for c in &clauses {
-            ema.add_clause(c);
-            geo.add_clause(c);
-        }
-        for q in 0..5 {
-            let n_assumptions = (rng.next() as usize) % 3;
-            let mut assumptions = Vec::with_capacity(n_assumptions);
-            for _ in 0..n_assumptions {
-                assumptions.push(random_lit(&mut rng, n_vars));
-            }
-            let want = brute_force(&clauses, &assumptions, n_vars);
-            assert_eq!(
-                ema.solve_with(&assumptions),
-                want,
-                "round {round}, query {q}: ema"
-            );
-            assert_eq!(
-                geo.solve_with(&assumptions),
-                want,
-                "round {round}, query {q}: geometric"
-            );
-            if want {
-                assert!(model_satisfies(&ema, &clauses));
-            }
-        }
-    }
-}
-
-#[test]
-fn tiered_and_flat_reduce_keep_verdicts_under_a_tight_cap() {
-    // Tier-aware reduction protects core (glue) clauses and demotes
-    // locals first; under a tight learnt cap it must still never change
-    // a verdict relative to flat LBD/activity reduction or brute force.
-    let mut rng = XorShift(0x71E2_EDDB_0000_000B);
-    for round in 0..8 {
-        let n_vars = 10 + (rng.next() as usize) % 3; // 10..=12
-        let n_clauses = 38 + (rng.next() as usize) % 18;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 3);
-        let mut tiered = baseline_solver(n_vars);
-        tiered.set_reduce_tiered(true);
-        tiered.set_learnt_limit(8);
-        let mut flat = baseline_solver(n_vars);
-        flat.set_learnt_limit(8);
-        for c in &clauses {
-            tiered.add_clause(c);
-            flat.add_clause(c);
-        }
-        for q in 0..25 {
-            let n_assumptions = 1 + (rng.next() as usize) % 4;
-            let mut assumptions = Vec::with_capacity(n_assumptions);
-            for _ in 0..n_assumptions {
-                assumptions.push(random_lit(&mut rng, n_vars));
-            }
-            let want = brute_force(&clauses, &assumptions, n_vars);
-            assert_eq!(
-                tiered.solve_with(&assumptions),
-                want,
-                "round {round}, query {q}: tiered"
-            );
-            assert_eq!(
-                flat.solve_with(&assumptions),
-                want,
-                "round {round}, query {q}: flat"
-            );
-            if want {
-                assert!(model_satisfies(&tiered, &clauses));
-            }
-        }
-    }
-}
-
-#[test]
-fn all_techniques_together_match_brute_force() {
-    // The defaults: vivification, elimination, EMA restarts and tiered
-    // reduction all on, with an explicit simplify() between query
-    // batches (the sweep-batch usage pattern).
-    let mut rng = XorShift(0xA11F_0042_0000_000D);
-    for round in 0..20 {
-        let n_vars = 6 + (rng.next() as usize) % 7; // 6..=12
-        let n_clauses = 12 + (rng.next() as usize) % 32;
-        let clauses = random_cnf(&mut rng, n_vars, n_clauses, 3);
-        let queries: Vec<Vec<Lit>> = (0..10)
-            .map(|_| {
-                let n = (rng.next() as usize) % 3;
-                (0..n).map(|_| random_lit(&mut rng, n_vars)).collect()
-            })
-            .collect();
-        let mut s = Solver::new();
-        for _ in 0..n_vars {
-            s.new_var();
-        }
-        for c in &clauses {
-            s.add_clause(c);
-        }
-        for q in queries.iter().flatten() {
-            s.set_frozen(q.var(), true);
-        }
-        s.simplify();
-        for (q, assumptions) in queries.iter().enumerate() {
-            // Re-simplify mid-run half way through, as a sweep batch
-            // boundary would.
-            if q == 5 {
-                s.simplify();
-            }
-            let want = brute_force(&clauses, assumptions, n_vars);
-            assert_eq!(s.solve_with(assumptions), want, "round {round}, query {q}");
-            if want {
-                assert!(model_satisfies(&s, &clauses), "round {round}, query {q}");
-            }
-        }
-    }
-}
-
-#[test]
-fn inprocessed_any_io_sweep_is_bit_identical_to_uninprocessed() {
-    // Inprocessing shrinks the encoded database before and between
-    // queries but never changes what the sweep reports: serial verdicts
-    // are equal field for field (queries included), and sharded sweeps
-    // stay consistent across 1/2/4 shards with inprocessing enabled.
-    //
-    // Two targets: the fully camouflaged corpus circuit (vivification
-    // territory) and a mixed one with standard gates between the
-    // camouflaged ones — the shape where variable elimination actually
-    // removes clauses, so the sweep runs over a genuinely rewritten
-    // database.
-    let (lib, camo, full_circuit, candidates) = any_io_corpus();
-    let f = VectorFunction::from_lookup_table(3, 3, &[1, 0, 3, 2, 5, 7, 6, 4]).unwrap();
-    let mixed_circuit = mvf_attack::partial_camouflage(&f, &lib, &camo, 3).expect("buildable");
-    for circuit in [full_circuit, mixed_circuit] {
-        check_inprocess_invisible(&lib, &camo, &circuit, &candidates);
-    }
-}
-
-fn check_inprocess_invisible(
-    lib: &Library,
-    camo: &CamoLibrary,
-    circuit: &mvf_netlist::Netlist,
-    candidates: &[VectorFunction],
-) {
-    let on = plausibility_sweep_any_io_with(
-        circuit,
-        lib,
-        camo,
-        candidates,
-        &AnyIoOptions {
-            shards: 1,
-            inprocess: true,
-            ..AnyIoOptions::default()
-        },
-    );
-    let off = plausibility_sweep_any_io_with(
-        circuit,
-        lib,
-        camo,
-        candidates,
-        &AnyIoOptions {
-            shards: 1,
-            inprocess: false,
-            ..AnyIoOptions::default()
-        },
-    );
-    assert_eq!(on, off, "serial any-IO sweep must not notice inprocessing");
-    let key = |vs: &[AnyIoVerdict]| -> Vec<(bool, Option<IoInterpretation>)> {
-        vs.iter()
-            .map(|v| (v.plausible, v.witness.clone()))
-            .collect()
-    };
-    for shards in [1usize, 2, 4] {
-        let sharded = plausibility_sweep_any_io_with(
-            circuit,
-            lib,
-            camo,
-            candidates,
-            &AnyIoOptions {
-                shards,
-                inprocess: true,
-                ..AnyIoOptions::default()
-            },
-        );
-        assert_eq!(
-            key(&on),
-            key(&sharded),
-            "inprocessed any-IO sweep diverged at {shards} shards"
-        );
-    }
-    // The identity sweep rides the same toggle.
-    let id_on = plausibility_sweep_with(
-        circuit,
-        lib,
-        camo,
-        candidates,
-        &SweepOptions {
-            inprocess: true,
-            ..SweepOptions::default()
-        },
-    );
-    let id_off = plausibility_sweep_with(
-        circuit,
-        lib,
-        camo,
-        candidates,
-        &SweepOptions {
-            inprocess: false,
-            ..SweepOptions::default()
-        },
-    );
-    assert_eq!(id_on, id_off, "identity sweep must not notice inprocessing");
 }
 
 /// The screening demo circuit: three camouflaged cells (NAND2(a,b) → y0,
