@@ -112,11 +112,6 @@ impl KeyTable {
         }
     }
 
-    /// Key length in words.
-    pub(crate) fn width(&self) -> usize {
-        self.width
-    }
-
     /// Number of distinct keys.
     pub(crate) fn len(&self) -> usize {
         self.len

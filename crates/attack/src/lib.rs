@@ -26,12 +26,16 @@
 //! and SAT-queried once per batch instead of once per candidate.
 //!
 //! Every sweep runs behind a **screen-then-solve funnel** ([`screen`]
-//! module): one word-parallel batch evaluation of the netlist over all
+//! module): word-parallel batch evaluation of the netlist over
 //! enumerable doping configurations refutes the obvious chaff — and, when
-//! the batch covers every minterm, confirms witnesses — before a single
-//! SAT query is issued. Screening never changes a verdict or a witness,
-//! only the [`AnyIoVerdict::queries`] count; [`AnyIoVerdict::screened`]
-//! reports how much the solver never saw.
+//! the whole configuration product is enumerable and the batch covers
+//! every minterm, confirms witnesses — before a single SAT query is
+//! issued. Past the enumeration cap the screen projects onto each
+//! output's fan-in cone: an orbit point whose column for some output is
+//! realized by no configuration of that output's cone is refuted just as
+//! soundly. Screening never changes a verdict or a witness, only the
+//! [`AnyIoVerdict::queries`] count; [`AnyIoVerdict::screened`] reports
+//! how much the solver never saw.
 //!
 //! [`random_camouflage`] builds the paper's strawman — camouflage every
 //! gate of a single-function circuit — whose plausible set, while
@@ -63,9 +67,9 @@ pub mod screen;
 pub mod session;
 
 use keys::{KeyLayout, KeyTable};
-pub use screen::{CamoScreen, ConfigScreen, DEFAULT_SCREEN_VECTORS};
+pub use screen::{ConfigScreen, DEFAULT_SCREEN_VECTORS};
 use screen::{OrbitScreenScratch, ScreenOutcome};
-pub use session::{AnyIoJob, AnyIoProgress, SweepSession};
+pub use session::{AnyIoJob, AnyIoProgress, RestoreError, SweepSession};
 
 pub use mvf_obfuscate::{ObfuscationSpace, SchemeKind};
 pub use mvf_sat::SimplifyStats;
@@ -163,6 +167,11 @@ pub fn is_plausible_any_io(
 
 /// Options for the interpretation-freedom sweep
 /// ([`plausibility_sweep_any_io_with`]).
+///
+/// The orbit is always pruned by transformed function: interpretations
+/// yielding the same transformed function (equal packed truth-table
+/// keys) are queried once, the first in enumeration order representing
+/// the whole class.
 #[derive(Debug, Clone)]
 pub struct AnyIoOptions {
     /// Worker shards striping the permutation space over
@@ -170,19 +179,14 @@ pub struct AnyIoOptions {
     /// hardware parallelism; `<= 1` runs serially. Verdicts and witness
     /// permutations are bit-identical for every value.
     pub shards: usize,
-    /// Prunes the orbit by transformed function: two interpretations
-    /// yielding the same transformed function (equal packed truth-table
-    /// keys) are queried once (the first pair in enumeration order represents
-    /// the whole class, so a refutation of the representative refutes
-    /// every member). Never changes a verdict or a witness; `false` is
-    /// the brute-force baseline for tests and benches.
-    pub prune: bool,
     /// Runs the SAT-free screen in front of the solver
-    /// ([`CamoScreen`]): one word-parallel batch evaluation over all
-    /// enumerable doping configurations refutes (and, in the complete
-    /// regime, confirms) orbit representatives before any SAT query.
-    /// Never changes a verdict or a witness; automatically stands down
-    /// when the configuration product is too large to enumerate.
+    /// ([`ConfigScreen`]): word-parallel batch evaluation over enumerable
+    /// doping configurations refutes orbit representatives before any
+    /// SAT query. When the whole configuration product fits
+    /// [`screen::MAX_SCREEN_CONFIGS`] the screen also confirms (complete
+    /// regime); past it, it refutes from each output's fan-in cone whose
+    /// product fits, and stands down only when no cone does. Never
+    /// changes a verdict or a witness.
     pub screen: bool,
     /// Screening batch size (normalized to a power of two in
     /// `64 ..= 2^16`); when the batch covers every input minterm the
@@ -205,7 +209,7 @@ pub struct AnyIoOptions {
     /// shared cache afterwards. Verdicts and witnesses are identical to
     /// the unshared sweep (every candidate still walks its own orbit
     /// order); only `queries`/`screened` drop — by about the class
-    /// duplication factor. Requires `prune` (ignored without it).
+    /// duplication factor.
     pub class_share: bool,
 }
 
@@ -213,7 +217,6 @@ impl Default for AnyIoOptions {
     fn default() -> Self {
         AnyIoOptions {
             shards: 1,
-            prune: true,
             screen: true,
             screen_vectors: DEFAULT_SCREEN_VECTORS,
             npn: false,
@@ -239,12 +242,14 @@ pub struct AnyIoVerdict {
     /// `n_in!·2^n_in·n_out!·2^n_out` under [`AnyIoOptions::npn`].
     pub orbit: usize,
     /// Orbit representatives after pruning — the queries a
-    /// full refutation needs. Equals `orbit` when pruning is off or the
-    /// candidate has no pin symmetries.
+    /// full refutation needs. Equals `orbit` when the candidate has no
+    /// pin symmetries.
     pub unique: usize,
-    /// Representatives the SAT-free screen settled (refuted, or — in the
-    /// complete regime — confirmed as the witness) before any solver
-    /// call. `0` when screening is off or stood down. Deterministic for
+    /// Representatives the SAT-free screen settled (refuted, or — by a
+    /// whole screen in the complete regime — confirmed as the witness)
+    /// before any solver call. `0` when screening is off, or when no
+    /// output's configuration product (whole or cone) fits the
+    /// enumeration cap. Deterministic for
     /// every shard count: screening runs serially up front. Under
     /// [`AnyIoOptions::class_share`] only *fresh* classifications count;
     /// representatives served from another class member's screen result
@@ -574,9 +579,7 @@ pub fn plausibility_sweep_any_io_sharded(
 }
 
 /// The fully configurable interpretation-freedom sweep behind
-/// [`plausibility_sweep_any_io`] / [`plausibility_sweep_any_io_sharded`]
-/// (notably [`AnyIoOptions::prune`], the brute-force toggle the
-/// equivalence corpus exercises).
+/// [`plausibility_sweep_any_io`] / [`plausibility_sweep_any_io_sharded`].
 ///
 /// # Panics
 ///
@@ -687,9 +690,8 @@ pub(crate) fn plan_any_io(
         assert_eq!(candidate.n_inputs(), n_in, "input arity mismatch");
         assert_eq!(candidate.n_outputs(), n_out, "output arity mismatch");
     }
-    // Class sharing rides on the pruner's keys; without pruning every
-    // point is its own representative and there is nothing to share.
-    let share = opts.class_share && opts.prune;
+    // Class sharing rides on the pruner's keys.
+    let share = opts.class_share;
     // Everything here is pure CPU (truth-table transforms), built
     // serially up front — which also makes it, and everything derived
     // from it, deterministic by construction.
@@ -743,13 +745,7 @@ pub(crate) fn plan_any_io(
         let ClassKeys { base, keys } = &mut class_keys[slot];
         let base = *base;
         reps.clear();
-        if !opts.prune {
-            // Brute force keeps every orbit point as its own fresh uid;
-            // no need to materialize the transformed functions just to
-            // discard them.
-            reps.extend((0..orbit as u32).map(|index| (index, base + index)));
-            n_uids += orbit as u32;
-        } else if joined.is_some() {
+        if joined.is_some() {
             met.clear();
             met.resize(keys.len().div_ceil(64), 0);
             walk_orbit(candidate, npn, |index, key| {
@@ -797,10 +793,10 @@ pub(crate) fn plan_any_io(
             let outcome = match cached {
                 Some(cached) => cached,
                 None => {
-                    let outcome = if opts.prune && screen.is_complete() {
+                    let outcome = if screen.is_complete() {
                         // Exact screening compares whole functions, and
                         // the walk already keyed this one.
-                        screen.classify_key(keys.key(uid - base))
+                        screen.classify_key(keys.key(uid - base), &mut scratch)
                     } else {
                         let (in_neg, out_neg) = unrank_orbit_index(
                             index,
@@ -1018,9 +1014,10 @@ pub struct SweepOptions {
     /// hardware parallelism; `<= 1` runs serially. Verdicts are
     /// bit-identical for every value.
     pub shards: usize,
-    /// Runs the SAT-free screen ([`CamoScreen`]) in front of the
-    /// solver. Never changes a verdict; stands down automatically when
-    /// the configuration product is too large to enumerate.
+    /// Runs the SAT-free screen ([`ConfigScreen`]) in front of the
+    /// solver. Never changes a verdict. Past the enumeration cap it
+    /// refutes from the output cones that fit
+    /// (see [`AnyIoOptions::screen`]) and stands down only when none do.
     pub screen: bool,
     /// Screening batch size — see [`AnyIoOptions::screen_vectors`].
     pub screen_vectors: usize,
@@ -1489,7 +1486,7 @@ mod tests {
     /// The brute-force twin of [`plan_any_io`]: uids from a `BTreeMap`
     /// over whole lookup tables in first-appearance order, screen
     /// outcomes from [`ConfigScreen::survivors`] (memoized per table in
-    /// `survives`, which must belong to `screen`).
+    /// `survives`, which must belong to `screen`, a whole screen).
     fn oracle_plan(
         candidates: &[VectorFunction],
         orbits: &[Vec<Vec<u16>>],
@@ -1498,7 +1495,7 @@ mod tests {
         survives: &mut std::collections::BTreeMap<Vec<u16>, bool>,
     ) -> PlanSummary {
         use std::collections::{BTreeMap, BTreeSet};
-        let share = opts.class_share && opts.prune;
+        let share = opts.class_share;
         let (n_in, n_out) = (candidates[0].n_inputs(), candidates[0].n_outputs());
         let mut uid_of: BTreeMap<&[u16], u32> = BTreeMap::new();
         let mut uid_class: Vec<usize> = Vec::new();
@@ -1519,15 +1516,10 @@ mod tests {
             let mut met = BTreeSet::new();
             let mut reps = Vec::new();
             for (index, table) in tables.iter().enumerate() {
-                let mut mint = || {
+                let uid = *uid_of.entry(table.as_slice()).or_insert_with(|| {
                     uid_class.push(class);
                     uid_class.len() as u32 - 1
-                };
-                let uid = if opts.prune {
-                    *uid_of.entry(table.as_slice()).or_insert_with(mint)
-                } else {
-                    mint()
-                };
+                });
                 if met.insert(uid) {
                     reps.push((index as u32, uid, table));
                 }
@@ -1546,7 +1538,10 @@ mod tests {
                     _ => {
                         let alive = *survives.entry(table.clone()).or_insert_with(|| {
                             let g = VectorFunction::from_lookup_table(n_in, n_out, table).unwrap();
-                            screen.survivors(&g).contains(&true)
+                            screen
+                                .survivors(&g)
+                                .expect("the oracle screens whole products")
+                                .contains(&true)
                         });
                         let outcome = match (alive, screen.is_complete()) {
                             (false, _) => ScreenOutcome::Refuted,
@@ -1608,9 +1603,8 @@ mod tests {
         // An asymmetric bijection keeps its whole orbit.
         let f = VectorFunction::from_lookup_table(3, 3, &[1, 0, 3, 2, 5, 7, 6, 4]).unwrap();
         let nl = shape_netlist(3, 3);
-        let plan = |candidate: &VectorFunction, prune: bool, npn: bool| {
+        let plan = |candidate: &VectorFunction, npn: bool| {
             let opts = AnyIoOptions {
-                prune,
                 npn,
                 ..AnyIoOptions::default()
             };
@@ -1623,14 +1617,13 @@ mod tests {
                 None,
                 &mut Default::default(),
             );
-            assert_eq!(summary(&plan), want, "prune {prune}, npn {npn}");
+            assert_eq!(summary(&plan), want, "npn {npn}");
             (plan.uniques[0], plan.orbits[0])
         };
-        assert_eq!(plan(&sym, true, false), (6, 36), "only out-perms survive");
-        assert_eq!(plan(&sym, false, false), (36, 36));
-        assert_eq!(plan(&f, true, false), (36, 36));
+        assert_eq!(plan(&sym, false), (6, 36), "only out-perms survive");
+        assert_eq!(plan(&f, false), (36, 36));
         // The NPN orbit squares in the polarity dimensions.
-        assert_eq!(plan(&f, true, true).1, 36 * 8 * 8, "3!·2³·3!·2³");
+        assert_eq!(plan(&f, true).1, 36 * 8 * 8, "3!·2³·3!·2³");
     }
 
     /// A circuit of the given shape and its true function: output `o`
@@ -1703,7 +1696,8 @@ mod tests {
             } else {
                 &[false]
             };
-            let build = |vectors| ConfigScreen::build(&nl, &lib, &camo, &candidates, vectors);
+            let space = ObfuscationSpace::camouflage(&lib, &camo);
+            let build = |vectors| ConfigScreen::build_in(&space, &nl, &candidates, vectors);
             let mut screens = vec![(None, Default::default())];
             let complete = build(DEFAULT_SCREEN_VECTORS).unwrap();
             assert!(complete.is_complete());
@@ -1717,9 +1711,8 @@ mod tests {
                 let orbits: Vec<Vec<Vec<u16>>> =
                     candidates.iter().map(|f| orbit_tables(f, npn)).collect();
                 for (screen, survives) in &mut screens {
-                    for (prune, class_share) in [(true, false), (true, true), (false, false)] {
+                    for class_share in [false, true] {
                         let opts = AnyIoOptions {
-                            prune,
                             npn,
                             class_share,
                             ..AnyIoOptions::default()
@@ -1730,8 +1723,7 @@ mod tests {
                         assert_eq!(
                             summary(&plan),
                             want,
-                            "{n_in}x{n_out}, npn {npn}, prune {prune}, share {class_share}, \
-                             screen {:?}",
+                            "{n_in}x{n_out}, npn {npn}, share {class_share}, screen {:?}",
                             screen.as_ref().map(ConfigScreen::is_complete)
                         );
                     }
@@ -1772,7 +1764,8 @@ mod tests {
                     .unwrap(),
                 );
             }
-            let screen = ConfigScreen::build(&nl, &lib, &camo, &candidates, vectors).unwrap();
+            let space = ObfuscationSpace::camouflage(&lib, &camo);
+            let screen = ConfigScreen::build_in(&space, &nl, &candidates, vectors).unwrap();
             let layout = KeyLayout::new(n_in, n_out);
             let mut key = vec![0u64; layout.width()];
             let (mut unrank_tmp, mut ip, mut op) = (Vec::new(), Vec::new(), Vec::new());
@@ -1805,7 +1798,11 @@ mod tests {
                     assert_eq!(got, want, "{n_in}x{n_out}, index {index}");
                     if screen.is_complete() {
                         layout.pack(&g, &mut key);
-                        assert_eq!(screen.classify_key(&key), want, "index {index}");
+                        assert_eq!(
+                            screen.classify_key(&key, &mut scratch),
+                            want,
+                            "index {index}"
+                        );
                     }
                     refuted += usize::from(want == ScreenOutcome::Refuted);
                 }
@@ -1816,6 +1813,233 @@ mod tests {
                 "{n_in}x{n_out}: both outcomes occur"
             );
         }
+    }
+
+    /// A seeded 3-input circuit whose full configuration product is past
+    /// the screen's cap while its outputs' cones straddle it: `y0` is a
+    /// camouflaged NAND2 into a camouflaged INV (15 configurations), `y1`
+    /// a chain of `chain` camouflaged NAND2s into a camouflaged INV
+    /// (`5^chain · 3`, past the cap from `chain = 5`), and `y2` a
+    /// standard NAND2 joining `y0` with the chain's second site, so its
+    /// cone (375 configurations) shares sites with both. Returns the
+    /// circuit and its function under every site's nominal choice.
+    fn straddling_circuit(
+        space: &ObfuscationSpace<'_>,
+        chain: usize,
+        state: &mut u64,
+    ) -> (Netlist, VectorFunction) {
+        let camo_id = |name: &str| space.choices().iter().find(|(_, c)| c.name() == name);
+        let (nand, inv) = (camo_id("NAND2").unwrap().0, camo_id("INV").unwrap().0);
+        let std_nand = space
+            .library()
+            .iter()
+            .find(|(_, c)| c.name() == "NAND2")
+            .unwrap()
+            .0;
+        let mut nl = Netlist::new("straddle".to_string());
+        let x: Vec<_> = (0..3).map(|i| nl.add_input(format!("x{i}"))).collect();
+        let mut pick = || {
+            *state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x[(*state >> 33) as usize % 3]
+        };
+        let (_, a) = nl.add_cell("a0".to_string(), CellRef::Camo(nand), vec![pick(), pick()]);
+        let (_, y0) = nl.add_cell("a1".to_string(), CellRef::Camo(inv), vec![a]);
+        let (mut t, mut second) = (pick(), None);
+        for k in 0..chain {
+            let (_, n) = nl.add_cell(format!("b{k}"), CellRef::Camo(nand), vec![t, pick()]);
+            if k == 1 {
+                second = Some(n);
+            }
+            t = n;
+        }
+        let (_, y1) = nl.add_cell("b_inv".to_string(), CellRef::Camo(inv), vec![t]);
+        let joined = vec![y0, second.expect("the chain has two sites")];
+        let (_, y2) = nl.add_cell("c".to_string(), CellRef::Std(std_nand), joined);
+        for (o, y) in [y0, y1, y2].into_iter().enumerate() {
+            nl.add_output(format!("y{o}"), y);
+        }
+        let nominal: std::collections::HashMap<_, _> = space
+            .sites(&nl)
+            .iter()
+            .map(|&(cid, _)| {
+                let CellRef::Camo(id) = nl.cell(cid).cell else {
+                    unreachable!("sites are camouflaged cells")
+                };
+                (cid, space.choices().cell(id).nominal().clone())
+            })
+            .collect();
+        let vectors: Vec<u64> = (0..64).map(|m| m % 8).collect();
+        let cols = space
+            .eval_vectors(&nl, &[0, 1, 2], &[nominal], &vectors)
+            .unwrap();
+        let table: Vec<u16> = (0..8)
+            .map(|m| {
+                (0..3)
+                    .map(|o| ((cols[0][o][0] >> m) & 1) as u16 * (1 << o))
+                    .sum()
+            })
+            .collect();
+        (nl, VectorFunction::from_lookup_table(3, 3, &table).unwrap())
+    }
+
+    #[test]
+    fn projected_screen_refutes_only_unrealizable_points_and_keeps_every_verdict() {
+        let (lib, camo) = setup();
+        let space = ObfuscationSpace::camouflage(&lib, &camo);
+        let mut state = 0x9E0_3EC7_u64;
+        let mut total_screened = 0;
+        // Chain 5: the 140,625-configuration product is enumerated by
+        // brute force. Chain 6: 703,125, so SAT certifies refutations.
+        for chain in [5, 6] {
+            let (nl, truth) = straddling_circuit(&space, chain, &mut state);
+            let product = |sites: &[(mvf_netlist::CellId, usize)]| -> usize {
+                sites.iter().map(|&(_, k)| k).product()
+            };
+            let cones: Vec<usize> = (0..3).map(|o| product(&space.cone_sites(&nl, o))).collect();
+            assert!(product(&space.sites(&nl)) > screen::MAX_SCREEN_CONFIGS);
+            assert!(cones.iter().any(|&p| p <= screen::MAX_SCREEN_CONFIGS));
+            assert!(cones.iter().any(|&p| p > screen::MAX_SCREEN_CONFIGS));
+            let chaff = random_function(&mut state, 3, 3);
+            let scramble = IoInterpretation {
+                in_perm: vec![2, 0, 1],
+                in_neg: 0b101,
+                out_perm: vec![1, 2, 0],
+                out_neg: 0b010,
+            };
+            let candidates = vec![
+                truth.clone(),
+                IoInterpretation::from_perms(vec![1, 2, 0], vec![2, 1, 0])
+                    .apply(&truth)
+                    .unwrap(),
+                scramble.apply(&truth).unwrap(),
+                chaff.clone(),
+                scramble.apply(&chaff).unwrap(),
+            ];
+            let screen =
+                ConfigScreen::build_in(&space, &nl, &candidates, DEFAULT_SCREEN_VECTORS).unwrap();
+            assert!(screen.is_complete());
+            assert!(screen.survivors(&truth).is_none(), "a projected screen");
+            // Every function some configuration realizes, as a packed
+            // key, when the whole product is enumerable; SAT otherwise.
+            let realized: Option<std::collections::HashSet<u64>> = (chain == 5).then(|| {
+                let sites = space.sites(&nl);
+                let mut configs = space.enumerate_configs(&nl, &sites, usize::MAX).unwrap();
+                let vectors: Vec<u64> = (0..64).map(|m| m % 8).collect();
+                let mut realized = std::collections::HashSet::new();
+                loop {
+                    let chunk = configs.next_chunk(1024);
+                    if chunk.is_empty() {
+                        break realized;
+                    }
+                    for cols in space
+                        .eval_vectors(&nl, &[0, 1, 2], chunk, &vectors)
+                        .unwrap()
+                    {
+                        realized.insert((0..3).fold(0, |k, o| k | (cols[o][0] & 0xFF) << (8 * o)));
+                    }
+                }
+            });
+            let mut cnf = space.encode(&nl);
+            let mut assumptions = Vec::new();
+            let layout = KeyLayout::new(3, 3);
+            let mut key = vec![0u64; layout.width()];
+            let (mut unrank_tmp, mut ip, mut op) = (Vec::new(), Vec::new(), Vec::new());
+            for npn in [false, true] {
+                let mut refuted = 0;
+                for f in &candidates {
+                    let mut scratch = OrbitScreenScratch::new();
+                    for index in 0..checked_orbit(3, 3, npn).unwrap() as u32 {
+                        let (in_neg, out_neg) =
+                            unrank_orbit_index(index, 3, 3, npn, &mut unrank_tmp, &mut ip, &mut op);
+                        let g = IoInterpretation {
+                            in_perm: ip.clone(),
+                            in_neg,
+                            out_perm: op.clone(),
+                            out_neg,
+                        }
+                        .apply(f)
+                        .unwrap();
+                        layout.pack(&g, &mut key);
+                        let outcome = screen.classify_key(&key, &mut scratch);
+                        let ip_rank = u64::from(index) / ip_period(3, 3, npn);
+                        assert_eq!(
+                            screen.classify_orbit(
+                                f,
+                                ip_rank,
+                                &ip,
+                                in_neg,
+                                &op,
+                                out_neg,
+                                &mut scratch
+                            ),
+                            outcome
+                        );
+                        assert_eq!(screen.classify_identity(&g), outcome);
+                        assert_ne!(
+                            outcome,
+                            ScreenOutcome::Confirmed,
+                            "projections never confirm"
+                        );
+                        if outcome != ScreenOutcome::Refuted {
+                            continue;
+                        }
+                        refuted += 1;
+                        match &realized {
+                            Some(realized) => assert!(!realized.contains(&key[0]), "{g:?}"),
+                            None => {
+                                candidate_assumptions(&cnf.row_outputs, &g, &mut assumptions);
+                                assert!(!cnf.solver.solve_with(&assumptions), "{g:?}");
+                            }
+                        }
+                    }
+                }
+                assert!(
+                    refuted > 0,
+                    "chain {chain}, npn {npn}: the projection fires"
+                );
+                // Screening changes no verdict or witness, for every shard
+                // count and with class sharing on and off.
+                for class_share in [false, true] {
+                    let opts = AnyIoOptions {
+                        npn,
+                        class_share,
+                        ..AnyIoOptions::default()
+                    };
+                    let sweep = |shards, screen| {
+                        plausibility_sweep_any_io_in(
+                            &space,
+                            &nl,
+                            &candidates,
+                            &AnyIoOptions {
+                                shards,
+                                screen,
+                                ..opts.clone()
+                            },
+                        )
+                    };
+                    let off = sweep(1, false);
+                    assert!(off[0].plausible && off[1].plausible);
+                    for shards in [1, 2, 4] {
+                        let on = sweep(shards, true);
+                        for (j, (a, b)) in on.iter().zip(&off).enumerate() {
+                            assert_eq!(
+                                (a.plausible, &a.witness, a.unique),
+                                (b.plausible, &b.witness, b.unique),
+                                "chain {chain}, npn {npn}, share {class_share}, \
+                                 shards {shards}, candidate {j}"
+                            );
+                        }
+                        total_screened += on.iter().map(|v| v.screened).sum::<usize>();
+                    }
+                }
+            }
+        }
+        assert!(
+            total_screened > 0,
+            "the projected screen settles orbit points"
+        );
     }
 
     #[test]

@@ -2,53 +2,73 @@
 //! screen-then-solve funnel.
 //!
 //! Before any plausibility query reaches the solver, the obfuscated
-//! netlist is evaluated **once** on a batch of input vectors with every
-//! enumerable configuration of its [`ObfuscationSpace`] carried as
-//! extra word-parallel variables
-//! ([`ObfuscationSpace::eval_vectors`]). Each configuration's output
-//! columns on the batch form one tuple, and the screen keeps the set of
-//! distinct tuples. A candidate is compared by building its own tuple and
-//! testing membership: when no configuration produces it, every
-//! configuration disagrees on some sampled vector and the candidate is
-//! **refuted with zero SAT calls** — soundly, because the SAT encoding's
-//! configuration space is exactly the per-site product the screen
-//! enumerates (one independent exactly-one selector group per
-//! obfuscated site). The screen never looks at what the sites *mean* —
-//! doping-programmable camouflage cells and key gates screen through
-//! the identical code path.
+//! netlist is evaluated on a batch of input vectors with enumerable
+//! configurations of its [`ObfuscationSpace`] carried as extra
+//! word-parallel variables ([`ObfuscationSpace::eval_vectors`]). The
+//! screen keeps, per **output group**, the set of distinct column tuples
+//! the group's outputs take over those configurations. A candidate is
+//! compared by building its own tuple and testing membership: when some
+//! group lacks the candidate's projection, every configuration disagrees
+//! on some sampled vector and the candidate is **refuted with zero SAT
+//! calls** — soundly, because the SAT encoding's configuration space is
+//! exactly the per-site product the screen enumerates (one independent
+//! exactly-one selector group per obfuscated site). The screen never
+//! looks at what the sites *mean* — doping-programmable camouflage cells
+//! and key gates screen through the identical code path.
+//!
+//! The groups depend on the size of the configuration product:
+//!
+//! * **whole** — the full product fits [`MAX_SCREEN_CONFIGS`]: one group
+//!   holds every output, and its tuples are the whole circuit's columns
+//!   under every configuration. This screen refutes and, in the complete
+//!   regime below, confirms;
+//! * **projected** — past the cap (real mapped circuits camouflage dozens
+//!   of cells, each with 3–5 plausible functions), every output whose
+//!   fan-in cone's choice product fits the cap gets a group of its own:
+//!   the distinct columns that output takes over its cone's
+//!   configurations ([`ObfuscationSpace::cone_sites`]). Sites outside
+//!   the cone cannot reach the output, so they are left unbound. Every
+//!   full configuration restricts to a cone configuration, so a column
+//!   missing from a group is missing from the whole product: the
+//!   projected screen refutes soundly, but never confirms. When no
+//!   output's cone fits the cap, the screen stands down and the sweep is
+//!   SAT-only.
+//!
+//! Either way the configurations stream through one reused evaluation
+//! arena in chunks, so the build never holds a whole product.
 //!
 //! Because circuit evaluation is permutation-independent, the same
-//! cached set serves every candidate of a sweep *and* every orbit point.
+//! cached groups serve every candidate of a sweep *and* every orbit
+//! point.
 //!
-//! Two regimes, both verdict-preserving:
+//! Two vector regimes, both verdict-preserving:
 //!
 //! * **complete** — the vector batch covers all `2^n_in` minterms, so
-//!   agreement on the batch *is* functional equality: the screen both
-//!   refutes and confirms, and a confirmed orbit representative is the
-//!   witness (every smaller representative was exactly refuted first).
-//!   Tuples are the packed truth-table keys the orbit pruner computes,
-//!   so an orbit point the pruner already keyed is classified from its
-//!   key alone;
+//!   agreement on the batch *is* functional equality: a whole screen
+//!   both refutes and confirms, and a confirmed orbit representative is
+//!   the witness (every smaller representative was exactly refuted
+//!   first). Tuples are the packed truth-table keys the orbit pruner
+//!   computes, so an orbit point the pruner already keyed is classified
+//!   from its key alone;
 //! * **sampling** — fewer vectors than minterms (deterministic SplitMix64
 //!   stream seeded from the candidate batch): the screen only refutes,
 //!   and surviving candidates fall through to SAT unchanged. An orbit
 //!   point's tuple is a permuted-index gather against the batch.
-//!
-//! When the configuration product exceeds [`MAX_SCREEN_CONFIGS`] (real
-//! mapped circuits camouflage dozens of cells, each with 3–5 plausible
-//! functions) the screen stands down and the sweep is SAT-only —
-//! trivially bit-identical to screening disabled.
 
-use mvf_cells::{CamoLibrary, Library};
-use mvf_logic::{VectorFunction, MAX_VARS};
+use mvf_logic::{TtArena, VectorFunction, MAX_VARS};
 use mvf_netlist::Netlist;
-use mvf_obfuscate::ObfuscationSpace;
+use mvf_obfuscate::{ConfigOdometer, ObfuscationSpace};
 
 use crate::keys::{KeyLayout, KeyTable};
 
-/// Hard cap on the enumerable configuration product: above this the
-/// screen disables itself rather than enumerate an exponential space.
+/// Hard cap on an enumerated configuration product: past it the screen
+/// projects onto output cones rather than enumerate an exponential space,
+/// and a cone past it gets no group.
 pub const MAX_SCREEN_CONFIGS: usize = 4096;
+
+/// Configurations times vectors per evaluation call: the build streams
+/// products through one arena of this many bits per net.
+const CHUNK_BITS: usize = 1 << 14;
 
 /// Default screening batch size (vectors per candidate comparison).
 /// Overridable per sweep via the options structs and, for the bench
@@ -82,11 +102,11 @@ fn batch_seed(candidates: &[VectorFunction]) -> u64 {
 /// What the screen decided for one candidate (or orbit representative).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScreenOutcome {
-    /// Every enumerated configuration disagreed on a sampled vector:
-    /// refuted, no SAT call needed. Sound in both regimes.
+    /// Every configuration disagreed on a sampled vector: refuted, no SAT
+    /// call needed. Sound in both regimes and for projected screens.
     Refuted,
-    /// Some configuration agreed on *all* minterms (complete regime
-    /// only): plausible, no SAT call needed.
+    /// Some configuration agreed on *all* minterms (complete regime of a
+    /// whole screen only): plausible, no SAT call needed.
     Confirmed,
     /// Survivors remain but the batch is sampled: the solver decides.
     Unknown,
@@ -97,13 +117,12 @@ pub(crate) enum ScreenOutcome {
 /// [`ObfuscationSpace`], so the same screen serves camouflage and
 /// locking alike.
 pub struct ConfigScreen {
-    /// The distinct per-configuration output-column tuples. Complete
-    /// regime: packed function keys in `packed`'s layout. Sampling: the
-    /// `n_out` columns over `vectors`, output-major (bit `b` of word
-    /// `o·(vectors/64) + w` is output `o` on input `vectors[64 w + b]`).
-    tuples: KeyTable,
-    /// `config_tuple[j]`: the tuple entry of configuration `j`.
-    config_tuple: Vec<u32>,
+    /// One group holding every output (whole screen), or one group per
+    /// output whose cone fits the cap (projected screen).
+    groups: Vec<OutputGroup>,
+    /// Whole screens only: `config_tuple[j]` is the entry of
+    /// configuration `j`'s tuple in the one group's table.
+    config_tuple: Option<Vec<u32>>,
     /// The screening input vectors (each below `2^n_in`).
     vectors: Vec<u64>,
     /// The key layout when `vectors` covers every minterm (exact
@@ -112,9 +131,17 @@ pub struct ConfigScreen {
     n_out: usize,
 }
 
-/// The screen's historical (camouflage-era) name, kept as an alias so
-/// existing call sites and test corpora compile unchanged.
-pub type CamoScreen = ConfigScreen;
+/// The distinct tuples some outputs take over the configurations that
+/// can reach them. A tuple is laid out as the whole circuit's (complete
+/// regime: a packed function key in `packed`'s layout; sampling: the
+/// `n_out` columns over `vectors`, output-major, bit `b` of word
+/// `o·(vectors/64) + w` being output `o` on input `vectors[64 w + b]`),
+/// with every other output's bits cleared.
+struct OutputGroup {
+    /// The tuple bits of the group's outputs.
+    mask: Vec<u64>,
+    tuples: KeyTable,
+}
 
 /// Per-candidate scratch for orbit screening: the permuted-index gather
 /// is cached per input permutation, the candidate columns per
@@ -134,6 +161,8 @@ pub(crate) struct OrbitScreenScratch {
     /// Input negation mask `cols` was built for (`u64::MAX` = none yet).
     cur_neg: u64,
     tuple: Vec<u64>,
+    /// A tuple projected onto one group's outputs.
+    masked: Vec<u64>,
 }
 
 impl OrbitScreenScratch {
@@ -144,6 +173,7 @@ impl OrbitScreenScratch {
             cur_ip: u64::MAX,
             cur_neg: u64::MAX,
             tuple: Vec::new(),
+            masked: Vec::new(),
         }
     }
 
@@ -155,31 +185,14 @@ impl OrbitScreenScratch {
 }
 
 impl ConfigScreen {
-    /// [`ConfigScreen::build_in`] for the camouflage scheme — the
-    /// historical signature, delegating through
-    /// [`ObfuscationSpace::camouflage`].
-    pub fn build(
-        nl: &Netlist,
-        lib: &Library,
-        camo: &CamoLibrary,
-        candidates: &[VectorFunction],
-        n_vectors: usize,
-    ) -> Option<ConfigScreen> {
-        ConfigScreen::build_in(
-            &ObfuscationSpace::camouflage(lib, camo),
-            nl,
-            candidates,
-            n_vectors,
-        )
-    }
-
-    /// Builds the screen for one sweep: enumerates the space's
-    /// configuration product (bailing to `None` past
-    /// [`MAX_SCREEN_CONFIGS`]), draws the vector batch — all minterms
-    /// when they fit (`complete`), a SplitMix64 sample seeded from the
-    /// candidate batch otherwise — evaluates the netlist once for every
-    /// `(configuration, vector)` pair, and keeps the distinct
-    /// per-configuration column tuples.
+    /// Builds the screen for one sweep: draws the vector batch — all
+    /// minterms when they fit (`complete`), a SplitMix64 sample seeded
+    /// from the candidate batch otherwise — and streams configurations
+    /// through one evaluation arena. When the space's whole product fits
+    /// [`MAX_SCREEN_CONFIGS`] it keeps the distinct whole-circuit column
+    /// tuples; past the cap it keeps, for every output whose cone
+    /// product fits, the distinct columns of that output. `None` when no
+    /// group qualifies or the input count is outside `1..=MAX_VARS`.
     pub fn build_in(
         space: &ObfuscationSpace<'_>,
         nl: &Netlist,
@@ -190,7 +203,6 @@ impl ConfigScreen {
         if n_in == 0 || n_in > MAX_VARS {
             return None;
         }
-        let configs = space.enumerate_configs(nl, MAX_SCREEN_CONFIGS)?;
         // Normalize the batch size to the simulator's contract: a power
         // of two with at least one full word per configuration block.
         let requested = n_vectors.next_power_of_two().clamp(64, 1usize << MAX_VARS);
@@ -214,44 +226,103 @@ impl ConfigScreen {
                     .collect(),
             )
         };
-        let out_words = space
-            .eval_vectors(nl, &configs, &vectors)
-            .expect("enumerated configurations are plausible by construction");
-        let width = packed.map_or(n_out * vectors.len() / 64, |layout| layout.width());
         let mut screen = ConfigScreen {
-            tuples: KeyTable::new(width),
-            config_tuple: Vec::with_capacity(out_words.len()),
+            groups: Vec::new(),
+            config_tuple: None,
             vectors,
             packed,
             n_out,
         };
-        let mut tuple = vec![0; width];
-        for cols in &out_words {
-            screen.assemble(|o| (o, cols[o].as_slice(), 0), &mut tuple);
-            let (entry, _) = screen.tuples.insert(&tuple);
-            screen.config_tuple.push(entry);
+        let mut arena = TtArena::default();
+        let mut tuple = vec![0; screen.width()];
+        if let Some(configs) = space.enumerate_configs(nl, &space.sites(nl), MAX_SCREEN_CONFIGS) {
+            let outputs: Vec<usize> = (0..n_out).collect();
+            let mut group = screen.group(&outputs);
+            let mut config_tuple = Vec::new();
+            screen.stream(space, nl, &outputs, configs, &mut arena, |cols| {
+                screen.assemble(|o| (o, cols[o].as_slice(), 0), &mut tuple);
+                config_tuple.push(group.tuples.insert(&tuple).0);
+            });
+            screen.groups.push(group);
+            screen.config_tuple = Some(config_tuple);
+        } else {
+            for o in 0..n_out {
+                let cone = space.cone_sites(nl, o);
+                let Some(configs) = space.enumerate_configs(nl, &cone, MAX_SCREEN_CONFIGS) else {
+                    continue;
+                };
+                let mut group = screen.group(&[o]);
+                screen.stream(space, nl, &[o], configs, &mut arena, |cols| {
+                    tuple.fill(0);
+                    screen.place(o, &cols[0], 0, &mut tuple);
+                    group.tuples.insert(&tuple);
+                });
+                screen.groups.push(group);
+            }
+            if screen.groups.is_empty() {
+                return None;
+            }
         }
         Some(screen)
+    }
+
+    /// An empty group over `outputs`.
+    fn group(&self, outputs: &[usize]) -> OutputGroup {
+        let ones = vec![u64::MAX; self.vectors.len() / 64];
+        let mut mask = vec![0; self.width()];
+        for &o in outputs {
+            self.place(o, &ones, 0, &mut mask);
+        }
+        OutputGroup {
+            mask,
+            tuples: KeyTable::new(self.width()),
+        }
+    }
+
+    /// Evaluates `outputs` under every configuration of `configs`, a
+    /// chunk at a time through `arena`, and hands `visit` each
+    /// configuration's columns in order.
+    fn stream(
+        &self,
+        space: &ObfuscationSpace<'_>,
+        nl: &Netlist,
+        outputs: &[usize],
+        mut configs: ConfigOdometer<'_>,
+        arena: &mut TtArena,
+        mut visit: impl FnMut(&[Vec<u64>]),
+    ) {
+        let max = (CHUNK_BITS / self.vectors.len()).max(1);
+        loop {
+            let chunk = configs.next_chunk(max);
+            if chunk.is_empty() {
+                return;
+            }
+            let columns = space
+                .eval_vectors_with(nl, outputs, chunk, &self.vectors, arena)
+                .expect("enumerated configurations are plausible by construction");
+            for cols in &columns {
+                visit(cols);
+            }
+        }
     }
 
     /// The surviving-config mask of `candidate` under the identity
     /// interpretation: `mask[j]` is `true` iff configuration `j` agrees
     /// with the candidate on every screening vector. Configurations are
-    /// indexed over the camouflaged cells in netlist topological order —
-    /// the last cell varying fastest — with each cell's plausible set in
-    /// its sorted order. Exposed so tests can cross-check the mask
-    /// against exhaustive per-configuration circuit evaluation.
-    pub fn survivors(&self, candidate: &VectorFunction) -> Vec<bool> {
-        let entry = self.tuples.get(&self.identity_tuple(candidate));
-        self.config_tuple
-            .iter()
-            .map(|&t| Some(t) == entry)
-            .collect()
+    /// indexed over the obfuscated sites in netlist topological order —
+    /// the last site varying fastest — with each site's choice set in
+    /// its sorted order. `None` for a projected screen, which never
+    /// enumerates the whole product. Exposed so tests can cross-check
+    /// the mask against exhaustive per-configuration circuit evaluation.
+    pub fn survivors(&self, candidate: &VectorFunction) -> Option<Vec<bool>> {
+        let config_tuple = self.config_tuple.as_ref()?;
+        let entry = self.groups[0].tuples.get(&self.identity_tuple(candidate));
+        Some(config_tuple.iter().map(|&t| Some(t) == entry).collect())
     }
 
     /// Screens `candidate` under the identity interpretation.
     pub(crate) fn classify_identity(&self, candidate: &VectorFunction) -> ScreenOutcome {
-        self.classify_tuple(&self.identity_tuple(candidate))
+        self.classify_tuple(&self.identity_tuple(candidate), &mut Vec::new())
     }
 
     /// Screens an orbit point by its packed function key
@@ -260,12 +331,16 @@ impl ConfigScreen {
     /// # Panics
     ///
     /// Panics in the sampling regime, whose tuples are not keys.
-    pub(crate) fn classify_key(&self, key: &[u64]) -> ScreenOutcome {
+    pub(crate) fn classify_key(
+        &self,
+        key: &[u64],
+        scratch: &mut OrbitScreenScratch,
+    ) -> ScreenOutcome {
         assert!(
             self.packed.is_some(),
             "keys classify in the complete regime only"
         );
-        self.classify_tuple(key)
+        self.classify_tuple(key, &mut scratch.masked)
     }
 
     /// Screens the NPN orbit point `(in_perm, in_neg, out_perm,
@@ -328,7 +403,7 @@ impl ConfigScreen {
         // output negation flips the landed column. The batch is always a
         // whole number of fully-populated 64-bit words, so an XOR with
         // all-ones is exact.
-        scratch.tuple.resize(self.tuples.width(), 0);
+        scratch.tuple.resize(self.width(), 0);
         let cols = &scratch.cols;
         self.assemble(
             |i| {
@@ -338,14 +413,20 @@ impl ConfigScreen {
             },
             &mut scratch.tuple,
         );
-        self.classify_tuple(&scratch.tuple)
+        self.classify_tuple(&scratch.tuple, &mut scratch.masked)
     }
 
-    /// Approximate heap footprint of the cached screen in bytes, for
-    /// session-cache accounting.
+    /// Approximate heap footprint of the cached screen in bytes, every
+    /// group included, for session-cache accounting.
     pub fn bytes(&self) -> usize {
-        self.tuples.bytes()
-            + self.config_tuple.len() * std::mem::size_of::<u32>()
+        self.groups
+            .iter()
+            .map(|g| g.tuples.bytes() + g.mask.len() * std::mem::size_of::<u64>())
+            .sum::<usize>()
+            + self
+                .config_tuple
+                .as_ref()
+                .map_or(0, |c| c.len() * std::mem::size_of::<u32>())
             + self.vectors.len() * std::mem::size_of::<u64>()
     }
 
@@ -359,6 +440,27 @@ impl ConfigScreen {
         self.vectors.len()
     }
 
+    /// Tuple length in words.
+    fn width(&self) -> usize {
+        self.packed
+            .map_or(self.n_out * self.vectors.len() / 64, |layout| {
+                layout.width()
+            })
+    }
+
+    /// ORs output `o`'s column words `src`, XORed with `flip`, into its
+    /// place in `tuple`.
+    fn place(&self, o: usize, src: &[u64], flip: u64, tuple: &mut [u64]) {
+        match self.packed {
+            Some(layout) => layout.place(o, src, flip, tuple),
+            None => {
+                for (dst, &w) in tuple[o * src.len()..].iter_mut().zip(src) {
+                    *dst |= w ^ flip;
+                }
+            }
+        }
+    }
+
     /// Writes a comparison tuple in this screen's layout: for every
     /// source output `i`, `col(i)` names its position, its column words
     /// over the batch, and an XOR mask.
@@ -366,14 +468,7 @@ impl ConfigScreen {
         tuple.fill(0);
         for i in 0..self.n_out {
             let (o, src, flip) = col(i);
-            match self.packed {
-                Some(layout) => layout.place(o, src, flip, tuple),
-                None => {
-                    for (dst, &w) in tuple[o * src.len()..].iter_mut().zip(src) {
-                        *dst = w ^ flip;
-                    }
-                }
-            }
+            self.place(o, src, flip, tuple);
         }
     }
 
@@ -387,16 +482,32 @@ impl ConfigScreen {
                 col[m / 64] |= u64::from((e >> i) & 1) << (m % 64);
             }
         }
-        let mut tuple = vec![0; self.tuples.width()];
+        let mut tuple = vec![0; self.width()];
         self.assemble(|i| (i, cols[i].as_slice(), 0), &mut tuple);
         tuple
     }
 
-    fn classify_tuple(&self, tuple: &[u64]) -> ScreenOutcome {
-        match (self.tuples.get(tuple).is_some(), self.packed.is_some()) {
-            (false, _) => ScreenOutcome::Refuted,
-            (true, true) => ScreenOutcome::Confirmed,
-            (true, false) => ScreenOutcome::Unknown,
+    /// A whole screen answers from its one table; a projected screen
+    /// refutes when some group lacks the tuple's projection onto its
+    /// outputs (`masked` is scratch), and otherwise leaves the point to
+    /// SAT.
+    fn classify_tuple(&self, tuple: &[u64], masked: &mut Vec<u64>) -> ScreenOutcome {
+        if self.config_tuple.is_some() {
+            return match (self.groups[0].tuples.get(tuple).is_some(), self.packed) {
+                (false, _) => ScreenOutcome::Refuted,
+                (true, Some(_)) => ScreenOutcome::Confirmed,
+                (true, None) => ScreenOutcome::Unknown,
+            };
+        }
+        let missing = |g: &OutputGroup| {
+            masked.clear();
+            masked.extend(tuple.iter().zip(&g.mask).map(|(&w, &m)| w & m));
+            g.tuples.get(masked).is_none()
+        };
+        if self.groups.iter().any(missing) {
+            ScreenOutcome::Refuted
+        } else {
+            ScreenOutcome::Unknown
         }
     }
 }
@@ -404,6 +515,7 @@ impl ConfigScreen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvf_cells::{CamoLibrary, Library};
 
     #[test]
     fn splitmix_stream_is_deterministic_and_batch_seeded() {
@@ -424,7 +536,10 @@ mod tests {
         let a = nl.add_input("a".to_string());
         nl.add_output("y".to_string(), a);
         let space = ObfuscationSpace::camouflage(&lib, &camo);
-        let configs = space.enumerate_configs(&nl, MAX_SCREEN_CONFIGS).unwrap();
+        let mut odometer = space
+            .enumerate_configs(&nl, &space.sites(&nl), MAX_SCREEN_CONFIGS)
+            .unwrap();
+        let configs = odometer.next_chunk(usize::MAX);
         assert_eq!(configs.len(), 1);
         assert!(configs[0].is_empty());
     }

@@ -6,8 +6,8 @@
 //! * [`SweepSession`] — one obfuscated netlist encoded **once** (the
 //!   constant-folded encoding) and kept hot: repeated sweeps against the
 //!   same circuit reuse the flat clause arena, accumulate learnt clauses
-//!   (warm starts), and share cached [`CamoScreen`](crate::CamoScreen)
-//!   vector batches keyed by candidate batch.
+//!   (warm starts), and share cached [`ConfigScreen`]s keyed by candidate
+//!   batch.
 //! * [`AnyIoJob`] — a stepped, pausable interpretation-freedom sweep: the
 //!   work list is processed in caller-sized chunks, and the complete
 //!   mutable state between chunks is a handful of integer vectors
@@ -24,6 +24,9 @@
 //! determined (extra learnt clauses and reset phases never flip one),
 //! and query counts depend only on the serially-built work list and the
 //! `best` skip rule.
+
+use std::error::Error;
+use std::fmt;
 
 use mvf_cells::{CamoLibrary, Library};
 use mvf_logic::VectorFunction;
@@ -169,6 +172,60 @@ pub struct AnyIoProgress {
     pub resolved: Vec<(u32, bool)>,
 }
 
+/// Why [`AnyIoJob::restore`] refused a checkpoint's progress: it does not
+/// fit the rebuilt plan. The usual cause is a checkpoint from another
+/// workload, or from a build whose planning differs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum RestoreError {
+    /// The witness bounds or query counts cover another number of
+    /// candidates than the job has.
+    CandidateCount {
+        /// The job's candidate count.
+        job: usize,
+        /// Entries in [`AnyIoProgress::best`].
+        best: usize,
+        /// Entries in [`AnyIoProgress::queries`].
+        queries: usize,
+    },
+    /// [`AnyIoProgress::pos`] is past the end of the job's work list.
+    PositionPastWorkList {
+        /// The checkpointed position.
+        pos: usize,
+        /// The job's work-list length.
+        work: usize,
+    },
+    /// A resolved uid is past the job's verdict cache.
+    UidPastVerdictCache {
+        /// The checkpointed uid.
+        uid: u32,
+        /// The job's verdict-cache size.
+        n_uids: usize,
+    },
+}
+
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RestoreError::CandidateCount { job, best, queries } => write!(
+                f,
+                "checkpoint covers {best} witness bounds and {queries} query counts, \
+                 the job has {job} candidates"
+            ),
+            RestoreError::PositionPastWorkList { pos, work } => write!(
+                f,
+                "checkpoint position {pos} is past the job's {work} work items"
+            ),
+            RestoreError::UidPastVerdictCache { uid, n_uids } => write!(
+                f,
+                "checkpoint uid {uid} is past the job's {n_uids} orbit functions"
+            ),
+        }
+    }
+}
+
+impl Error for RestoreError {}
+
 /// A pausable interpretation-freedom sweep: the planned work list is
 /// processed serially in caller-sized chunks via [`step`](Self::step),
 /// progress snapshots out through [`progress`](Self::progress), and a
@@ -306,43 +363,46 @@ impl AnyIoJob {
     /// Re-attaches checkpointed progress to a freshly rebuilt job.
     /// Stepping on resumes the uninterrupted run bit-identically.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the progress does not fit this job's plan (wrong
-    /// candidate count or a position past the work list) — the usual
-    /// cause is a checkpoint from a different workload.
-    pub fn restore(&mut self, progress: &AnyIoProgress) {
-        assert_eq!(
-            progress.best.len(),
-            self.candidates.len(),
-            "checkpoint candidate count does not match the job"
-        );
-        assert_eq!(
-            progress.queries.len(),
-            self.candidates.len(),
-            "checkpoint candidate count does not match the job"
-        );
-        assert!(
-            progress.pos <= self.plan.work.len(),
-            "checkpoint position is past the job's work list"
-        );
+    /// [`RestoreError`] when the progress does not fit this job's plan:
+    /// another candidate count, a position past the work list, or a
+    /// resolved uid past the verdict cache. The job is left unchanged.
+    pub fn restore(&mut self, progress: &AnyIoProgress) -> Result<(), RestoreError> {
+        let job = self.candidates.len();
+        if progress.best.len() != job || progress.queries.len() != job {
+            return Err(RestoreError::CandidateCount {
+                job,
+                best: progress.best.len(),
+                queries: progress.queries.len(),
+            });
+        }
+        if progress.pos > self.plan.work.len() {
+            return Err(RestoreError::PositionPastWorkList {
+                pos: progress.pos,
+                work: self.plan.work.len(),
+            });
+        }
+        let mut resolved = vec![UID_UNKNOWN; self.plan.n_uids];
+        for &(uid, sat) in &progress.resolved {
+            let slot = resolved
+                .get_mut(uid as usize)
+                .ok_or(RestoreError::UidPastVerdictCache {
+                    uid,
+                    n_uids: self.plan.n_uids,
+                })?;
+            *slot = if sat { UID_SAT } else { UID_UNSAT };
+        }
         self.cursor.pos = progress.pos;
         self.cursor.best = progress.best.clone();
         self.cursor.queries = progress.queries.clone();
-        self.cursor.resolved = vec![UID_UNKNOWN; self.plan.n_uids];
-        for &(uid, sat) in &progress.resolved {
-            let slot = self
-                .cursor
-                .resolved
-                .get_mut(uid as usize)
-                .expect("checkpoint uid is past the job's verdict cache");
-            *slot = if sat { UID_SAT } else { UID_UNSAT };
-        }
+        self.cursor.resolved = resolved;
         // Force a phase reset on the first resumed item: the fresh
         // solver's phase state differs from the interrupted run's, but
         // phases are heuristics — answers, and therefore verdicts and
         // query counts, are unaffected.
         self.cursor.last_cand = u32::MAX;
+        Ok(())
     }
 
     /// Stitches the final verdicts.
@@ -665,8 +725,8 @@ impl SweepSession {
 }
 
 /// Content key of a screen: the candidate batch's lookup tables plus the
-/// requested vector count (both of which `CamoScreen::build` is a pure
-/// function of, given the session's fixed circuit).
+/// requested vector count (both of which [`ConfigScreen::build_in`] is a
+/// pure function of, given the session's fixed circuit).
 fn screen_key(candidates: &[VectorFunction], n_vectors: usize) -> u64 {
     let mut h = Fnv64::new();
     h.write_usize(n_vectors);
@@ -765,7 +825,9 @@ mod tests {
             boundaries += 1;
             let checkpoint = killed.progress();
             let mut resumed = AnyIoJob::new(&circuit, &lib, &camo, candidates.clone(), &opts);
-            resumed.restore(&checkpoint);
+            resumed
+                .restore(&checkpoint)
+                .expect("the checkpoint fits the plan");
             assert_eq!(resumed.position(), killed.position());
             resumed.step(usize::MAX);
             assert_eq!(

@@ -1,4 +1,4 @@
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use mvf_logic::{npn::all_permutations, TruthTable};
@@ -40,9 +40,10 @@ pub struct CamoCell {
     nominal: TruthTable,
     /// Distinct plausible functions, sorted for determinism.
     plausible: Vec<TruthTable>,
-    /// Plausible set additionally closed under input permutation, for the
-    /// O(1) pre-filter used by the matcher.
-    perm_closed: HashSet<TruthTable>,
+    /// Plausible set additionally closed under input permutation, as
+    /// sorted table words ([`TruthTable::as_word`]), for the matcher's
+    /// pre-filter.
+    perm_closed: Vec<u64>,
 }
 
 impl CamoCell {
@@ -55,7 +56,8 @@ impl CamoCell {
     /// # Panics
     ///
     /// Panics if `plausible` is empty or contains a function whose arity
-    /// differs from `n_inputs`.
+    /// differs from `n_inputs`, or if `n_inputs` exceeds 6 (a cell's
+    /// functions are single table words).
     pub fn from_parts(
         base: LibCellId,
         kind: CellKind,
@@ -66,6 +68,7 @@ impl CamoCell {
         plausible: Vec<TruthTable>,
     ) -> Self {
         assert!(!plausible.is_empty(), "plausible set must be non-empty");
+        assert!(n_inputs <= 6, "cells have at most 6 inputs");
         assert!(
             plausible.iter().all(|f| f.n_vars() == n_inputs),
             "plausible function arity mismatch"
@@ -75,13 +78,7 @@ impl CamoCell {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let mut perm_closed = HashSet::new();
-        let perms = all_permutations(n_inputs);
-        for f in &plausible {
-            for p in &perms {
-                perm_closed.insert(f.permute(p).expect("valid permutation"));
-            }
-        }
+        let perm_closed = perm_closure(&plausible, n_inputs);
         CamoCell {
             base,
             kind,
@@ -98,13 +95,7 @@ impl CamoCell {
         let cell = lib.cell(base);
         let nominal = cell.function().clone();
         let plausible = cofactor_closure(&nominal);
-        let mut perm_closed = HashSet::new();
-        let perms = all_permutations(nominal.n_vars());
-        for f in &plausible {
-            for p in &perms {
-                perm_closed.insert(f.permute(p).expect("valid permutation"));
-            }
-        }
+        let perm_closed = perm_closure(&plausible, nominal.n_vars());
         CamoCell {
             base,
             kind: cell.kind(),
@@ -232,7 +223,10 @@ impl CamoCell {
             return None;
         }
         // Quick reject: every function must be in the permutation-closed set.
-        if !required.iter().all(|f| self.perm_closed.contains(f)) {
+        let in_closure = |f: &TruthTable| {
+            f.n_vars() == self.n_inputs && self.perm_closed.binary_search(&f.as_word()).is_ok()
+        };
+        if !required.iter().all(in_closure) {
             return None;
         }
         // Find one permutation that works for all of them simultaneously.
@@ -249,24 +243,98 @@ impl CamoCell {
     }
 }
 
-/// Closure of `f` under cofactoring on every input × polarity.
+/// The bits of variable `v` in a table word (`v < 6`).
+const VAR_WORD: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The meaningful bits of an `n`-variable table word.
+fn tail(n: usize) -> u64 {
+    if n >= 6 {
+        u64::MAX
+    } else {
+        (1 << (1 << n)) - 1
+    }
+}
+
+/// [`TruthTable::cofactor`] on an `n`-variable table word.
+fn cofactor_word(w: u64, n: usize, var: usize, value: bool) -> u64 {
+    let shift = 1 << var;
+    let x = if value {
+        let x = w & VAR_WORD[var];
+        x | (x >> shift)
+    } else {
+        let x = w & !VAR_WORD[var];
+        x | (x << shift)
+    };
+    x & tail(n)
+}
+
+/// [`TruthTable::permute`] on a table word, through the permutation's
+/// minterm map (`image[m]`: where minterm `m` lands).
+fn permute_word(w: u64, image: &[u8; 64]) -> u64 {
+    let mut out = 0;
+    let mut ones = w;
+    while ones != 0 {
+        out |= 1 << image[ones.trailing_zeros() as usize];
+        ones &= ones - 1;
+    }
+    out
+}
+
+/// Closure of `f` under cofactoring on every input × polarity, in
+/// [`TruthTable`] order — for tables of one arity, the order of their
+/// words.
 fn cofactor_closure(f: &TruthTable) -> Vec<TruthTable> {
-    let mut seen: BTreeSet<TruthTable> = BTreeSet::new();
-    let mut stack = vec![f.clone()];
+    let n = f.n_vars();
+    let mut seen: Vec<u64> = Vec::new();
+    let mut stack = vec![f.as_word()];
     while let Some(g) = stack.pop() {
-        if !seen.insert(g.clone()) {
+        if seen.contains(&g) {
             continue;
         }
-        for v in 0..f.n_vars() {
-            for val in [false, true] {
-                let c = g.cofactor(v, val);
-                if !seen.contains(&c) {
-                    stack.push(c);
-                }
+        seen.push(g);
+        for v in 0..n {
+            for value in [false, true] {
+                stack.push(cofactor_word(g, n, v, value));
             }
         }
     }
-    seen.into_iter().collect()
+    seen.sort_unstable();
+    seen.into_iter()
+        .map(|w| TruthTable::from_word(n, w).expect("cells have at most 6 inputs"))
+        .collect()
+}
+
+/// The words of every pin permutation of every function in `plausible`,
+/// sorted and deduplicated.
+fn perm_closure(plausible: &[TruthTable], n: usize) -> Vec<u64> {
+    let images: Vec<[u8; 64]> = all_permutations(n)
+        .iter()
+        .map(|p| {
+            let mut image = [0u8; 64];
+            for (m, slot) in image.iter_mut().enumerate().take(1 << n) {
+                *slot = p
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (v, &q)| acc | ((m >> v) & 1) << q)
+                    as u8;
+            }
+            image
+        })
+        .collect();
+    let mut words: Vec<u64> = plausible
+        .iter()
+        .flat_map(|f| images.iter().map(|image| permute_word(f.as_word(), image)))
+        .collect();
+    words.sort_unstable();
+    words.dedup();
+    words
 }
 
 /// A library of camouflaged look-alike cells, one per logic cell of a base
@@ -515,6 +583,90 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(got, expect);
+    }
+
+    /// The heap-table closure the word kernels replaced.
+    fn cofactor_closure_oracle(f: &TruthTable) -> Vec<TruthTable> {
+        let mut seen: BTreeSet<TruthTable> = BTreeSet::new();
+        let mut stack = vec![f.clone()];
+        while let Some(g) = stack.pop() {
+            if !seen.insert(g.clone()) {
+                continue;
+            }
+            for v in 0..f.n_vars() {
+                for val in [false, true] {
+                    let c = g.cofactor(v, val);
+                    if !seen.contains(&c) {
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+        seen.into_iter().collect()
+    }
+
+    /// The heap-table permutation closure the word kernels replaced.
+    fn perm_closure_oracle(cell: &CamoCell) -> BTreeSet<TruthTable> {
+        let perms = all_permutations(cell.n_inputs());
+        cell.plausible()
+            .iter()
+            .flat_map(|f| perms.iter().map(|p| f.permute(p).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn word_closures_match_the_table_oracles() {
+        let lib = Library::standard();
+        let camo = CamoLibrary::from_library(&lib);
+        assert_eq!(camo.len(), lib.len() - 2, "every logic cell");
+        // An explicit set (a MUX key gate's two projections) takes the
+        // from_parts path.
+        let and2 = lib.cell_by_kind(CellKind::And(2)).unwrap();
+        let projections = vec![TruthTable::var(1, 2), TruthTable::var(0, 2)];
+        let explicit = CamoCell::from_parts(
+            and2,
+            CellKind::And(2),
+            "MKEY",
+            2,
+            1.75,
+            TruthTable::var(0, 2),
+            projections.clone(),
+        );
+        assert_eq!(
+            explicit.plausible(),
+            [projections[1].clone(), projections[0].clone()]
+        );
+        for cell in camo.iter().map(|(_, c)| c).chain([&explicit]) {
+            if !std::ptr::eq(cell, &explicit) {
+                assert_eq!(
+                    cell.plausible(),
+                    cofactor_closure_oracle(cell.nominal()),
+                    "{}: plausible set and its order",
+                    cell.name()
+                );
+            }
+            let oracle = perm_closure_oracle(cell);
+            let words: Vec<u64> = oracle.iter().map(TruthTable::as_word).collect();
+            let mut sorted = words.clone();
+            sorted.sort_unstable();
+            assert_eq!(cell.perm_closed, sorted, "{}", cell.name());
+            // The pre-filter answers exactly as membership in the table
+            // closure, on every function of the cell's arity.
+            if cell.n_inputs() <= 3 {
+                for w in 0..1u64 << (1 << cell.n_inputs()) {
+                    let f = TruthTable::from_word(cell.n_inputs(), w).unwrap();
+                    let want = oracle
+                        .contains(&f)
+                        .then(|| {
+                            all_permutations(cell.n_inputs())
+                                .into_iter()
+                                .find(|p| cell.is_plausible(&f.permute(p).unwrap()))
+                        })
+                        .flatten();
+                    assert_eq!(cell.covers(&[f]), want, "{}: word {w:#x}", cell.name());
+                }
+            }
+        }
     }
 
     #[test]

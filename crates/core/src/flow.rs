@@ -327,9 +327,11 @@ impl FlowBuilder {
 
     /// Enables or disables the red-team pass's SAT-free screen (the
     /// screen-then-solve funnel, on by default): a word-parallel batch
-    /// simulation over all enumerable doping configurations refutes —
-    /// and, when the batch covers every minterm, confirms — candidates
-    /// before any SAT query. Verdicts and witness permutations are
+    /// simulation over enumerable doping configurations — the whole
+    /// product, or past the enumeration cap each output's fan-in cone —
+    /// refutes candidates, and for a whole product whose batch covers
+    /// every minterm also confirms them, before any SAT query. Verdicts
+    /// and witness permutations are
     /// bit-identical either way; only the
     /// [`PlausibilityVerdict::queries`](crate::PlausibilityVerdict)
     /// count changes. Disable for SAT-only audit baselines.

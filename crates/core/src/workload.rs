@@ -87,7 +87,9 @@ pub struct PlausibilityVerdict {
     /// Queries the SAT-free screen settled before any solver call
     /// ([`FlowBuilder::attack_screen`](crate::FlowBuilder::attack_screen)):
     /// orbit representatives for the full adversary, `0` or `1` for the
-    /// identity-only sweep. `0` when screening is off or stood down.
+    /// identity-only sweep. `0` when screening is off, or when no
+    /// output's configuration product (whole or cone) fits the
+    /// enumeration cap.
     pub screened: usize,
     /// SAT queries actually issued for this function's verdict.
     pub queries: usize,

@@ -273,6 +273,28 @@ impl Netlist {
         self.try_topo_cells().expect("combinational cycle")
     }
 
+    /// The cells in the transitive fan-in of `roots`, in the order of
+    /// [`Netlist::topo_cells`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a root is out of range or the netlist has a
+    /// combinational cycle.
+    pub fn cone_cells(&self, roots: &[NetId]) -> Vec<CellId> {
+        let mut in_cone = vec![false; self.cells.len()];
+        let mut stack = roots.to_vec();
+        while let Some(net) = stack.pop() {
+            if let Some(c) = self.driver(net) {
+                if !std::mem::replace(&mut in_cone[c.0 as usize], true) {
+                    stack.extend_from_slice(&self.cells[c.0 as usize].inputs);
+                }
+            }
+        }
+        let mut order = self.topo_cells();
+        order.retain(|c| in_cone[c.0 as usize]);
+        order
+    }
+
     fn try_topo_cells(&self) -> Result<Vec<CellId>, NetlistError> {
         let mut indeg = vec![0usize; self.cells.len()];
         let mut uses: HashMap<CellId, Vec<CellId>> = HashMap::new();

@@ -42,4 +42,4 @@ pub use lock::{
     lock_library, lock_merged_netlist, lock_netlist, LockError, LockGate, LockOptions, LockSite,
     LockedNetlist, MKEY_NAME, XKEY_NAME,
 };
-pub use space::{ObfuscationSpace, SchemeKind};
+pub use space::{ConfigOdometer, ObfuscationSpace, SchemeKind};

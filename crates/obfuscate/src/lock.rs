@@ -441,6 +441,32 @@ mod tests {
     }
 
     #[test]
+    fn key_gate_choice_sets_are_sorted_and_cover_exactly_their_permutations() {
+        // Table-level oracles for what the cells crate computes on words:
+        // the choice order and the matcher's answers on every function
+        // of a key gate's arity.
+        let lib = Library::standard();
+        let lock = lock_library(&lib);
+        for (_, cell) in lock.iter() {
+            let n = cell.n_inputs();
+            assert!(
+                cell.plausible().windows(2).all(|w| w[0] < w[1]),
+                "{}",
+                cell.name()
+            );
+            let perms = mvf_logic::npn::all_permutations(n);
+            for w in 0..1u64 << (1 << n) {
+                let f = TruthTable::from_word(n, w).unwrap();
+                let want = perms
+                    .iter()
+                    .find(|p| cell.is_plausible(&f.permute(p).unwrap()))
+                    .cloned();
+                assert_eq!(cell.covers(&[f]), want, "{}: word {w:#x}", cell.name());
+            }
+        }
+    }
+
+    #[test]
     fn lock_library_choice_sets() {
         let lib = Library::standard();
         let lock = lock_library(&lib);

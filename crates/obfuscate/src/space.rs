@@ -110,7 +110,22 @@ impl<'a> ObfuscationSpace<'a> {
     /// its choice count. The product of the counts is the size of the
     /// configuration space the adversary quantifies over.
     pub fn sites(&self, nl: &Netlist) -> Vec<(CellId, usize)> {
-        nl.topo_cells()
+        self.sites_among(nl, nl.topo_cells())
+    }
+
+    /// The sites in the fan-in cone of output `output`, in topological
+    /// cell order, each with its choice count: the only sites whose
+    /// choice can change that output's column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output` is out of range.
+    pub fn cone_sites(&self, nl: &Netlist, output: usize) -> Vec<(CellId, usize)> {
+        self.sites_among(nl, nl.cone_cells(&[nl.outputs()[output].1]))
+    }
+
+    fn sites_among(&self, nl: &Netlist, cells: Vec<CellId>) -> Vec<(CellId, usize)> {
+        cells
             .into_iter()
             .filter_map(|cid| match nl.cell(cid).cell {
                 CellRef::Camo(id) => Some((cid, self.choices.cell(id).plausible().len())),
@@ -119,50 +134,40 @@ impl<'a> ObfuscationSpace<'a> {
             .collect()
     }
 
-    /// Enumerates the full per-site configuration product in topological
-    /// cell order — an odometer over each site's sorted choice set, the
-    /// **last site varying fastest** — or `None` when the product exceeds
-    /// `cap`. This order is pinned: the screen's surviving-config masks,
+    /// The configuration odometer over `sites` — all of
+    /// [`ObfuscationSpace::sites`] or a subset such as
+    /// [`ObfuscationSpace::cone_sites`] — stepping each site through its
+    /// sorted choice set with the **last site varying fastest**, or
+    /// `None` when the product exceeds `cap`. Sites left out are not
+    /// bound. This order is pinned: the screen's surviving-config masks,
     /// the brute-force test corpora and the SAT encoding's selector
     /// space all index configurations by it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a site is not an obfuscated cell of `nl`.
     pub fn enumerate_configs(
         &self,
         nl: &Netlist,
+        sites: &[(CellId, usize)],
         cap: usize,
-    ) -> Option<Vec<HashMap<CellId, TruthTable>>> {
-        let mut cells: Vec<(CellId, &[TruthTable])> = Vec::new();
+    ) -> Option<ConfigOdometer<'a>> {
         let mut product = 1usize;
-        for cid in nl.topo_cells() {
-            if let CellRef::Camo(id) = nl.cell(cid).cell {
-                let plausible = self.choices.cell(id).plausible();
-                product = product.checked_mul(plausible.len()).filter(|&p| p <= cap)?;
-                cells.push((cid, plausible));
-            }
+        let mut choices = Vec::with_capacity(sites.len());
+        for &(cid, _) in sites {
+            let CellRef::Camo(id) = nl.cell(cid).cell else {
+                panic!("cell {} is not an obfuscated site", cid.0);
+            };
+            let plausible = self.choices.cell(id).plausible();
+            product = product.checked_mul(plausible.len()).filter(|&p| p <= cap)?;
+            choices.push((cid, plausible));
         }
-        let mut configs = Vec::with_capacity(product);
-        let mut odometer = vec![0usize; cells.len()];
-        loop {
-            configs.push(
-                cells
-                    .iter()
-                    .zip(&odometer)
-                    .map(|(&(cid, plausible), &d)| (cid, plausible[d].clone()))
-                    .collect(),
-            );
-            // Advance the least-significant digit (the last obfuscated cell).
-            let mut pos = cells.len();
-            loop {
-                if pos == 0 {
-                    return Some(configs);
-                }
-                pos -= 1;
-                odometer[pos] += 1;
-                if odometer[pos] < cells[pos].1.len() {
-                    break;
-                }
-                odometer[pos] = 0;
-            }
-        }
+        Some(ConfigOdometer {
+            digits: vec![0; choices.len()],
+            sites: choices,
+            left: product,
+            chunk: Vec::new(),
+        })
     }
 
     /// Tseitin-encodes the netlist, unrolled over every input row and
@@ -179,22 +184,26 @@ impl<'a> ObfuscationSpace<'a> {
         mvf_sat::encode_netlist(nl, self.lib, self.choices)
     }
 
-    /// Word-parallel multi-configuration vector evaluation — the screen
-    /// half of the funnel. `out[j][o][w]` bit `b` is output `o` under
-    /// configuration `j` on input `vectors[64 w + b]`.
+    /// Word-parallel multi-configuration vector evaluation of the fan-in
+    /// cone of `outputs` — the screen half of the funnel. `out[j][k][w]`
+    /// bit `b` is output `outputs[k]` under configuration `j` on input
+    /// `vectors[64 w + b]`. A configuration needs to bind only the sites
+    /// in that cone ([`ObfuscationSpace::cone_sites`]).
     ///
     /// # Errors
     ///
-    /// [`ValidationError`] if a configuration binds a site to a function
-    /// outside its choice set (impossible for configurations produced by
-    /// [`ObfuscationSpace::enumerate_configs`]).
+    /// [`ValidationError`] if a configuration leaves a cone site unbound
+    /// or binds it to a function outside its choice set (impossible for
+    /// configurations produced by [`ObfuscationSpace::enumerate_configs`]
+    /// over the cone's sites).
     pub fn eval_vectors(
         &self,
         nl: &Netlist,
+        outputs: &[usize],
         configs: &[HashMap<CellId, TruthTable>],
         vectors: &[u64],
     ) -> Result<Vec<Vec<Vec<u64>>>, ValidationError> {
-        self.eval_vectors_with(nl, configs, vectors, &mut TtArena::default())
+        self.eval_vectors_with(nl, outputs, configs, vectors, &mut TtArena::default())
     }
 
     /// [`ObfuscationSpace::eval_vectors`] with a caller-owned arena.
@@ -205,11 +214,12 @@ impl<'a> ObfuscationSpace<'a> {
     pub fn eval_vectors_with(
         &self,
         nl: &Netlist,
+        outputs: &[usize],
         configs: &[HashMap<CellId, TruthTable>],
         vectors: &[u64],
         arena: &mut TtArena,
     ) -> Result<Vec<Vec<Vec<u64>>>, ValidationError> {
-        eval_camo_netlist_vectors_with(nl, self.lib, self.choices, configs, vectors, arena)
+        eval_camo_netlist_vectors_with(nl, self.lib, self.choices, outputs, configs, vectors, arena)
     }
 
     /// The session cache key: netlist structure, both libraries'
@@ -217,6 +227,60 @@ impl<'a> ObfuscationSpace<'a> {
     /// netlist never share a session.
     pub fn fingerprint(&self, nl: &Netlist) -> u64 {
         fingerprint_session_scheme(nl, self.lib, self.choices, self.kind.tag())
+    }
+}
+
+/// The configuration odometer of [`ObfuscationSpace::enumerate_configs`]:
+/// it streams the product of some sites' choice sets in pinned order, in
+/// chunks that reuse one buffer ([`ConfigOdometer::next_chunk`]), so a
+/// caller never has to hold the whole product.
+#[derive(Debug, Clone)]
+pub struct ConfigOdometer<'a> {
+    /// The enumerated sites with their sorted choice sets.
+    sites: Vec<(CellId, &'a [TruthTable])>,
+    /// The next configuration's choice index per site.
+    digits: Vec<usize>,
+    /// Configurations not yet produced.
+    left: usize,
+    /// The buffer [`ConfigOdometer::next_chunk`] refills.
+    chunk: Vec<HashMap<CellId, TruthTable>>,
+}
+
+impl ConfigOdometer<'_> {
+    /// The next up to `max` configurations, written into a buffer the
+    /// odometer reuses across calls; empty once the product is
+    /// exhausted.
+    pub fn next_chunk(&mut self, max: usize) -> &[HashMap<CellId, TruthTable>] {
+        let n = self.left.min(max);
+        self.chunk.truncate(n);
+        for k in 0..n {
+            if k == self.chunk.len() {
+                self.chunk.push(HashMap::with_capacity(self.sites.len()));
+            }
+            let config = &mut self.chunk[k];
+            for (&(cid, choices), &d) in self.sites.iter().zip(&self.digits) {
+                match config.get_mut(&cid) {
+                    Some(f) => f.clone_from(&choices[d]),
+                    None => {
+                        config.insert(cid, choices[d].clone());
+                    }
+                }
+            }
+            self.advance();
+        }
+        &self.chunk
+    }
+
+    /// Steps the odometer: the last site is the least significant digit.
+    fn advance(&mut self) {
+        self.left -= 1;
+        for (digit, &(_, choices)) in self.digits.iter_mut().zip(&self.sites).rev() {
+            *digit += 1;
+            if *digit < choices.len() {
+                return;
+            }
+            *digit = 0;
+        }
     }
 }
 
@@ -248,14 +312,40 @@ mod tests {
         let (c2, y) = nl.add_cell("u2", CellRef::Camo(nand), vec![x, b]);
         nl.add_output("y", y);
         let space = ObfuscationSpace::camouflage(&lib, &camo);
-        assert_eq!(space.sites(&nl), vec![(c1, 5), (c2, 5)]);
-        let configs = space.enumerate_configs(&nl, 4096).unwrap();
+        let sites = space.sites(&nl);
+        assert_eq!(sites, vec![(c1, 5), (c2, 5)]);
+        let mut odometer = space.enumerate_configs(&nl, &sites, 4096).unwrap();
+        let configs = odometer.next_chunk(usize::MAX).to_vec();
         assert_eq!(configs.len(), 25);
+        assert!(odometer.next_chunk(usize::MAX).is_empty());
         // Last site varies fastest: the first five configs share u1's
         // first choice and walk u2's sorted choice set.
         let first = &configs[0][&c1];
         assert!(configs[1..5].iter().all(|cfg| &cfg[&c1] == first));
-        assert!(space.enumerate_configs(&nl, 24).is_none());
+        assert!(space.enumerate_configs(&nl, &sites, 24).is_none());
+        // Smaller chunks stream the same configurations in the same order.
+        let mut odometer = space.enumerate_configs(&nl, &sites, 4096).unwrap();
+        let mut chunked = Vec::new();
+        loop {
+            let chunk = odometer.next_chunk(7);
+            if chunk.is_empty() {
+                break;
+            }
+            chunked.extend_from_slice(chunk);
+        }
+        assert_eq!(chunked, configs);
+        // u2 reads u1, so y's cone holds both sites; u1's output alone
+        // holds u1 only, and its configurations bind nothing else.
+        nl.add_output("x", x);
+        assert_eq!(space.cone_sites(&nl, 0), sites);
+        assert_eq!(space.cone_sites(&nl, 1), vec![(c1, 5)]);
+        let cone = space.cone_sites(&nl, 1);
+        let mut odometer = space.enumerate_configs(&nl, &cone, 4096).unwrap();
+        let configs = odometer.next_chunk(usize::MAX);
+        assert_eq!(configs.len(), 5);
+        assert!(configs
+            .iter()
+            .all(|cfg| cfg.len() == 1 && cfg.contains_key(&c1)));
     }
 
     #[test]

@@ -39,9 +39,11 @@ pub const FORMAT: &str = "mvf-serve-checkpoint";
 /// progress's `resolved` verdict cache (the NPN/class-sharing sweep);
 /// version 3 added the obfuscation `scheme` tag, so a resumed job keeps
 /// its family even if the service's `MVF_SCHEME` knob changed in
-/// between. Older files are rejected rather than resumed with guessed
-/// state.
-pub const VERSION: u64 = 3;
+/// between; version 4 marks the work lists the projected screen plans
+/// for circuits past the enumeration cap, which a version-3 sweep cursor
+/// indexes differently. Older files are rejected rather than resumed
+/// with guessed state.
+pub const VERSION: u64 = 4;
 
 /// The final Phase-II outcome carried into the sweep phase.
 #[derive(Debug, Clone)]
@@ -578,7 +580,7 @@ mod tests {
             phase: CheckpointPhase::Ga(sample_state()),
         };
         let good = cp.to_json();
-        let wrong_version = good.replacen("\"version\":3", "\"version\":999", 1);
+        let wrong_version = good.replacen("\"version\":4", "\"version\":999", 1);
         assert!(matches!(
             Checkpoint::from_json(&wrong_version),
             Err(CheckpointError::Unsupported(_))

@@ -57,6 +57,9 @@ pub enum AuditOutcome {
     },
     /// Paused by the observer; resume later with [`resume_audit`].
     Paused(Box<Checkpoint>),
+    /// The checkpoint's sweep progress does not fit the rebuilt plan
+    /// ([`mvf_attack::RestoreError`]), so the job cannot resume from it.
+    Failed(String),
 }
 
 /// Runs one workload from the start. See the module docs.
@@ -114,6 +117,7 @@ pub fn audit(
     match run_audit(cfg, workload, seed, store, &mut |_| Control::Continue) {
         AuditOutcome::Finished { report, .. } => *report,
         AuditOutcome::Paused(_) => unreachable!("the observer never pauses"),
+        AuditOutcome::Failed(_) => unreachable!("a fresh run restores no checkpoint"),
     }
 }
 
@@ -243,7 +247,9 @@ fn drive(
         ),
     };
     if let Some(progress) = &resume_sweep {
-        job.restore(progress);
+        if let Err(e) = job.restore(progress) {
+            return AuditOutcome::Failed(format!("checkpoint refused: {e}"));
+        }
     }
     while !job.is_done() {
         job.step(sweep_chunk);

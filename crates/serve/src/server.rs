@@ -17,6 +17,12 @@
 //! gets exactly one `ok:false` response; the rest of the line is
 //! discarded and serving continues with the next one.
 //!
+//! A job's `status` is `queued`, `running`, `done`, `cancelled` or
+//! `failed`. A job fails when it panics, or when its checkpoint's sweep
+//! cursor does not fit the plan rebuilt on resume; `status` and a
+//! waiting `submit` then carry the message in `error`, and the worker
+//! goes on with the next job.
+//!
 //! Jobs run on one worker thread that owns the [`SessionStore`], so
 //! repeated submissions of the same circuit warm-start automatically.
 //! A cancelled or shut-down job keeps its latest [`Checkpoint`]; fetch
@@ -24,9 +30,11 @@
 //! `submit`) to resume — the finished report is bit-identical to an
 //! uninterrupted run.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use mvf::cells::{CamoLibrary, Library};
 use mvf::{lock_library, ObfuscationSpace, SchemeKind, Workload, WorkloadReport};
@@ -120,6 +128,7 @@ enum Phase {
     Running,
     Done,
     Cancelled,
+    Failed,
 }
 
 impl Phase {
@@ -129,6 +138,7 @@ impl Phase {
             Phase::Running => "running",
             Phase::Done => "done",
             Phase::Cancelled => "cancelled",
+            Phase::Failed => "failed",
         }
     }
 }
@@ -150,6 +160,8 @@ struct JobEntry {
     report: Option<Box<WorkloadReport>>,
     /// The sweep solver's counters, once the job is done.
     sat: Option<SimplifyStats>,
+    /// Why the job failed, once it has.
+    error: Option<String>,
 }
 
 struct State {
@@ -215,7 +227,7 @@ impl AuditService {
 
     /// Whether `shutdown` has been requested.
     pub fn is_shutdown(&self) -> bool {
-        self.inner.state.lock().unwrap().shutdown
+        self.inner.lock().shutdown
     }
 
     /// Requests shutdown (as the `shutdown` command would) and joins the
@@ -223,7 +235,7 @@ impl AuditService {
     /// its checkpoint.
     pub fn shutdown_and_join(mut self) {
         {
-            let mut st = self.inner.state.lock().unwrap();
+            let mut st = self.inner.lock();
             st.shutdown = true;
             self.inner.cv.notify_all();
         }
@@ -337,6 +349,19 @@ fn err_response(msg: &str) -> String {
 }
 
 impl Inner {
+    /// The service state. A panic while the lock was held cannot leave
+    /// it inconsistent — every update is a single assignment or
+    /// collection call — so a poisoned lock is taken over as is.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks on the condition variable, recovering from poisoning as
+    /// [`Inner::lock`] does.
+    fn wait<'a>(&self, guard: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Encodes a report under the job's scheme: the netlist's
     /// choice-bearing cells resolve against that family's library.
     fn report_value(&self, scheme: SchemeKind, report: &WorkloadReport) -> Value {
@@ -362,7 +387,7 @@ impl Inner {
             Some("checkpoint") => self.checkpoint(&request),
             Some("cancel") => self.cancel(&request),
             Some("shutdown") => {
-                let mut st = self.state.lock().unwrap();
+                let mut st = self.lock();
                 st.shutdown = true;
                 self.cv.notify_all();
                 ok_response(Vec::new())
@@ -408,7 +433,7 @@ impl Inner {
             .and_then(Value::as_bool)
             .unwrap_or(false);
         {
-            let mut st = self.state.lock().unwrap();
+            let mut st = self.lock();
             if st.shutdown {
                 return err_response("service is shutting down");
             }
@@ -437,6 +462,7 @@ impl Inner {
                     resume,
                     report: None,
                     sat: None,
+                    error: None,
                 },
             );
             st.queue.push_back(id.clone());
@@ -452,7 +478,7 @@ impl Inner {
     }
 
     fn wait_and_report(&self, id: &str) -> String {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         loop {
             let entry = st.jobs.get(id).expect("waited-on job exists");
             match entry.phase {
@@ -470,8 +496,18 @@ impl Inner {
                         ("status".into(), Value::str(Phase::Cancelled.name())),
                     ]);
                 }
+                Phase::Failed => {
+                    return ok_response(vec![
+                        ("id".into(), Value::str(id)),
+                        ("status".into(), Value::str(Phase::Failed.name())),
+                        (
+                            "error".into(),
+                            Value::str(entry.error.as_deref().unwrap_or("")),
+                        ),
+                    ]);
+                }
                 Phase::Queued | Phase::Running => {
-                    st = self.cv.wait(st).unwrap();
+                    st = self.wait(st);
                 }
             }
         }
@@ -482,13 +518,16 @@ impl Inner {
             Ok(id) => id,
             Err(e) => return err_response(&e),
         };
-        let st = self.state.lock().unwrap();
+        let st = self.lock();
         match st.jobs.get(&id) {
             Some(entry) => {
                 let mut fields = vec![
                     ("id".into(), Value::str(&id)),
                     ("status".into(), Value::str(entry.phase.name())),
                 ];
+                if let Some(error) = &entry.error {
+                    fields.push(("error".into(), Value::str(error)));
+                }
                 // A finished job also reports its sweep solver's
                 // counters.
                 if let Some(sat) = &entry.sat {
@@ -507,7 +546,7 @@ impl Inner {
             Ok(id) => id,
             Err(e) => return err_response(&e),
         };
-        let st = self.state.lock().unwrap();
+        let st = self.lock();
         match st.jobs.get(&id) {
             Some(entry) => match &entry.report {
                 Some(report) => ok_response(vec![
@@ -528,7 +567,7 @@ impl Inner {
             Ok(id) => id,
             Err(e) => return err_response(&e),
         };
-        let st = self.state.lock().unwrap();
+        let st = self.lock();
         match st.jobs.get(&id) {
             Some(entry) => match &entry.checkpoint {
                 Some(cp) => ok_response(vec![
@@ -546,7 +585,7 @@ impl Inner {
             Ok(id) => id,
             Err(e) => return err_response(&e),
         };
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         match st.jobs.get_mut(&id) {
             Some(entry) => {
                 let phase = match entry.phase {
@@ -600,7 +639,7 @@ fn worker_loop(inner: &Inner) {
     loop {
         // Claim the next runnable job.
         let (id, workload, seed, resume_from) = {
-            let mut st = inner.state.lock().unwrap();
+            let mut st = inner.lock();
             let id = loop {
                 if let Some(id) = st.queue.pop_front() {
                     break id;
@@ -608,7 +647,7 @@ fn worker_loop(inner: &Inner) {
                 if st.shutdown {
                     return;
                 }
-                st = inner.cv.wait(st).unwrap();
+                st = inner.wait(st);
             };
             let entry = st.jobs.get_mut(&id).expect("queued job exists");
             entry.phase = Phase::Running;
@@ -624,7 +663,7 @@ fn worker_loop(inner: &Inner) {
         // at every boundary to publish the checkpoint and poll for
         // cancel/shutdown.
         let mut observer = |cp: &Checkpoint| {
-            let mut st = inner.state.lock().unwrap();
+            let mut st = inner.lock();
             let entry = st.jobs.get_mut(&id).expect("running job exists");
             entry.checkpoint = Some(cp.clone());
             if let Some(dir) = &inner.cfg.checkpoint_dir {
@@ -639,12 +678,17 @@ fn worker_loop(inner: &Inner) {
                 Control::Continue
             }
         };
-        let outcome = match resume_from {
+        let run = catch_unwind(AssertUnwindSafe(|| match resume_from {
             Some(cp) => resume_audit(&inner.cfg, cp, Some(&mut store), &mut observer),
             None => run_audit(&inner.cfg, &workload, seed, Some(&mut store), &mut observer),
-        };
+        }));
+        let outcome = run.unwrap_or_else(|payload| {
+            // The panic may have left a cached session mid-update.
+            store = SessionStore::new(inner.cfg.session_cache_bytes);
+            AuditOutcome::Failed(format!("job panicked: {}", panic_message(&*payload)))
+        });
 
-        let mut st = inner.state.lock().unwrap();
+        let mut st = inner.lock();
         let entry = st.jobs.get_mut(&id).expect("running job exists");
         match outcome {
             AuditOutcome::Finished { report, sat } => {
@@ -656,10 +700,23 @@ fn worker_loop(inner: &Inner) {
                 entry.phase = Phase::Cancelled;
                 entry.checkpoint = Some(*cp);
             }
+            AuditOutcome::Failed(error) => {
+                entry.phase = Phase::Failed;
+                entry.error = Some(error);
+            }
         }
         inner.cv.notify_all();
         if st.shutdown {
             return;
         }
     }
+}
+
+/// The message of a caught panic.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a panic without a message")
 }

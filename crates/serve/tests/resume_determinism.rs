@@ -76,7 +76,7 @@ fn killed_and_resumed_at_every_boundary_is_bit_identical() {
         Control::Continue
     }) {
         AuditOutcome::Finished { report: r, .. } => *r,
-        AuditOutcome::Paused(_) => unreachable!(),
+        AuditOutcome::Paused(_) | AuditOutcome::Failed(_) => unreachable!(),
     };
     let want = encode(&reference);
     let ga_boundaries = boundaries
@@ -96,7 +96,7 @@ fn killed_and_resumed_at_every_boundary_is_bit_identical() {
         let cp = Checkpoint::from_json(serialized).expect("boundary checkpoint parses");
         let resumed = match resume_audit(&cfg, cp, None, &mut |_| Control::Continue) {
             AuditOutcome::Finished { report: r, .. } => *r,
-            AuditOutcome::Paused(_) => unreachable!(),
+            AuditOutcome::Paused(_) | AuditOutcome::Failed(_) => unreachable!(),
         };
         assert_eq!(
             encode(&resumed),
@@ -123,7 +123,7 @@ fn pause_mid_ga_then_resume_matches() {
     );
     let resumed = match resume_audit(&cfg, *cp, None, &mut |_| Control::Continue) {
         AuditOutcome::Finished { report: r, .. } => *r,
-        AuditOutcome::Paused(_) => unreachable!(),
+        AuditOutcome::Paused(_) | AuditOutcome::Failed(_) => unreachable!(),
     };
     assert_eq!(encode(&resumed), want);
 }
@@ -156,10 +156,11 @@ fn pause_mid_sweep_then_resume_matches() {
             assert_eq!(encode(&r), want);
             return;
         }
+        AuditOutcome::Failed(e) => panic!("resume failed: {e}"),
     };
     let resumed = match resume_audit(&cfg, second, None, &mut |_| Control::Continue) {
         AuditOutcome::Finished { report: r, .. } => *r,
-        AuditOutcome::Paused(_) => unreachable!(),
+        AuditOutcome::Paused(_) | AuditOutcome::Failed(_) => unreachable!(),
     };
     assert_eq!(encode(&resumed), want);
 }
@@ -265,7 +266,7 @@ fn killed_inside_a_negation_mask_block_resumes_bit_identically() {
         Control::Continue
     }) {
         AuditOutcome::Finished { report: r, .. } => *r,
-        AuditOutcome::Paused(_) => unreachable!(),
+        AuditOutcome::Paused(_) | AuditOutcome::Failed(_) => unreachable!(),
     };
     let want = encode(&reference);
     // At least one boundary must sit mid-sweep, past every
@@ -286,7 +287,7 @@ fn killed_inside_a_negation_mask_block_resumes_bit_identically() {
         }
         let resumed = match resume_audit(&cfg, cp, None, &mut |_| Control::Continue) {
             AuditOutcome::Finished { report: r, .. } => *r,
-            AuditOutcome::Paused(_) => unreachable!(),
+            AuditOutcome::Paused(_) | AuditOutcome::Failed(_) => unreachable!(),
         };
         assert_eq!(encode(&resumed), want, "resume diverged from {serialized}");
     }

@@ -234,6 +234,106 @@ fn sweep_checkpoints_of_the_wrong_width_are_refused_and_the_service_keeps_answer
     service.shutdown_and_join();
 }
 
+/// A sweep-phase checkpoint of `workload` (seed 4, identity pin
+/// assignment) carrying `progress`.
+fn sweep_checkpoint(workload: &Workload, progress: AnyIoProgress) -> Checkpoint {
+    Checkpoint {
+        seed: 4,
+        scheme: SchemeKind::Camouflage,
+        failed_evaluations: 0,
+        phase: CheckpointPhase::Sweep {
+            ga: GaFinal {
+                best: PinAssignment::identity(&workload.functions),
+                history: Vec::new(),
+                evaluations: 0,
+            },
+            progress,
+        },
+        workload: workload.clone(),
+    }
+}
+
+#[test]
+fn a_sweep_checkpoint_past_the_rebuilt_work_list_fails_the_job_and_the_worker_lives_on() {
+    let service = std::sync::Arc::new(AuditService::start(tiny_cfg()));
+    let workload =
+        Workload::new("PRESENT x2", mvf_sboxes::optimal_sboxes()[..2].to_vec()).with_seed(4);
+    // The cursor has the workload's width, so it passes decoding; only
+    // the plan rebuilt on resume shows its position is past the end.
+    let checkpoint = sweep_checkpoint(
+        &workload,
+        AnyIoProgress {
+            pos: 1 << 40,
+            best: vec![usize::MAX; 2],
+            queries: vec![0; 2],
+            resolved: Vec::new(),
+        },
+    );
+    let request = format!(
+        "{{\"cmd\":\"submit\",\"id\":\"late\",\"wait\":true,\"checkpoint\":{}}}",
+        checkpoint.to_value()
+    );
+    // A worker that dies on the refused cursor leaves this wait blocked
+    // forever, so it waits on a thread the test gives up on.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::sync::Arc::clone(&service);
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(waiter.handle(&request));
+    });
+    let response = rx
+        .recv_timeout(std::time::Duration::from_secs(600))
+        .expect("wait returns on a failed job");
+    handle.join().expect("the waiting thread ends");
+    let v = parse_ok(&response);
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("failed"));
+    let error = v.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("past the job's"), "{error}");
+    let status = parse_ok(&service.handle("{\"cmd\":\"status\",\"id\":\"late\"}"));
+    assert_eq!(status.get("status").and_then(Value::as_str), Some("failed"));
+    assert_eq!(status.get("error").and_then(Value::as_str), Some(error));
+    // The worker is alive: a fresh submission runs to completion.
+    let fresh = parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"fine\",\"wait\":true,\"workload\":{}}}",
+        workload_json(5)
+    )));
+    assert_eq!(fresh.get("status").and_then(Value::as_str), Some("done"));
+    std::sync::Arc::try_unwrap(service)
+        .ok()
+        .expect("the waiting thread released the service")
+        .shutdown_and_join();
+}
+
+#[test]
+fn version_3_checkpoints_are_refused_at_submit() {
+    let service = AuditService::start(tiny_cfg());
+    let workload =
+        Workload::new("PRESENT x2", mvf_sboxes::optimal_sboxes()[..2].to_vec()).with_seed(4);
+    let checkpoint = sweep_checkpoint(
+        &workload,
+        AnyIoProgress {
+            pos: 0,
+            best: vec![usize::MAX; 2],
+            queries: vec![0; 2],
+            resolved: Vec::new(),
+        },
+    )
+    .to_value()
+    .to_string();
+    assert!(checkpoint.contains("\"version\":4"), "{checkpoint}");
+    let v3 = checkpoint.replacen("\"version\":4", "\"version\":3", 1);
+    let v = Value::parse(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"old\",\"checkpoint\":{v3}}}"
+    )))
+    .unwrap();
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{v}");
+    let error = v.get("error").and_then(Value::as_str).unwrap();
+    assert!(
+        error.contains("bad checkpoint") && error.contains("version 3"),
+        "{error}"
+    );
+    service.shutdown_and_join();
+}
+
 #[test]
 fn duplicate_ids_are_rejected() {
     let service = AuditService::start(tiny_cfg());

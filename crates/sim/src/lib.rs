@@ -50,7 +50,7 @@ use std::fmt;
 
 use mvf_cells::{CamoLibrary, Library};
 use mvf_logic::{TruthTable, TtArena, VectorFunction};
-use mvf_netlist::{CellId, CellRef, Netlist};
+use mvf_netlist::{CellId, CellRef, NetId, Netlist};
 use mvf_techmap::CamoMappedCircuit;
 
 /// Validation failures.
@@ -370,10 +370,11 @@ fn eval_multi_chunk(
     }
 }
 
-/// Evaluates a camouflaged netlist under all the given doping
-/// configurations on an arbitrary **batch of input vectors** in one
-/// word-parallel pass: bit `b` of `result[j][o][w]` is output `o` of the
-/// circuit under `configs[j]` on the input minterm `vectors[64*w + b]`.
+/// Evaluates the fan-in cone of some outputs of a camouflaged netlist
+/// under all the given doping configurations on an arbitrary **batch of
+/// input vectors** in one word-parallel pass: bit `b` of
+/// `result[j][k][w]` is output `outputs[k]` of the circuit under
+/// `configs[j]` on the input minterm `vectors[64*w + b]`.
 ///
 /// This generalizes [`eval_camo_netlist_multi`] from full truth tables
 /// to sampled vectors: the low arena variables index the *vector batch*
@@ -386,25 +387,38 @@ fn eval_multi_chunk(
 /// `vectors.len() · configs-per-chunk` is. This is the probabilistic
 /// screening primitive of the attack crate's screen-then-solve funnel.
 ///
+/// Only the cells in the fan-in cone of `outputs` are evaluated, so a
+/// configuration needs to bind only the camouflaged cells in that cone;
+/// any other binding is ignored.
+///
 /// # Errors
 ///
-/// Same per-configuration errors as [`eval_camo_netlist`], checked for
-/// every configuration up front.
+/// Same per-configuration errors as [`eval_camo_netlist`] for the cone's
+/// camouflaged cells, checked for every configuration up front.
 ///
 /// # Panics
 ///
-/// Panics if `vectors.len()` is not a power of two in
-/// `64..=2^`[`mvf_logic::MAX_VARS`] (power-of-two length keeps every
-/// configuration's block word-aligned), or if a vector has bits set at
-/// or above the input count.
+/// Panics if an output index is out of range, if `vectors.len()` is not
+/// a power of two in `64..=2^`[`mvf_logic::MAX_VARS`] (power-of-two
+/// length keeps every configuration's block word-aligned), or if a
+/// vector has bits set at or above the input count.
 pub fn eval_camo_netlist_vectors(
     nl: &Netlist,
     lib: &Library,
     camo: &CamoLibrary,
+    outputs: &[usize],
     configs: &[HashMap<CellId, TruthTable>],
     vectors: &[u64],
 ) -> Result<Vec<Vec<Vec<u64>>>, ValidationError> {
-    eval_camo_netlist_vectors_with(nl, lib, camo, configs, vectors, &mut TtArena::default())
+    eval_camo_netlist_vectors_with(
+        nl,
+        lib,
+        camo,
+        outputs,
+        configs,
+        vectors,
+        &mut TtArena::default(),
+    )
 }
 
 /// [`eval_camo_netlist_vectors`] with a caller-owned arena: the widened
@@ -421,13 +435,16 @@ pub fn eval_camo_netlist_vectors_with(
     nl: &Netlist,
     lib: &Library,
     camo: &CamoLibrary,
+    outputs: &[usize],
     configs: &[HashMap<CellId, TruthTable>],
     vectors: &[u64],
     arena: &mut TtArena,
 ) -> Result<Vec<Vec<Vec<u64>>>, ValidationError> {
+    let roots: Vec<NetId> = outputs.iter().map(|&o| nl.outputs()[o].1).collect();
+    let cells = nl.cone_cells(&roots);
     for config in configs {
-        for (cid, c) in nl.cells() {
-            if let CellRef::Camo(id) = c.cell {
+        for &cid in &cells {
+            if let CellRef::Camo(id) = nl.cell(cid).cell {
                 let f = config
                     .get(&cid)
                     .ok_or(ValidationError::MissingBinding(cid))?;
@@ -453,13 +470,14 @@ pub fn eval_camo_netlist_vectors_with(
     let cap = 1usize << (mvf_logic::MAX_VARS - v_bits);
     let mut out = Vec::with_capacity(configs.len());
     for chunk in configs.chunks(cap) {
-        eval_vectors_chunk(nl, lib, chunk, vectors, arena, &mut out);
+        eval_vectors_chunk(nl, lib, &cells, &roots, chunk, vectors, arena, &mut out);
     }
     Ok(out)
 }
 
-/// One word-parallel vector-batch pass over a chunk of configurations
-/// whose selector bits fit alongside the batch-index variables.
+/// One word-parallel vector-batch pass of `cells` (a fan-in cone in
+/// topological order) over a chunk of configurations whose selector bits
+/// fit alongside the batch-index variables.
 ///
 /// Unlike [`eval_multi_chunk`], configuration blocks here are always
 /// word-aligned (the batch length is a power of two ≥ 64), so the
@@ -467,9 +485,12 @@ pub fn eval_camo_netlist_vectors_with(
 /// patterns — `O(words)` per minterm instead of `O(configs · words)`
 /// selector ORs, which is what lets the screen enumerate thousands of
 /// configurations cheaply.
+#[allow(clippy::too_many_arguments)]
 fn eval_vectors_chunk(
     nl: &Netlist,
     lib: &Library,
+    cells: &[CellId],
+    roots: &[NetId],
     configs: &[HashMap<CellId, TruthTable>],
     vectors: &[u64],
     arena: &mut TtArena,
@@ -499,7 +520,7 @@ fn eval_vectors_chunk(
     }
     let mut bound: Vec<&TruthTable> = Vec::with_capacity(n_cfg);
     let mut mask_words = vec![0u64; arena.words_per_slot()];
-    for cid in nl.topo_cells() {
+    for &cid in cells {
         let c = nl.cell(cid);
         let out_slot = c.output.0 as usize;
         arena.write_zero(out_slot);
@@ -549,12 +570,12 @@ fn eval_vectors_chunk(
             }
         }
     }
-    // Slice each configuration's word block back out of every output.
+    // Slice each configuration's word block back out of every root.
     for j in 0..n_cfg {
         out.push(
-            nl.outputs()
+            roots
                 .iter()
-                .map(|(_, net)| arena.slot(net.0 as usize)[j * wpv..(j + 1) * wpv].to_vec())
+                .map(|net| arena.slot(net.0 as usize)[j * wpv..(j + 1) * wpv].to_vec())
                 .collect(),
         );
     }
@@ -865,10 +886,12 @@ mod tests {
             .map(|m| (m * 2_654_435_761) % (1 << n_in))
             .collect();
         let mut arena = TtArena::default();
+        let all: Vec<usize> = (0..nl.outputs().len()).collect();
         for vectors in [&cycled, &sampled] {
-            let got =
-                eval_camo_netlist_vectors_with(nl, &lib, &camo, &configs, vectors, &mut arena)
-                    .unwrap();
+            let got = eval_camo_netlist_vectors_with(
+                nl, &lib, &camo, &all, &configs, vectors, &mut arena,
+            )
+            .unwrap();
             assert_eq!(got.len(), configs.len());
             for (j, per_cfg) in got.iter().enumerate() {
                 assert_eq!(per_cfg.len(), nl.outputs().len());
@@ -885,10 +908,31 @@ mod tests {
                 }
             }
         }
+        // One output's cone needs only that cone's bindings and yields
+        // that output's columns.
+        for o in 0..nl.outputs().len() {
+            let cone = nl.cone_cells(&[nl.outputs()[o].1]);
+            let projected: Vec<HashMap<CellId, TruthTable>> = configs
+                .iter()
+                .map(|config| {
+                    config
+                        .iter()
+                        .filter(|(cid, _)| cone.contains(cid))
+                        .map(|(&cid, f)| (cid, f.clone()))
+                        .collect()
+                })
+                .collect();
+            let got =
+                eval_camo_netlist_vectors(nl, &lib, &camo, &[o], &projected, &cycled).unwrap();
+            let want = eval_camo_netlist_vectors(nl, &lib, &camo, &all, &configs, &cycled).unwrap();
+            for (j, per_cfg) in got.iter().enumerate() {
+                assert_eq!(per_cfg, &[want[j][o].clone()], "config {j}, output {o}");
+            }
+        }
         // Binding errors surface exactly as in the truth-table pass.
         let empty = vec![HashMap::new()];
         assert!(matches!(
-            eval_camo_netlist_vectors(nl, &lib, &camo, &empty, &cycled),
+            eval_camo_netlist_vectors(nl, &lib, &camo, &all, &empty, &cycled),
             Err(ValidationError::MissingBinding(_))
         ));
     }

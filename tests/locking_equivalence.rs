@@ -88,10 +88,10 @@ fn identity_sweep_equals_key_enumeration() {
     assert!(verdicts[0].plausible && verdicts[1].plausible);
     // The sweep quantifies over exactly the key space: the config
     // odometer and the key counter enumerate the same set.
-    let configs = space
-        .enumerate_configs(nl, 1 << 16)
+    let mut configs = space
+        .enumerate_configs(nl, &space.sites(nl), 1 << 16)
         .expect("config product fits the cap");
-    assert_eq!(configs.len(), per_key.len());
+    assert_eq!(configs.next_chunk(usize::MAX).len(), per_key.len());
 }
 
 #[test]
@@ -210,7 +210,7 @@ fn locking_audit_killed_at_every_boundary_resumes_bit_identically() {
         Control::Continue
     }) {
         AuditOutcome::Finished { report, .. } => *report,
-        AuditOutcome::Paused(_) => unreachable!(),
+        AuditOutcome::Paused(_) | AuditOutcome::Failed(_) => unreachable!(),
     };
     let want = encode(&cfg, &reference);
     assert!(want.contains("\"scheme\":\"locking\""));
@@ -230,7 +230,7 @@ fn locking_audit_killed_at_every_boundary_resumes_bit_identically() {
         let resumed = match mvf_serve::resume_audit(&camo_cfg, cp, None, &mut |_| Control::Continue)
         {
             AuditOutcome::Finished { report, .. } => *report,
-            AuditOutcome::Paused(_) => unreachable!(),
+            AuditOutcome::Paused(_) | AuditOutcome::Failed(_) => unreachable!(),
         };
         assert_eq!(
             encode(&cfg, &resumed),

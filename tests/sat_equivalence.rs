@@ -49,7 +49,7 @@
 use mvf_attack::{
     is_plausible, plausibility_sweep, plausibility_sweep_any_io, plausibility_sweep_any_io_sharded,
     plausibility_sweep_any_io_with, plausibility_sweep_sharded, plausibility_sweep_with,
-    random_camouflage, AnyIoOptions, AnyIoVerdict, CamoScreen, SweepOptions,
+    random_camouflage, AnyIoOptions, AnyIoVerdict, ConfigScreen, ObfuscationSpace, SweepOptions,
     DEFAULT_SCREEN_VECTORS,
 };
 use mvf_cells::{CamoLibrary, Library};
@@ -501,8 +501,8 @@ fn any_io_sweep_matches_brute_force_and_every_shard_count() {
 #[test]
 fn any_io_pruning_never_changes_a_verdict_and_strictly_cuts_queries() {
     let (lib, camo, circuit, candidates) = any_io_corpus();
-    // Screening off on both sides: this test isolates the effect of
-    // signature pruning on the SAT query count.
+    // Screening off: this test isolates the effect of signature pruning
+    // on the SAT query count.
     let pruned = plausibility_sweep_any_io_with(
         &circuit,
         &lib,
@@ -514,32 +514,20 @@ fn any_io_pruning_never_changes_a_verdict_and_strictly_cuts_queries() {
             ..AnyIoOptions::default()
         },
     );
-    let brute = plausibility_sweep_any_io_with(
-        &circuit,
-        &lib,
-        &camo,
-        &candidates,
-        &AnyIoOptions {
-            shards: 1,
-            prune: false,
-            screen: false,
-            ..AnyIoOptions::default()
-        },
-    );
-    for (j, (p, b)) in pruned.iter().zip(&brute).enumerate() {
-        assert_eq!(p.plausible, b.plausible, "candidate {j}: verdict");
-        assert_eq!(p.witness, b.witness, "candidate {j}: witness");
-        assert_eq!(b.unique, b.orbit, "unpruned sweep keeps the full orbit");
+    for (j, (f, p)) in candidates.iter().zip(&pruned).enumerate() {
+        let (want, want_witness) = brute_force_any_io(&circuit, &lib, &camo, f);
+        assert_eq!(p.plausible, want, "candidate {j}: verdict");
+        assert_eq!(p.witness, want_witness, "candidate {j}: witness");
     }
     // The input-symmetric candidate (index 2) collapses its 36-point
     // orbit to the 6 output permutations — strictly fewer queries than
-    // brute force on this ≥3-input block.
+    // the brute force's one per orbit point on this ≥3-input block.
     assert_eq!(pruned[2].unique, 6, "input symmetry leaves only out-perms");
     assert!(
-        pruned[2].queries < brute[2].queries,
+        pruned[2].queries < pruned[2].orbit,
         "pruning must issue strictly fewer queries ({} vs {})",
         pruned[2].queries,
-        brute[2].queries
+        pruned[2].orbit
     );
 }
 
@@ -874,8 +862,9 @@ fn screen_demo() -> (Library, CamoLibrary, mvf_netlist::Netlist, VectorFunction)
 #[test]
 fn any_io_screening_never_changes_a_verdict_or_witness() {
     // On the random-camouflage corpus the configuration product exceeds
-    // the screening cap, so the screen stands down — the screened path
-    // must still be bit-identical to the SAT-only sweep there too.
+    // the screening cap, so the screen projects onto the output cones
+    // that fit it and refutes from those — the screened path must still
+    // be bit-identical to the SAT-only sweep there too.
     let (lib, camo, circuit, candidates) = any_io_corpus();
     let on = plausibility_sweep_any_io(&circuit, &lib, &camo, &candidates);
     let off = plausibility_sweep_any_io_with(
@@ -936,7 +925,8 @@ fn complete_screen_matches_brute_force_with_zero_sat_queries() {
         lut3(&[0, 1, 2, 3, 4, 5, 6, 7]),
         lut3(&[1, 0, 3, 2, 5, 7, 6, 4]),
     ];
-    let screen = CamoScreen::build(&nl, &lib, &camo, &candidates, DEFAULT_SCREEN_VECTORS)
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
+    let screen = ConfigScreen::build_in(&space, &nl, &candidates, DEFAULT_SCREEN_VECTORS)
         .expect("the 75-configuration product is enumerable");
     assert!(screen.is_complete(), "8 minterms fit in any batch");
     assert_eq!(
@@ -1014,7 +1004,8 @@ fn surviving_config_masks_match_exhaustive_enumeration() {
         lut3(&[1, 0, 3, 2, 5, 7, 6, 4]),
         lut3(&[7, 7, 7, 7, 0, 0, 0, 0]),
     ];
-    let screen = CamoScreen::build(&nl, &lib, &camo, &candidates, DEFAULT_SCREEN_VECTORS)
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
+    let screen = ConfigScreen::build_in(&space, &nl, &candidates, DEFAULT_SCREEN_VECTORS)
         .expect("the 75-configuration product is enumerable");
     assert!(screen.is_complete());
     // Mirror the documented configuration order: camouflaged cells in
@@ -1029,7 +1020,7 @@ fn surviving_config_masks_match_exhaustive_enumeration() {
     let n_cfg: usize = cells.iter().map(|(_, p)| p.len()).product();
     assert_eq!(n_cfg, 75, "NAND2 x INV x AND2 = 5 * 3 * 5");
     for (j, f) in candidates.iter().enumerate() {
-        let mask = screen.survivors(f);
+        let mask = screen.survivors(f).expect("a whole-product screen");
         assert_eq!(
             mask.len(),
             n_cfg,
@@ -1131,7 +1122,8 @@ fn sampling_screen_refutes_chaff_without_changing_verdicts() {
         VectorFunction::from_lookup_table(7, 2, &table).unwrap()
     };
     let candidates = vec![truth.clone(), near_miss, random_fn(), random_fn()];
-    let screen = CamoScreen::build(&nl, &lib, &camo, &candidates, 64)
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
+    let screen = ConfigScreen::build_in(&space, &nl, &candidates, 64)
         .expect("the 5^5 = 3125 configuration product is enumerable");
     assert!(
         !screen.is_complete(),
@@ -1305,15 +1297,18 @@ fn check_encoding_against_simulation(
 ) {
     let mut cnf = space.encode(nl);
     let configs = space
-        .enumerate_configs(nl, 4096)
-        .expect("enumerable configuration product");
+        .enumerate_configs(nl, &space.sites(nl), 4096)
+        .expect("enumerable configuration product")
+        .next_chunk(usize::MAX)
+        .to_vec();
     let rows = 1usize << nl.inputs().len();
     // Batches hold at least 64 vectors: repeat the rows to fill one.
     let vectors: Vec<u64> = (0..rows.max(64) as u64).map(|v| v % rows as u64).collect();
-    let want = space
-        .eval_vectors(nl, &configs, &vectors)
-        .expect("enumerated configurations are valid");
     let n_out = nl.outputs().len();
+    let outputs: Vec<usize> = (0..n_out).collect();
+    let want = space
+        .eval_vectors(nl, &outputs, &configs, &vectors)
+        .expect("enumerated configurations are valid");
     let bit = |j: usize, o: usize, m: usize| (want[j][o][m / 64] >> (m % 64)) & 1 == 1;
     for (j, config) in configs.iter().enumerate() {
         let mut assumptions: Vec<Lit> = config
