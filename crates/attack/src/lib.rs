@@ -11,19 +11,25 @@
 //!
 //! Because the designer is also free to permute I/O pins — and to route
 //! any pin through an inverter — the adversary must consider a function
-//! plausible if **some** input/output interpretation works
-//! ([`is_plausible_any_io`]). At scale that search runs as
-//! [`plausibility_sweep_any_io`] / [`plausibility_sweep_any_io_sharded`]:
-//! one encoding, a lazily enumerated interpretation orbit pruned by
-//! packed function keys (pin symmetries collapse whole interpretation
-//! classes to one query), and the surviving queries
-//! striped over cloned solvers — with verdicts and witness
-//! interpretations bit-identical for every shard count. The orbit is the
-//! permutation group `n_in!·n_out!` by default and the full NPN group
-//! `n_in!·2^n_in·n_out!·2^n_out` with [`AnyIoOptions::npn`]; with
-//! [`AnyIoOptions::class_share`] the batch is additionally grouped into
-//! NPN classes so orbit functions shared between candidates are screened
-//! and SAT-queried once per batch instead of once per candidate.
+//! plausible if **some** input/output interpretation works. Every tier
+//! runs through one sweep over an [`ObfuscationSpace`]: one encoding, a
+//! lazily enumerated interpretation orbit pruned by packed function keys
+//! (pin symmetries collapse whole interpretation classes to one query),
+//! and the surviving queries striped over cloned solvers — with verdicts
+//! and witness interpretations bit-identical for every shard count. The
+//! tier picks the orbit:
+//!
+//! * [`plausibility_sweep_in`] — the identity interpretation alone, the
+//!   one-point orbit;
+//! * [`plausibility_sweep_any_io_in`] — the permutation group
+//!   `n_in!·n_out!` by default, and the full NPN group
+//!   `n_in!·2^n_in·n_out!·2^n_out` with [`AnyIoOptions::npn`].
+//!
+//! With [`AnyIoOptions::class_share`] the batch is additionally grouped
+//! into interpretation classes, so orbit functions shared between
+//! candidates are screened and SAT-queried once per batch instead of once
+//! per candidate. [`AnyIoJob`] steps the same work list in pausable
+//! chunks.
 //!
 //! Every sweep runs behind a **screen-then-solve funnel** ([`screen`]
 //! module): word-parallel batch evaluation of the netlist over
@@ -124,9 +130,10 @@ impl Error for AttackError {}
 /// under the *fixed* (identity) pin interpretation: does some doping
 /// configuration make the circuit equal `candidate` on every input?
 ///
-/// Routed through the sweep machinery ([`plausibility_sweep`]) so the
-/// single-candidate helper shares the batched path's encoding contract
-/// and screen-then-solve funnel instead of re-implementing them.
+/// The paper's single-candidate question, answered by the identity
+/// sweep ([`plausibility_sweep_in`]) over the camouflage space, so it
+/// shares the batched path's encoding contract and screen-then-solve
+/// funnel.
 ///
 /// # Panics
 ///
@@ -137,36 +144,19 @@ pub fn is_plausible(
     camo: &CamoLibrary,
     candidate: &VectorFunction,
 ) -> bool {
-    plausibility_sweep(nl, lib, camo, std::slice::from_ref(candidate))[0]
+    plausibility_sweep_in(
+        &ObfuscationSpace::camouflage(lib, camo),
+        nl,
+        std::slice::from_ref(candidate),
+        &AnyIoOptions::default(),
+    )[0]
+    .plausible
 }
 
-/// Decides plausibility under the paper's interpretation freedom: the
-/// adversary does not know which wire carries which logical signal, so
-/// `candidate` is plausible if it is plausible under **some** input and
-/// output permutation.
-///
-/// This is the single-candidate form of [`plausibility_sweep_any_io`]:
-/// one encoding, a lazily enumerated `(in_perm, out_perm)` orbit pruned
-/// by packed function keys, and incremental SAT calls for the surviving
-/// representatives.
-///
-/// # Panics
-///
-/// Panics if the candidate's shape does not match the netlist, or if
-/// the `n_in!·n_out!` orbit overflows the sweep's `u32` indices (the
-/// enumeration is exhaustive, so far smaller orbits are the practical
-/// limit anyway).
-pub fn is_plausible_any_io(
-    nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
-    candidate: &VectorFunction,
-) -> bool {
-    plausibility_sweep_any_io(nl, lib, camo, std::slice::from_ref(candidate))[0].plausible
-}
-
-/// Options for the interpretation-freedom sweep
-/// ([`plausibility_sweep_any_io_with`]).
+/// Options for every sweep: the identity sweep
+/// ([`plausibility_sweep_in`]), the interpretation-freedom sweep
+/// ([`plausibility_sweep_any_io_in`]) and their stepped jobs
+/// ([`AnyIoJob`]).
 ///
 /// The orbit is always pruned by transformed function: interpretations
 /// yielding the same transformed function (equal packed truth-table
@@ -174,10 +164,11 @@ pub fn is_plausible_any_io(
 /// the whole class.
 #[derive(Debug, Clone)]
 pub struct AnyIoOptions {
-    /// Worker shards striping the permutation space over
+    /// Worker shards striping the surviving work list over
     /// [`mvf_sat::Solver::clone_db`] clones. `0` uses the available
     /// hardware parallelism; `<= 1` runs serially. Verdicts and witness
-    /// permutations are bit-identical for every value.
+    /// permutations are bit-identical for every value. Jobs are serial
+    /// and ignore it.
     pub shards: usize,
     /// Runs the SAT-free screen in front of the solver
     /// ([`ConfigScreen`]): word-parallel batch evaluation over enumerable
@@ -201,6 +192,10 @@ pub struct AnyIoOptions {
     /// handles them as XOR masks on its cached word-parallel batches, so
     /// the walk stays allocation-free and SAT-free up front. Witnesses
     /// remain the orbit-minimal satisfying index (identity first).
+    ///
+    /// Picks the tier of [`plausibility_sweep_any_io_in`] and of
+    /// [`AnyIoJob`]s; it does not apply to [`plausibility_sweep_in`],
+    /// whose orbit is the identity alone.
     pub npn: bool,
     /// Shares orbit work across the candidate batch by NPN/P class:
     /// candidates that are interpretations of one another walk the same
@@ -209,7 +204,8 @@ pub struct AnyIoOptions {
     /// shared cache afterwards. Verdicts and witnesses are identical to
     /// the unshared sweep (every candidate still walks its own orbit
     /// order); only `queries`/`screened` drop — by about the class
-    /// duplication factor.
+    /// duplication factor. Under the identity sweep a class is a set of
+    /// identical candidates.
     pub class_share: bool,
 }
 
@@ -225,7 +221,7 @@ impl Default for AnyIoOptions {
     }
 }
 
-/// The per-candidate result of an interpretation-freedom sweep.
+/// The per-candidate result of a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnyIoVerdict {
     /// Whether some input/output interpretation makes the candidate
@@ -239,7 +235,8 @@ pub struct AnyIoVerdict {
     /// count and for class sharing on/off.
     pub witness: Option<IoInterpretation>,
     /// Size of the full interpretation orbit: `n_in!·n_out!`, or
-    /// `n_in!·2^n_in·n_out!·2^n_out` under [`AnyIoOptions::npn`].
+    /// `n_in!·2^n_in·n_out!·2^n_out` under [`AnyIoOptions::npn`], or 1
+    /// for the identity sweep.
     pub orbit: usize,
     /// Orbit representatives after pruning — the queries a
     /// full refutation needs. Equals `orbit` when the candidate has no
@@ -275,7 +272,8 @@ pub struct AnyIoVerdict {
 /// `npn` — when it fits the sweeps' `u32` orbit indices, `None`
 /// otherwise. Every any-IO sweep and job refuses (panics on) a shape
 /// for which this is `None`; services check it up front to turn such
-/// workloads away.
+/// workloads away. The identity sweep's one-point orbit never consults
+/// it.
 pub fn checked_orbit(n_in: usize, n_out: usize, npn: bool) -> Option<u64> {
     let factorial = |n: usize| (1..=n as u64).try_fold(1u64, u64::checked_mul);
     let negations = if npn {
@@ -287,6 +285,34 @@ pub fn checked_orbit(n_in: usize, n_out: usize, npn: bool) -> Option<u64> {
         .checked_mul(factorial(n_out)?)?
         .checked_mul(negations)
         .filter(|&o| o <= u64::from(u32::MAX))
+}
+
+/// The interpretation group an adversary tier searches: its orbit of a
+/// candidate is the set of points [`walk_orbit`] visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Group {
+    /// The identity interpretation alone: the one-point orbit, index 0.
+    Identity,
+    /// Input and output pin permutations.
+    Permutation,
+    /// Pin permutations and polarity flips on every pin.
+    Npn,
+}
+
+impl Group {
+    /// The any-IO tier `opts` asks for.
+    pub(crate) fn any_io(opts: &AnyIoOptions) -> Group {
+        if opts.npn {
+            Group::Npn
+        } else {
+            Group::Permutation
+        }
+    }
+
+    /// Whether orbit indices use the NPN mixed-radix layout.
+    fn npn(self) -> bool {
+        self == Group::Npn
+    }
 }
 
 /// Enumerates the candidate's interpretation orbit lazily and calls
@@ -302,12 +328,18 @@ pub fn checked_orbit(n_in: usize, n_out: usize, npn: bool) -> Option<u64> {
 /// their permuted key positions; an output negation complements one
 /// packed output. With `npn == false` both negation layers degenerate
 /// to the single empty mask and the indices coincide with the
-/// historical `ip_rank·n_out! + op_rank` layout.
-fn walk_orbit(candidate: &VectorFunction, npn: bool, mut visit: impl FnMut(u32, &[u64])) {
+/// historical `ip_rank·n_out! + op_rank` layout. The identity group
+/// visits index 0, the candidate itself, alone.
+fn walk_orbit(candidate: &VectorFunction, group: Group, mut visit: impl FnMut(u32, &[u64])) {
     let n_in = candidate.n_inputs();
     let n_out = candidate.n_outputs();
     let layout = KeyLayout::new(n_in, n_out);
     let mut key = vec![0u64; layout.width()];
+    if group == Group::Identity {
+        layout.pack(candidate, &mut key);
+        return visit(0, &key);
+    }
+    let npn = group.npn();
     let mut permuted_in = VectorFunction::new(0, Vec::new());
     let mut index = 0u32;
     let mut in_perms = Permutations::new(n_in);
@@ -432,55 +464,124 @@ pub(crate) fn apply_orbit_point(
 
 /// SAT verdict of a distinct orbit function, shared across the batch
 /// under class sharing: `0` unknown, `1` satisfiable, `2` unsatisfiable.
-pub(crate) const UID_UNKNOWN: u8 = 0;
-pub(crate) const UID_SAT: u8 = 1;
-pub(crate) const UID_UNSAT: u8 = 2;
+const UID_UNKNOWN: u8 = 0;
+const UID_SAT: u8 = 1;
+const UID_UNSAT: u8 = 2;
 
-/// Answers one worker's stripe of the `(candidate, orbit index, uid)`
-/// work list on `solver`. `best[c]` carries the smallest known satisfying
-/// orbit index of candidate `c` (`usize::MAX` = none yet): stripes skip
-/// representatives past a known witness, and because a skip requires an
-/// already-found *smaller* satisfying index, the final `fetch_min` result
-/// is exactly the orbit's minimal satisfying representative — for any
-/// stripe count, including 1.
+/// The mutable state of a sweep over a planned work list, shared by all
+/// of its workers: per-candidate witness bounds and query counts, plus —
+/// only when the plan mints uids batch-wide, the one case in which it can
+/// hit — the per-uid SAT verdict cache.
 ///
-/// `resolved[uid]` is the shared SAT-verdict cache over distinct orbit
-/// functions: a cache hit applies the recorded verdict (a satisfiable uid
-/// still lowers `best`) without a query. Because a verdict is a
-/// mathematical fact of the transformed function, a cache hit and a
-/// fresh query are interchangeable — witnesses cannot move. Without
-/// class sharing every uid is unique, the cache never hits, and the
-/// behavior is exactly the historical per-candidate sweep.
-#[allow(clippy::too_many_arguments)]
-fn any_io_stripe(
+/// Every access is `Relaxed`: each atomic is a value of its own (a bound,
+/// a count, a verdict) that publishes no other data, a stale read only
+/// costs a query the skip rule would have saved, and final values are
+/// read after the workers are joined.
+pub(crate) struct Tally {
+    /// `best[c]`: the smallest known satisfying orbit index of candidate
+    /// `c` (`usize::MAX` = none yet).
+    best: Vec<AtomicUsize>,
+    queries: Vec<AtomicUsize>,
+    /// Indexed by uid; empty without class sharing.
+    resolved: Vec<AtomicU8>,
+}
+
+impl Tally {
+    /// The state before the first work item.
+    pub(crate) fn start(plan: &AnyIoPlan) -> Tally {
+        let queries = vec![0; plan.best_init.len()];
+        Tally::new(plan, &plan.best_init, &queries, &[])
+    }
+
+    /// A state with the given bounds and counts, caching the `resolved`
+    /// verdicts when `plan` shares uids. Every uid must be below
+    /// `plan.n_uids`.
+    pub(crate) fn new(
+        plan: &AnyIoPlan,
+        best: &[usize],
+        queries: &[usize],
+        resolved: &[(u32, bool)],
+    ) -> Tally {
+        let atomics = |v: &[usize]| v.iter().map(|&x| AtomicUsize::new(x)).collect();
+        let mut cache = Vec::new();
+        if plan.shared {
+            cache.resize_with(plan.n_uids, || AtomicU8::new(UID_UNKNOWN));
+            for &(uid, sat) in resolved {
+                cache[uid as usize] = AtomicU8::new(if sat { UID_SAT } else { UID_UNSAT });
+            }
+        }
+        Tally {
+            best: atomics(best),
+            queries: atomics(queries),
+            resolved: cache,
+        }
+    }
+
+    /// The state as checkpointable progress at work-list position `pos`;
+    /// `resolved` is ascending by uid.
+    pub(crate) fn progress(&self, pos: usize) -> AnyIoProgress {
+        let load = |v: &[AtomicUsize]| v.iter().map(|x| x.load(Ordering::Relaxed)).collect();
+        let resolved = self.resolved.iter().enumerate();
+        AnyIoProgress {
+            pos,
+            best: load(&self.best),
+            queries: load(&self.queries),
+            resolved: resolved
+                .filter_map(|(uid, v)| match v.load(Ordering::Relaxed) {
+                    UID_UNKNOWN => None,
+                    v => Some((uid as u32, v == UID_SAT)),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Answers the `(candidate, orbit index, uid)` work items `items` of
+/// `plan` on `solver` — the one loop behind the serial sweep, every
+/// sharded stripe and every [`AnyIoJob::step`]. `tally.best` lets a
+/// worker skip representatives past a known witness, and because a skip
+/// requires an already-found *smaller* satisfying index, the final
+/// `fetch_min` result is exactly the orbit's minimal satisfying
+/// representative — for any stripe count, including 1, and for any split
+/// into steps.
+///
+/// Under class sharing a hit in the verdict cache applies the recorded
+/// verdict (a satisfiable uid still lowers `best`) without a query.
+/// Because a verdict is a mathematical fact of the transformed function,
+/// a cache hit and a fresh query are interchangeable — witnesses cannot
+/// move.
+///
+/// `last_cand` is the candidate whose search the solver's saved phases
+/// come from (`u32::MAX` resets them before the first query); the
+/// return value is that candidate after the last query, for the next
+/// call on the same solver.
+fn answer_work(
+    plan: &AnyIoPlan,
+    candidates: &[VectorFunction],
     solver: &mut Solver,
     row_outputs: &[Vec<Var>],
-    candidates: &[VectorFunction],
-    work: &[(u32, u32, u32)],
-    npn: bool,
-    worker: usize,
-    stride: usize,
-    best: &[AtomicUsize],
-    queries: &[AtomicUsize],
-    resolved: &[AtomicU8],
-) {
+    items: impl Iterator<Item = (u32, u32, u32)>,
+    tally: &Tally,
+    mut last_cand: u32,
+) -> u32 {
     let (mut unrank_tmp, mut in_perm, mut out_perm) = (Vec::new(), Vec::new(), Vec::new());
     let mut permuted_in = VectorFunction::new(0, Vec::new());
     let mut permuted = VectorFunction::new(0, Vec::new());
     let mut assumptions = Vec::new();
-    let mut last_cand = u32::MAX;
-    for &(c, index, uid) in work.iter().skip(worker).step_by(stride) {
+    for (c, index, uid) in items {
         let cand = c as usize;
-        if best[cand].load(Ordering::Relaxed) < index as usize {
+        if tally.best[cand].load(Ordering::Relaxed) < index as usize {
             continue; // a smaller witness is already known
         }
-        match resolved[uid as usize].load(Ordering::Relaxed) {
-            UID_SAT => {
-                best[cand].fetch_min(index as usize, Ordering::Relaxed);
-                continue;
+        if plan.shared {
+            match tally.resolved[uid as usize].load(Ordering::Relaxed) {
+                UID_SAT => {
+                    tally.best[cand].fetch_min(index as usize, Ordering::Relaxed);
+                    continue;
+                }
+                UID_UNSAT => continue,
+                _ => {}
             }
-            UID_UNSAT => continue,
-            _ => {}
         }
         if c != last_cand {
             // Saved phases are a per-candidate heuristic; do not let one
@@ -493,7 +594,7 @@ fn any_io_stripe(
             index,
             f.n_inputs(),
             f.n_outputs(),
-            npn,
+            plan.group.npn(),
             &mut unrank_tmp,
             &mut in_perm,
             &mut out_perm,
@@ -508,112 +609,86 @@ fn any_io_stripe(
             &mut permuted,
         );
         candidate_assumptions(row_outputs, &permuted, &mut assumptions);
-        queries[cand].fetch_add(1, Ordering::Relaxed);
+        tally.queries[cand].fetch_add(1, Ordering::Relaxed);
         let sat = solver.solve_with(&assumptions);
-        resolved[uid as usize].store(if sat { UID_SAT } else { UID_UNSAT }, Ordering::Relaxed);
+        if plan.shared {
+            let verdict = if sat { UID_SAT } else { UID_UNSAT };
+            tally.resolved[uid as usize].store(verdict, Ordering::Relaxed);
+        }
         if sat {
-            best[cand].fetch_min(index as usize, Ordering::Relaxed);
+            tally.best[cand].fetch_min(index as usize, Ordering::Relaxed);
         }
     }
+    last_cand
 }
 
-/// Sweeps a list of viable functions against one camouflaged netlist
-/// under the paper's full adversary: `result[j]` reports whether
-/// `candidates[j]` is plausible under **some** input/output pin
-/// interpretation, with the witness permutation when one exists.
+/// Sweeps a list of candidate functions against one obfuscated netlist
+/// under the identity pin interpretation: `result[j].plausible` is
+/// whether some configuration of `space` makes `nl` equal
+/// `candidates[j]` on every input.
 ///
-/// The netlist is encoded **once**; each candidate's `(in_perm,
-/// out_perm)` orbit is enumerated lazily and pruned by packed function
-/// keys (permutation pairs that produce the same transformed function
-/// collapse to one query, so a refuted representative rules out its
-/// entire class). The serial entry point —
-/// see [`plausibility_sweep_any_io_sharded`] for the striped parallel
-/// form, which is bit-identical.
+/// This is the one-point orbit of [`plausibility_sweep_any_io_in`]: one
+/// encoding, the SAT-free screen, and the candidates the screen leaves
+/// answered by incremental SAT under per-candidate assumptions, serially
+/// or striped over cloned solvers. Every verdict has `orbit == unique ==
+/// 1`; without class sharing it settles by one screen classification or
+/// one query (`screened + queries == 1`), and its witness is the identity
+/// interpretation exactly when the candidate is plausible.
+/// [`AnyIoOptions::npn`] does not apply to this entry point.
 ///
 /// # Panics
 ///
-/// Panics if any candidate's shape does not match the netlist, or if
-/// the `n_in!·n_out!` orbit overflows the sweep's `u32` indices.
-pub fn plausibility_sweep_any_io(
+/// Panics if any candidate's shape does not match the netlist.
+pub fn plausibility_sweep_in(
+    space: &ObfuscationSpace<'_>,
     nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
-    candidates: &[VectorFunction],
-) -> Vec<AnyIoVerdict> {
-    plausibility_sweep_any_io_with(nl, lib, camo, candidates, &AnyIoOptions::default())
-}
-
-/// [`plausibility_sweep_any_io`] striped over worker threads: the encoded
-/// solver is cloned per shard ([`mvf_sat::Solver::clone_db`] — a handful
-/// of `memcpy`s thanks to the flat clause arena and CSR watch pool) and
-/// the surviving `(candidate, representative)` work list is striped over
-/// the clones. Workers share per-candidate witness bounds, so
-/// representatives past a known witness are skipped cooperatively, and
-/// results are stitched as the orbit-minimal satisfying index — verdicts
-/// **and** witness permutations are bit-identical for every shard count.
-///
-/// `shards = 0` uses the available hardware parallelism; `shards <= 1`
-/// runs the serial sweep.
-///
-/// # Panics
-///
-/// Panics if any candidate's shape does not match the netlist, or if
-/// the `n_in!·n_out!` orbit overflows the sweep's `u32` indices.
-pub fn plausibility_sweep_any_io_sharded(
-    nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
-    candidates: &[VectorFunction],
-    shards: usize,
-) -> Vec<AnyIoVerdict> {
-    plausibility_sweep_any_io_with(
-        nl,
-        lib,
-        camo,
-        candidates,
-        &AnyIoOptions {
-            shards,
-            ..AnyIoOptions::default()
-        },
-    )
-}
-
-/// The fully configurable interpretation-freedom sweep behind
-/// [`plausibility_sweep_any_io`] / [`plausibility_sweep_any_io_sharded`].
-///
-/// # Panics
-///
-/// See [`plausibility_sweep_any_io`].
-pub fn plausibility_sweep_any_io_with(
-    nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
     candidates: &[VectorFunction],
     opts: &AnyIoOptions,
 ) -> Vec<AnyIoVerdict> {
-    plausibility_sweep_any_io_in(
-        &ObfuscationSpace::camouflage(lib, camo),
-        nl,
-        candidates,
-        opts,
-    )
+    sweep(space, nl, candidates, Group::Identity, opts)
 }
 
-/// The scheme-generic interpretation-freedom sweep: identical to
-/// [`plausibility_sweep_any_io_with`] but over any [`ObfuscationSpace`]
-/// — per-cell camouflage and logic locking run through this one body.
+/// Sweeps a list of candidate functions against one obfuscated netlist
+/// under the paper's full adversary: `result[j]` reports whether
+/// `candidates[j]` is plausible under **some** input/output pin
+/// interpretation, with the witness interpretation when one exists.
+///
+/// The netlist is encoded **once**; each candidate's orbit (the
+/// permutation group, or the NPN group under [`AnyIoOptions::npn`]) is
+/// enumerated lazily and pruned by packed function keys, so
+/// interpretations that produce the same transformed function collapse
+/// to one query and a refuted representative rules out its entire class.
+/// With [`AnyIoOptions::shards`] above 1 the surviving work list is
+/// striped over [`mvf_sat::Solver::clone_db`] clones that share
+/// per-candidate witness bounds; verdicts **and** witnesses are
+/// bit-identical for every shard count.
+///
 /// Nothing here inspects the scheme: the space supplies the
-/// configuration odometer for the screen and the selector-encoded CNF
-/// for the solver, and everything downstream is pure choice-product
-/// machinery.
+/// configuration odometer for the screen and the selector-encoded CNF for
+/// the solver, so per-cell camouflage and logic locking run through this
+/// one body.
 ///
 /// # Panics
 ///
-/// See [`plausibility_sweep_any_io`].
+/// Panics if any candidate's shape does not match the netlist, or if the
+/// orbit overflows the sweep's `u32` indices ([`checked_orbit`]).
 pub fn plausibility_sweep_any_io_in(
     space: &ObfuscationSpace<'_>,
     nl: &Netlist,
     candidates: &[VectorFunction],
+    opts: &AnyIoOptions,
+) -> Vec<AnyIoVerdict> {
+    sweep(space, nl, candidates, Group::any_io(opts), opts)
+}
+
+/// The one sweep body: screen, plan over `group`, then answer the
+/// surviving work list — encoding the netlist only when the screen left
+/// some item to the solver.
+fn sweep(
+    space: &ObfuscationSpace<'_>,
+    nl: &Netlist,
+    candidates: &[VectorFunction],
+    group: Group,
     opts: &AnyIoOptions,
 ) -> Vec<AnyIoVerdict> {
     if candidates.is_empty() {
@@ -623,12 +698,44 @@ pub fn plausibility_sweep_any_io_in(
         .screen
         .then(|| ConfigScreen::build_in(space, nl, candidates, opts.screen_vectors))
         .flatten();
-    let plan = plan_any_io(nl, candidates, opts, screen.as_ref());
-    let mut cnf = space.encode(nl);
-    run_any_io_plan(&plan, &mut cnf.solver, &cnf.row_outputs, candidates, opts)
+    let plan = plan_any_io(nl, candidates, group, opts.class_share, screen.as_ref());
+    let tally = Tally::start(&plan);
+    if !plan.work.is_empty() {
+        let mut cnf = space.encode(nl);
+        let shards = match opts.shards {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+        .min(plan.work.len());
+        let items = |w: usize, stride: usize| plan.work.iter().copied().skip(w).step_by(stride);
+        if shards <= 1 {
+            let (solver, rows) = (&mut cnf.solver, &cnf.row_outputs);
+            answer_work(
+                &plan,
+                candidates,
+                solver,
+                rows,
+                items(0, 1),
+                &tally,
+                u32::MAX,
+            );
+        } else {
+            let (plan, tally, cnf) = (&plan, &tally, &cnf);
+            std::thread::scope(|scope| {
+                for w in 0..shards {
+                    scope.spawn(move || {
+                        let mut solver = cnf.solver.clone_db();
+                        let (rows, items) = (&cnf.row_outputs, items(w, shards));
+                        answer_work(plan, candidates, &mut solver, rows, items, tally, u32::MAX);
+                    });
+                }
+            });
+        }
+    }
+    any_io_verdicts(&plan, &tally.progress(plan.work.len()))
 }
 
-/// The deterministic prelude of an interpretation-freedom sweep: orbit
+/// The deterministic prelude of a sweep: orbit
 /// representatives, class grouping, screening, and the surviving
 /// `(candidate, orbit index, uid)` work list. Built serially, so
 /// everything downstream — `screened` counts, initial witness bounds,
@@ -637,8 +744,8 @@ pub fn plausibility_sweep_any_io_in(
 pub(crate) struct AnyIoPlan {
     pub(crate) n_in: usize,
     pub(crate) n_out: usize,
-    /// Whether orbit indices use the NPN mixed-radix layout.
-    pub(crate) npn: bool,
+    /// The interpretation group the orbits range over.
+    pub(crate) group: Group,
     /// Surviving work items in enumeration order. The third component is
     /// the distinct-orbit-function id keying the shared verdict cache.
     pub(crate) work: Vec<(u32, u32, u32)>,
@@ -668,30 +775,42 @@ struct ClassKeys {
     keys: KeyTable,
 }
 
+/// Plans a sweep of `candidates` over `group`'s orbits, with class
+/// sharing when `share` is set.
+///
+/// # Panics
+///
+/// Panics on a candidate shape that does not match the netlist, and —
+/// past the identity group — on an orbit that overflows
+/// [`checked_orbit`].
 pub(crate) fn plan_any_io(
     nl: &Netlist,
     candidates: &[VectorFunction],
-    opts: &AnyIoOptions,
+    group: Group,
+    share: bool,
     screen: Option<&ConfigScreen>,
 ) -> AnyIoPlan {
     let n_in = nl.inputs().len();
     let n_out = nl.outputs().len();
-    let npn = opts.npn;
+    let npn = group.npn();
     // The only structural requirement is that flat orbit indices fit the
     // u32 bookkeeping; asymmetric arities (e.g. 7-in/2-out, orbit
-    // 10,080) stay exhaustive-search territory exactly as before.
-    let orbit = checked_orbit(n_in, n_out, npn).unwrap_or_else(|| {
-        panic!(
-            "interpretation-freedom orbit of {n_in} inputs, {n_out} outputs (npn: {npn}) \
-             exceeds the supported size"
-        )
-    }) as usize;
+    // 10,080) stay exhaustive-search territory exactly as before. The
+    // identity group's one point fits every shape.
+    let orbit = if group == Group::Identity {
+        1
+    } else {
+        checked_orbit(n_in, n_out, npn).unwrap_or_else(|| {
+            panic!(
+                "interpretation-freedom orbit of {n_in} inputs, {n_out} outputs (npn: {npn}) \
+                 exceeds the supported size"
+            )
+        }) as usize
+    };
     for candidate in candidates {
         assert_eq!(candidate.n_inputs(), n_in, "input arity mismatch");
         assert_eq!(candidate.n_outputs(), n_out, "output arity mismatch");
     }
-    // Class sharing rides on the pruner's keys.
-    let share = opts.class_share;
     // Everything here is pure CPU (truth-table transforms), built
     // serially up front — which also makes it, and everything derived
     // from it, deterministic by construction.
@@ -748,7 +867,7 @@ pub(crate) fn plan_any_io(
         if joined.is_some() {
             met.clear();
             met.resize(keys.len().div_ceil(64), 0);
-            walk_orbit(candidate, npn, |index, key| {
+            walk_orbit(candidate, group, |index, key| {
                 let entry = keys.get(key).expect("class members walk one orbit");
                 let (word, bit) = (entry as usize / 64, 1u64 << (entry % 64));
                 if met[word] & bit == 0 {
@@ -760,7 +879,7 @@ pub(crate) fn plan_any_io(
             // Past 2^20 keys the table grows on demand rather than
             // reserving for an orbit that may be mostly duplicates.
             keys.reserve(orbit.min(1 << 20));
-            walk_orbit(candidate, npn, |index, key| {
+            walk_orbit(candidate, group, |index, key| {
                 let (entry, fresh) = keys.insert(key);
                 if fresh {
                     reps.push((index, base + entry));
@@ -847,7 +966,7 @@ pub(crate) fn plan_any_io(
     AnyIoPlan {
         n_in,
         n_out,
-        npn,
+        group,
         work,
         n_uids: n_uids as usize,
         shared: share,
@@ -871,13 +990,10 @@ fn ip_period(n_in: usize, n_out: usize, npn: bool) -> u64 {
     }
 }
 
-/// Folds final per-candidate `best` witness bounds and query counts into
+/// Folds a finished sweep's witness bounds and query counts into
 /// [`AnyIoVerdict`]s.
-pub(crate) fn any_io_verdicts(
-    plan: &AnyIoPlan,
-    best: &[usize],
-    queries: &[usize],
-) -> Vec<AnyIoVerdict> {
+pub(crate) fn any_io_verdicts(plan: &AnyIoPlan, done: &AnyIoProgress) -> Vec<AnyIoVerdict> {
+    let (best, queries) = (&done.best, &done.queries);
     let mut unrank_tmp = Vec::new();
     (0..plan.screened.len())
         .map(|j| {
@@ -888,7 +1004,7 @@ pub(crate) fn any_io_verdicts(
                     found as u32,
                     plan.n_in,
                     plan.n_out,
-                    plan.npn,
+                    plan.group.npn(),
                     &mut unrank_tmp,
                     &mut ip,
                     &mut op,
@@ -912,321 +1028,6 @@ pub(crate) fn any_io_verdicts(
             }
         })
         .collect()
-}
-
-/// Executes a planned sweep on an encoded solver, serial or sharded.
-fn run_any_io_plan(
-    plan: &AnyIoPlan,
-    solver: &mut Solver,
-    row_outputs: &[Vec<Var>],
-    candidates: &[VectorFunction],
-    opts: &AnyIoOptions,
-) -> Vec<AnyIoVerdict> {
-    let shards = match opts.shards {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(plan.work.len())
-    .max(1);
-    let best: Vec<AtomicUsize> = plan
-        .best_init
-        .iter()
-        .map(|&b| AtomicUsize::new(b))
-        .collect();
-    let queries: Vec<AtomicUsize> = candidates.iter().map(|_| AtomicUsize::new(0)).collect();
-    let resolved: Vec<AtomicU8> = (0..plan.n_uids)
-        .map(|_| AtomicU8::new(UID_UNKNOWN))
-        .collect();
-    if shards <= 1 {
-        any_io_stripe(
-            solver,
-            row_outputs,
-            candidates,
-            &plan.work,
-            plan.npn,
-            0,
-            1,
-            &best,
-            &queries,
-            &resolved,
-        );
-    } else {
-        let solver_ref = &*solver;
-        let work_ref = &plan.work;
-        let npn = plan.npn;
-        let (best_ref, queries_ref, resolved_ref) = (&best, &queries, &resolved);
-        std::thread::scope(|scope| {
-            for w in 0..shards {
-                scope.spawn(move || {
-                    let mut local = solver_ref.clone_db();
-                    any_io_stripe(
-                        &mut local,
-                        row_outputs,
-                        candidates,
-                        work_ref,
-                        npn,
-                        w,
-                        shards,
-                        best_ref,
-                        queries_ref,
-                        resolved_ref,
-                    );
-                });
-            }
-        });
-    }
-    let best: Vec<usize> = best.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-    let queries: Vec<usize> = queries.iter().map(|q| q.load(Ordering::Relaxed)).collect();
-    any_io_verdicts(plan, &best, &queries)
-}
-
-/// Sweeps a whole list of viable functions against one camouflaged
-/// netlist: `result[j]` is `true` iff `candidates[j]` is plausible under
-/// the identity pin interpretation.
-///
-/// Unlike calling [`is_plausible`] per candidate, the netlist is encoded
-/// **once** and one incremental solver answers every query under
-/// per-candidate assumptions — the batched attacker-sweep primitive for
-/// red-team evaluations over many suspected functions.
-///
-/// For wide candidate lists on multi-core machines, see
-/// [`plausibility_sweep_sharded`], which answers the same queries from
-/// cloned solvers in parallel.
-///
-/// # Panics
-///
-/// Panics if any candidate's shape does not match the netlist.
-pub fn plausibility_sweep(
-    nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
-    candidates: &[VectorFunction],
-) -> Vec<bool> {
-    plausibility_sweep_sharded(nl, lib, camo, candidates, 1)
-}
-
-/// Options for the identity-interpretation sweep
-/// ([`plausibility_sweep_with`]).
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// Worker shards striping the SAT-pending candidates over
-    /// [`mvf_sat::Solver::clone_db`] clones. `0` uses the available
-    /// hardware parallelism; `<= 1` runs serially. Verdicts are
-    /// bit-identical for every value.
-    pub shards: usize,
-    /// Runs the SAT-free screen ([`ConfigScreen`]) in front of the
-    /// solver. Never changes a verdict. Past the enumeration cap it
-    /// refutes from the output cones that fit
-    /// (see [`AnyIoOptions::screen`]) and stands down only when none do.
-    pub screen: bool,
-    /// Screening batch size — see [`AnyIoOptions::screen_vectors`].
-    pub screen_vectors: usize,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            shards: 1,
-            screen: true,
-            screen_vectors: DEFAULT_SCREEN_VECTORS,
-        }
-    }
-}
-
-/// The per-candidate result of an identity-interpretation sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepVerdict {
-    /// Whether some doping configuration makes the circuit equal the
-    /// candidate under the identity pin interpretation.
-    pub plausible: bool,
-    /// Whether the SAT-free screen settled the verdict on its own
-    /// (refuted, or confirmed in the complete regime) — `false` means
-    /// the solver was consulted.
-    pub screened: bool,
-}
-
-/// The fully configurable identity-interpretation sweep behind
-/// [`plausibility_sweep`] / [`plausibility_sweep_sharded`]: candidates
-/// the screen settles never reach the solver; the rest are answered by
-/// one incremental encoding, serial or striped over cloned solvers.
-///
-/// # Panics
-///
-/// Panics if any candidate's shape does not match the netlist.
-pub fn plausibility_sweep_with(
-    nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
-    candidates: &[VectorFunction],
-    opts: &SweepOptions,
-) -> Vec<SweepVerdict> {
-    plausibility_sweep_in(
-        &ObfuscationSpace::camouflage(lib, camo),
-        nl,
-        candidates,
-        opts,
-    )
-}
-
-/// The scheme-generic identity-interpretation sweep: identical to
-/// [`plausibility_sweep_with`] but over any [`ObfuscationSpace`].
-///
-/// # Panics
-///
-/// Panics if any candidate's shape does not match the netlist.
-pub fn plausibility_sweep_in(
-    space: &ObfuscationSpace<'_>,
-    nl: &Netlist,
-    candidates: &[VectorFunction],
-    opts: &SweepOptions,
-) -> Vec<SweepVerdict> {
-    for candidate in candidates {
-        assert_eq!(
-            candidate.n_inputs(),
-            nl.inputs().len(),
-            "input arity mismatch"
-        );
-        assert_eq!(
-            candidate.n_outputs(),
-            nl.outputs().len(),
-            "output arity mismatch"
-        );
-    }
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let screen = opts
-        .screen
-        .then(|| ConfigScreen::build_in(space, nl, candidates, opts.screen_vectors))
-        .flatten();
-    let mut verdicts: Vec<Option<SweepVerdict>> = vec![None; candidates.len()];
-    let mut pending: Vec<usize> = Vec::new();
-    if let Some(screen) = &screen {
-        for (j, candidate) in candidates.iter().enumerate() {
-            match screen.classify_identity(candidate) {
-                ScreenOutcome::Refuted => {
-                    verdicts[j] = Some(SweepVerdict {
-                        plausible: false,
-                        screened: true,
-                    });
-                }
-                ScreenOutcome::Confirmed => {
-                    verdicts[j] = Some(SweepVerdict {
-                        plausible: true,
-                        screened: true,
-                    });
-                }
-                ScreenOutcome::Unknown => pending.push(j),
-            }
-        }
-    } else {
-        pending.extend(0..candidates.len());
-    }
-    if !pending.is_empty() {
-        let mut cnf = space.encode(nl);
-        let shards = match opts.shards {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-        .min(pending.len());
-        if shards <= 1 {
-            let mut assumptions = Vec::new();
-            for &j in &pending {
-                // Saved phases are a per-candidate heuristic: polarities
-                // a long UNSAT proof settled into would otherwise leak
-                // into the next candidate's query and steer it wrong.
-                cnf.solver.reset_phases();
-                candidate_assumptions(&cnf.row_outputs, &candidates[j], &mut assumptions);
-                verdicts[j] = Some(SweepVerdict {
-                    plausible: cnf.solver.solve_with(&assumptions),
-                    screened: false,
-                });
-            }
-        } else {
-            // One cloned solver per shard; pending candidates striped
-            // (worker w answers pending[w], pending[w + shards], ...) so
-            // expensive candidates spread out. Results are re-stitched
-            // by index, preserving input order exactly.
-            let row_outputs = &cnf.row_outputs;
-            let solver = &cnf.solver;
-            let pending_ref = &pending;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut local = solver.clone_db();
-                            let mut assumptions = Vec::new();
-                            pending_ref
-                                .iter()
-                                .skip(w)
-                                .step_by(shards)
-                                .map(|&j| {
-                                    local.reset_phases();
-                                    candidate_assumptions(
-                                        row_outputs,
-                                        &candidates[j],
-                                        &mut assumptions,
-                                    );
-                                    (j, local.solve_with(&assumptions))
-                                })
-                                .collect::<Vec<(usize, bool)>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (j, plausible) in h.join().expect("sweep shard panicked") {
-                        verdicts[j] = Some(SweepVerdict {
-                            plausible,
-                            screened: false,
-                        });
-                    }
-                }
-            });
-        }
-    }
-    verdicts
-        .into_iter()
-        .map(|v| v.expect("every candidate is resolved by screen or solver"))
-        .collect()
-}
-
-/// [`plausibility_sweep`] sharded across worker threads: the netlist is
-/// encoded once, the encoded solver (clause arena, watch lists, VSIDS
-/// state) is cloned per shard via [`mvf_sat::Solver::clone_db`], and the
-/// candidate list is striped over the shards. Verdicts are stitched back
-/// in input order.
-///
-/// Each verdict is the mathematically determined answer of its query, so
-/// the result is **bit-identical to the serial sweep for every shard
-/// count** — sharding only changes which learnt clauses each solver
-/// accumulates along the way, never an answer.
-///
-/// `shards = 0` uses the available hardware parallelism; `shards <= 1`
-/// (or a candidate list shorter than two) runs the serial sweep.
-///
-/// # Panics
-///
-/// Panics if any candidate's shape does not match the netlist.
-pub fn plausibility_sweep_sharded(
-    nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
-    candidates: &[VectorFunction],
-    shards: usize,
-) -> Vec<bool> {
-    plausibility_sweep_with(
-        nl,
-        lib,
-        camo,
-        candidates,
-        &SweepOptions {
-            shards,
-            ..SweepOptions::default()
-        },
-    )
-    .into_iter()
-    .map(|v| v.plausible)
-    .collect()
 }
 
 /// Builds the paper's baseline: synthesize a *single* function, map it to
@@ -1320,6 +1121,20 @@ mod tests {
         (lib, camo)
     }
 
+    /// The permutation-tier sweep over the camouflage space.
+    fn any_io_sweep(nl: &Netlist, candidates: &[VectorFunction]) -> Vec<AnyIoVerdict> {
+        let (lib, camo) = setup();
+        let space = ObfuscationSpace::camouflage(&lib, &camo);
+        plausibility_sweep_any_io_in(&space, nl, candidates, &AnyIoOptions::default())
+    }
+
+    fn sharded(shards: usize) -> AnyIoOptions {
+        AnyIoOptions {
+            shards,
+            ..AnyIoOptions::default()
+        }
+    }
+
     #[test]
     fn true_function_is_plausible_for_its_own_circuit() {
         let (lib, camo) = setup();
@@ -1334,12 +1149,13 @@ mod tests {
         let boxes = optimal_sboxes();
         let circuit = random_camouflage(&boxes[0], &lib, &camo).unwrap();
         let candidates = boxes[..4].to_vec();
-        let swept = plausibility_sweep(&circuit, &lib, &camo, &candidates);
+        let space = ObfuscationSpace::camouflage(&lib, &camo);
+        let swept = plausibility_sweep_in(&space, &circuit, &candidates, &sharded(1));
         assert_eq!(swept.len(), candidates.len());
-        for (f, &v) in candidates.iter().zip(&swept) {
-            assert_eq!(v, is_plausible(&circuit, &lib, &camo, f));
+        for (f, v) in candidates.iter().zip(&swept) {
+            assert_eq!(v.plausible, is_plausible(&circuit, &lib, &camo, f));
         }
-        assert!(swept[0], "the true function is always plausible");
+        assert!(swept[0].plausible, "the true function is always plausible");
     }
 
     #[test]
@@ -1348,10 +1164,11 @@ mod tests {
         let boxes = optimal_sboxes();
         let circuit = random_camouflage(&boxes[0], &lib, &camo).unwrap();
         let candidates = boxes[..5].to_vec();
-        let serial = plausibility_sweep(&circuit, &lib, &camo, &candidates);
+        let space = ObfuscationSpace::camouflage(&lib, &camo);
+        let serial = plausibility_sweep_in(&space, &circuit, &candidates, &sharded(1));
         for shards in [0usize, 1, 2, 3, 4, 8] {
-            let sharded = plausibility_sweep_sharded(&circuit, &lib, &camo, &candidates, shards);
-            assert_eq!(serial, sharded, "shards = {shards}");
+            let got = plausibility_sweep_in(&space, &circuit, &candidates, &sharded(shards));
+            assert_eq!(serial, got, "shards = {shards}");
         }
     }
 
@@ -1415,7 +1232,8 @@ mod tests {
             .permute_outputs(&[0, 1, 3, 2])
             .unwrap();
         if !is_plausible(&circuit, &lib, &camo, &permuted) {
-            assert!(is_plausible_any_io(&circuit, &lib, &camo, &permuted));
+            let verdicts = any_io_sweep(&circuit, std::slice::from_ref(&permuted));
+            assert!(verdicts[0].plausible);
         }
     }
 
@@ -1608,7 +1426,13 @@ mod tests {
                 npn,
                 ..AnyIoOptions::default()
             };
-            let plan = plan_any_io(&nl, std::slice::from_ref(candidate), &opts, None);
+            let plan = plan_any_io(
+                &nl,
+                std::slice::from_ref(candidate),
+                Group::any_io(&opts),
+                opts.class_share,
+                None,
+            );
             let orbit = orbit_tables(candidate, npn);
             let want = oracle_plan(
                 std::slice::from_ref(candidate),
@@ -1717,7 +1541,9 @@ mod tests {
                             class_share,
                             ..AnyIoOptions::default()
                         };
-                        let plan = plan_any_io(&nl, &candidates, &opts, screen.as_ref());
+                        let group = Group::any_io(&opts);
+                        let plan =
+                            plan_any_io(&nl, &candidates, group, class_share, screen.as_ref());
                         let want =
                             oracle_plan(&candidates, &orbits, &opts, screen.as_ref(), survives);
                         assert_eq!(
@@ -2055,7 +1881,7 @@ mod tests {
         let mut permuted_in = VectorFunction::new(0, Vec::new());
         let mut permuted = VectorFunction::new(0, Vec::new());
         let mut count = 0usize;
-        walk_orbit(&f, true, |index, key| {
+        walk_orbit(&f, Group::Npn, |index, key| {
             let (in_neg, out_neg) =
                 unrank_orbit_index(index, 3, 3, true, &mut unrank_tmp, &mut ip, &mut op);
             apply_orbit_point(
@@ -2120,7 +1946,7 @@ mod tests {
         let table: Vec<u16> = (0..128u16).map(|m| (m * 37 + 11) % 4).collect();
         let f = VectorFunction::from_lookup_table(7, 2, &table).unwrap();
         let circuit = random_camouflage(&f, &lib, &camo).unwrap();
-        let verdicts = plausibility_sweep_any_io(&circuit, &lib, &camo, &[f]);
+        let verdicts = any_io_sweep(&circuit, &[f]);
         assert!(verdicts[0].plausible);
         assert_eq!(verdicts[0].orbit, 10_080);
         assert_eq!(
@@ -2149,7 +1975,7 @@ mod tests {
             .permute_outputs(&[1, 3, 0, 2])
             .unwrap();
         let candidates = vec![boxes[0].clone(), scrambled, boxes[1].clone()];
-        let verdicts = plausibility_sweep_any_io(&circuit, &lib, &camo, &candidates);
+        let verdicts = any_io_sweep(&circuit, &candidates);
         assert_eq!(verdicts.len(), candidates.len());
         // The true function is plausible under the identity
         // interpretation, which is orbit index 0 — so it must also be

@@ -320,7 +320,9 @@ impl ConfigScreen {
         Some(config_tuple.iter().map(|&t| Some(t) == entry).collect())
     }
 
-    /// Screens `candidate` under the identity interpretation.
+    /// Screens `candidate` under the identity interpretation — the
+    /// reference the orbit and key paths are tested against.
+    #[cfg(test)]
     pub(crate) fn classify_identity(&self, candidate: &VectorFunction) -> ScreenOutcome {
         self.classify_tuple(&self.identity_tuple(candidate), &mut Vec::new())
     }

@@ -295,9 +295,21 @@ fn main() {
     let sboxes = mvf_sboxes::optimal_sboxes();
     let target = mvf_attack::random_camouflage(&sboxes[0], &lib, &camo).expect("buildable");
     let sweep_candidates = &sboxes[..6];
+    let space = mvf_attack::ObfuscationSpace::camouflage(&lib, &camo);
+    // The identity tier of the one sweep, serial or sharded.
+    let identity_sweep = |nl: &mvf_netlist::Netlist, shards: usize| {
+        let opts = mvf_attack::AnyIoOptions {
+            shards,
+            ..mvf_attack::AnyIoOptions::default()
+        };
+        mvf_attack::plausibility_sweep_in(&space, nl, sweep_candidates, &opts)
+    };
     // Correctness first: the batched sweep must equal fresh per-candidate
     // encodings.
-    let swept = mvf_attack::plausibility_sweep(&target, &lib, &camo, sweep_candidates);
+    let swept: Vec<bool> = identity_sweep(&target, 1)
+        .iter()
+        .map(|v| v.plausible)
+        .collect();
     let percand: Vec<bool> = sweep_candidates
         .iter()
         .map(|f| mvf_attack::is_plausible(&target, &lib, &camo, f))
@@ -311,12 +323,7 @@ fn main() {
         black_box(verdicts);
     }) / sweep_candidates.len() as f64;
     let sat_sweep_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep(
-            black_box(&target),
-            &lib,
-            &camo,
-            sweep_candidates,
-        ));
+        black_box(identity_sweep(black_box(&target), 1));
     }) / sweep_candidates.len() as f64;
     let sat_speedup = sat_percand_ns / sat_sweep_ns;
     println!("sat percand: {sat_percand_ns:>12.0} ns / candidate (fresh encoding per query)");
@@ -325,35 +332,17 @@ fn main() {
 
     // --- Sharded plausibility sweep vs serial. -------------------------
     let sweep_shards = mvf_ga::resolve_threads(0).max(2);
-    let serial_sweep = mvf_attack::plausibility_sweep(&target, &lib, &camo, sweep_candidates);
-    let sharded_sweep = mvf_attack::plausibility_sweep_sharded(
-        &target,
-        &lib,
-        &camo,
-        sweep_candidates,
-        sweep_shards,
-    );
+    let serial_sweep = identity_sweep(&target, 1);
+    let sharded_sweep = identity_sweep(&target, sweep_shards);
     assert_eq!(
         serial_sweep, sharded_sweep,
         "sharded sweep must be bit-identical to serial"
     );
     let sweep_serial_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_sharded(
-            black_box(&target),
-            &lib,
-            &camo,
-            sweep_candidates,
-            1,
-        ));
+        black_box(identity_sweep(black_box(&target), 1));
     }) / sweep_candidates.len() as f64;
     let sweep_sharded_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_sharded(
-            black_box(&target),
-            &lib,
-            &camo,
-            sweep_candidates,
-            sweep_shards,
-        ));
+        black_box(identity_sweep(black_box(&target), sweep_shards));
     }) / sweep_candidates.len() as f64;
     let sweep_parallel_speedup = sweep_serial_ns / sweep_sharded_ns;
     // Recorded in the JSON and asserted by CI; on a single-core runner
@@ -393,16 +382,19 @@ fn main() {
         .permute_outputs(&[2, 0, 1])
         .unwrap();
     let any_io_candidates = vec![scrambled3, sym3, lut3(&[0, 1, 2, 3, 4, 5, 6, 7])];
-    let any_io_serial =
-        mvf_attack::plausibility_sweep_any_io(&target3, &lib, &camo, &any_io_candidates);
+    // The interpretation-freedom tier over the camouflage space.
+    let any_io_sweep = |nl: &mvf_netlist::Netlist,
+                        candidates: &[mvf_logic::VectorFunction],
+                        opts: &mvf_attack::AnyIoOptions| {
+        mvf_attack::plausibility_sweep_any_io_in(&space, nl, candidates, opts)
+    };
+    let sharded = |shards| mvf_attack::AnyIoOptions {
+        shards,
+        ..mvf_attack::AnyIoOptions::default()
+    };
+    let any_io_serial = any_io_sweep(&target3, &any_io_candidates, &sharded(1));
     let any_io_shards = mvf_ga::resolve_threads(0).max(2);
-    let any_io_sharded = mvf_attack::plausibility_sweep_any_io_sharded(
-        &target3,
-        &lib,
-        &camo,
-        &any_io_candidates,
-        any_io_shards,
-    );
+    let any_io_sharded = any_io_sweep(&target3, &any_io_candidates, &sharded(any_io_shards));
     let any_io_identical = any_io_serial
         .iter()
         .zip(&any_io_sharded)
@@ -414,20 +406,17 @@ fn main() {
     let any_io_orbit: usize = any_io_serial.iter().map(|v| v.orbit).sum();
     let any_io_unique: usize = any_io_serial.iter().map(|v| v.unique).sum();
     let any_io_serial_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_any_io(
+        black_box(any_io_sweep(
             black_box(&target3),
-            &lib,
-            &camo,
             &any_io_candidates,
+            &sharded(1),
         ));
     }) / any_io_candidates.len() as f64;
     let any_io_sharded_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_any_io_sharded(
+        black_box(any_io_sweep(
             black_box(&target3),
-            &lib,
-            &camo,
             &any_io_candidates,
-            any_io_shards,
+            &sharded(any_io_shards),
         ));
     }) / any_io_candidates.len() as f64;
     let any_io_speedup = any_io_serial_ns / any_io_sharded_ns;
@@ -476,24 +465,10 @@ fn main() {
         class_share: true,
         ..npn_solo_opts.clone()
     };
-    let npn_solo = mvf_attack::plausibility_sweep_any_io_with(
+    let npn_solo = any_io_sweep(&target3, &npn_candidates, &npn_solo_opts);
+    let npn_shared = any_io_sweep(&target3, &npn_candidates, &npn_shared_opts);
+    let npn_sharded = any_io_sweep(
         &target3,
-        &lib,
-        &camo,
-        &npn_candidates,
-        &npn_solo_opts,
-    );
-    let npn_shared = mvf_attack::plausibility_sweep_any_io_with(
-        &target3,
-        &lib,
-        &camo,
-        &npn_candidates,
-        &npn_shared_opts,
-    );
-    let npn_sharded = mvf_attack::plausibility_sweep_any_io_with(
-        &target3,
-        &lib,
-        &camo,
         &npn_candidates,
         &mvf_attack::AnyIoOptions {
             shards: any_io_shards,
@@ -526,19 +501,15 @@ fn main() {
         "class sharing must save work on the duplicate-seeded batch"
     );
     let npn_solo_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_any_io_with(
+        black_box(any_io_sweep(
             black_box(&target3),
-            &lib,
-            &camo,
             &npn_candidates,
             &npn_solo_opts,
         ));
     }) / npn_candidates.len() as f64;
     let npn_shared_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_any_io_with(
+        black_box(any_io_sweep(
             black_box(&target3),
-            &lib,
-            &camo,
             &npn_candidates,
             &npn_shared_opts,
         ));
@@ -622,37 +593,13 @@ fn main() {
         screen: false,
         ..mvf_attack::AnyIoOptions::default()
     };
-    let screen_on = mvf_attack::plausibility_sweep_any_io_with(
-        &screen_target,
-        &lib,
-        &camo,
-        &screen_candidates,
-        &screen_on_opts,
-    );
-    let screen_off = mvf_attack::plausibility_sweep_any_io_with(
-        &screen_target,
-        &lib,
-        &camo,
-        &screen_candidates,
-        &screen_off_opts,
-    );
+    let screen_on = any_io_sweep(&screen_target, &screen_candidates, &screen_on_opts);
+    let screen_off = any_io_sweep(&screen_target, &screen_candidates, &screen_off_opts);
     // Past the cap: the any-IO section's random-camouflage target, whose
     // configuration product the screen cannot enumerate, is screened by
     // projection onto the output cones that fit.
-    let projected_on = mvf_attack::plausibility_sweep_any_io_with(
-        &target3,
-        &lib,
-        &camo,
-        &any_io_candidates,
-        &screen_on_opts,
-    );
-    let projected_off = mvf_attack::plausibility_sweep_any_io_with(
-        &target3,
-        &lib,
-        &camo,
-        &any_io_candidates,
-        &screen_off_opts,
-    );
+    let projected_on = any_io_sweep(&target3, &any_io_candidates, &screen_on_opts);
+    let projected_off = any_io_sweep(&target3, &any_io_candidates, &screen_off_opts);
     let same = |on: &[mvf_attack::AnyIoVerdict], off: &[mvf_attack::AnyIoVerdict]| {
         on.iter()
             .zip(off)
@@ -663,7 +610,6 @@ fn main() {
         sat_screen_identical,
         "screening must not change any verdict or witness"
     );
-    let space = mvf_attack::ObfuscationSpace::camouflage(&lib, &camo);
     let sat_screen_vectors = mvf_attack::ConfigScreen::build_in(
         &space,
         &screen_target,
@@ -688,19 +634,15 @@ fn main() {
         "the screen must save SAT queries on the bench corpus"
     );
     let sat_screen_on_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_any_io_with(
+        black_box(any_io_sweep(
             black_box(&screen_target),
-            &lib,
-            &camo,
             &screen_candidates,
             &screen_on_opts,
         ));
     }) / screen_candidates.len() as f64;
     let sat_screen_off_ns = time_ns(|| {
-        black_box(mvf_attack::plausibility_sweep_any_io_with(
+        black_box(any_io_sweep(
             black_box(&screen_target),
-            &lib,
-            &camo,
             &screen_candidates,
             &screen_off_opts,
         ));
@@ -805,7 +747,7 @@ fn main() {
         &lock_space,
         lock_target,
         &lock_candidates,
-        &mvf_attack::SweepOptions::default(),
+        &mvf_attack::AnyIoOptions::default(),
     );
     let lock_brute_ok = lock_identity
         .iter()
@@ -898,7 +840,7 @@ fn main() {
     println!("cuts csr   : {cuts_csr_ns:>12.0} ns / enumeration (flat CutSet, reused)");
     println!("cuts speedup: {cuts_speedup:>11.2}x");
 
-    // --- Camo validation: per-config eval vs word-parallel multi-eval. -
+    // --- Camo validation: per-config eval vs one word-parallel pass. ---
     let camo_funcs = sboxes[..4].to_vec();
     let merged = mvf_merge::build_merged(
         &camo_funcs,
@@ -925,13 +867,32 @@ fn main() {
                 .collect()
         })
         .collect();
+    // The validator's pass: every minterm, cycled up to 64 vectors, and
+    // every output, under all configurations at once.
+    let camo_n_in = mapped.netlist.inputs().len();
+    let minterms = 1u64 << camo_n_in;
+    let camo_vectors: Vec<u64> = (0..minterms.max(64)).map(|m| m % minterms).collect();
+    let camo_outputs: Vec<usize> = (0..mapped.netlist.outputs().len()).collect();
     // Correctness: the word-parallel pass equals per-config evaluation.
-    let multi = mvf_sim::eval_camo_netlist_multi(&mapped.netlist, &lib, &camo, &configs)
-        .expect("evaluable");
+    let multi = mvf_sim::eval_camo_netlist_vectors(
+        &mapped.netlist,
+        &lib,
+        &camo,
+        &camo_outputs,
+        &configs,
+        &camo_vectors,
+    )
+    .expect("evaluable");
     for (j, config) in configs.iter().enumerate() {
         let single =
             mvf_sim::eval_camo_netlist(&mapped.netlist, &lib, &camo, config).expect("evaluable");
-        assert_eq!(multi[j], single, "config {j}");
+        for (tt, cols) in single.iter().zip(&multi[j]) {
+            let bit = |m: usize| (cols[m / 64] >> (m % 64)) & 1 == 1;
+            assert!(
+                (0..tt.n_minterms()).all(|m| bit(m) == tt.get(m)),
+                "config {j}"
+            );
+        }
     }
     let camo_percfg_ns = time_ns(|| {
         for config in &configs {
@@ -944,11 +905,13 @@ fn main() {
     let mut camo_scratch = mvf_logic::TtArena::default();
     let camo_multi_ns = time_ns(|| {
         black_box(
-            mvf_sim::eval_camo_netlist_multi_with(
+            mvf_sim::eval_camo_netlist_vectors_with(
                 black_box(&mapped.netlist),
                 &lib,
                 &camo,
+                &camo_outputs,
                 &configs,
+                &camo_vectors,
                 &mut camo_scratch,
             )
             .expect("evaluable"),

@@ -258,9 +258,10 @@ impl FlowBuilder {
     }
 
     /// Enables the opt-in red-team pass of [`Flow::run_many`]: every
-    /// successful workload's camouflaged netlist is swept through the SAT
-    /// adversary ([`mvf_attack::plausibility_sweep`]) and the per-viable-
-    /// function verdict vector is attached to its
+    /// successful workload's obfuscated netlist is swept through the SAT
+    /// adversary's identity tier ([`mvf_attack::plausibility_sweep_in`],
+    /// over the flow's obfuscation space) and the per-viable-function
+    /// verdict vector is attached to its
     /// [`WorkloadReport::plausibility`](crate::WorkloadReport::plausibility).
     #[must_use]
     pub fn attack_sweep(mut self, enabled: bool) -> Self {
@@ -269,9 +270,9 @@ impl FlowBuilder {
     }
 
     /// Worker shards for the red-team pass
-    /// ([`mvf_attack::plausibility_sweep_sharded`]): each workload's
-    /// candidate sweep clones the encoded solver per shard and answers
-    /// queries in parallel. `0` (the default) gives every sweep the
+    /// ([`mvf_attack::AnyIoOptions::shards`]): each workload's candidate
+    /// sweep clones the encoded solver per shard and answers queries in
+    /// parallel. `0` (the default) gives every sweep the
     /// workload's inner thread share; verdicts are bit-identical for
     /// every shard count.
     #[must_use]
@@ -283,7 +284,7 @@ impl FlowBuilder {
     /// Upgrades the red-team pass to the paper's **full** adversary: in
     /// addition to the identity-interpretation sweep, every viable
     /// function is tested for plausibility under *some* input/output pin
-    /// permutation ([`mvf_attack::plausibility_sweep_any_io_sharded`],
+    /// permutation ([`mvf_attack::plausibility_sweep_any_io_in`],
     /// sharded per [`FlowBuilder::attack_shards`]), and the witness
     /// interpretation is attached to the report
     /// ([`PlausibilityVerdict::witness`](crate::PlausibilityVerdict)).

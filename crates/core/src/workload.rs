@@ -143,18 +143,20 @@ impl PlausibilityVerdict {
             .collect()
     }
 
-    /// Folds identity-interpretation verdicts into report verdicts — the
-    /// [`Flow::run_many`] mapping for flows without interpretation
-    /// freedom.
-    pub fn from_identity(verdicts: &[mvf_attack::SweepVerdict]) -> Vec<PlausibilityVerdict> {
+    /// Folds identity-sweep verdicts ([`mvf_attack::plausibility_sweep_in`],
+    /// the one-point orbit) into report verdicts — the [`Flow::run_many`]
+    /// mapping for flows without interpretation freedom. Each candidate
+    /// was settled by one screen classification or one query, so
+    /// `screened` and `queries` are 0 or 1 each.
+    pub fn from_identity(verdicts: Vec<mvf_attack::AnyIoVerdict>) -> Vec<PlausibilityVerdict> {
         verdicts
-            .iter()
+            .into_iter()
             .map(|v| PlausibilityVerdict {
                 identity: v.plausible,
                 any_io: None,
                 witness: None,
-                screened: usize::from(v.screened),
-                queries: usize::from(!v.screened),
+                screened: v.screened,
+                queries: v.queries,
             })
             .collect()
     }
@@ -327,13 +329,13 @@ impl<S: SearchStrategy> Flow<S> {
                         &space,
                         &result.mapped.netlist,
                         &result.merged.functions,
-                        &mvf_attack::SweepOptions {
+                        &mvf_attack::AnyIoOptions {
                             shards,
                             screen: self.attack_screen,
-                            ..mvf_attack::SweepOptions::default()
+                            ..mvf_attack::AnyIoOptions::default()
                         },
                     );
-                    Some(PlausibilityVerdict::from_identity(&identity))
+                    Some(PlausibilityVerdict::from_identity(identity))
                 }
             }
             _ => None,

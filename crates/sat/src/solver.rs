@@ -468,9 +468,9 @@ impl Solver {
     /// state and learnt metadata. The flat clause arena *and* the flat
     /// CSR watch pool make this a strict handful of `memcpy`s (no
     /// per-literal allocations); sharded sweeps clone one encoded solver
-    /// per worker and query the clones independently (see
-    /// `mvf_attack::plausibility_sweep_sharded` and
-    /// `mvf_attack::plausibility_sweep_any_io_sharded`).
+    /// per worker and query the clones independently, and every job a
+    /// warm sweep session plans starts from one (see `mvf_attack`'s
+    /// `AnyIoOptions::shards` and `SweepSession::any_io_job_in`).
     pub fn clone_db(&self) -> Solver {
         self.clone()
     }

@@ -6,9 +6,10 @@
 //! service wants three things a one-shot cannot give:
 //!
 //! * **Session caching** ([`store::SessionStore`]): circuits resubmitted
-//!   with new candidate batches reuse the encoded SAT instance and its
-//!   accumulated learnt clauses, keyed by content fingerprint with a
-//!   byte-budgeted LRU. Warm answers are bit-identical to cold ones.
+//!   with new candidate batches reuse the encoded SAT instance (each job
+//!   sweeps a clone of it) and cached screen batches, keyed by content
+//!   fingerprint with a byte-budgeted LRU. Warm answers are bit-identical
+//!   to cold ones.
 //! * **Checkpoint/resume** ([`checkpoint`], [`job`]): long jobs
 //!   snapshot their complete state at every safe boundary; a killed job
 //!   resumes from its last checkpoint and finishes **bit-identically**

@@ -23,6 +23,12 @@
 //! waiting `submit` then carry the message in `error`, and the worker
 //! goes on with the next job.
 //!
+//! The service keeps the last [`MAX_FINISHED_JOBS`] finished jobs
+//! (`done`, `cancelled` or `failed`) with their reports and checkpoints.
+//! Past that the oldest finished job is dropped: its id then answers
+//! `no job '<id>'` and may be submitted again. Queued and running jobs
+//! are never dropped.
+//!
 //! Jobs run on one worker thread that owns the [`SessionStore`], so
 //! repeated submissions of the same circuit warm-start automatically.
 //! A cancelled or shut-down job keeps its latest [`Checkpoint`]; fetch
@@ -31,7 +37,7 @@
 //! uninterrupted run.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -52,6 +58,10 @@ use crate::ServeConfig;
 /// list holds one `[uid, bool]` pair per SAT-resolved orbit function),
 /// and a bound on what one client line can make the service buffer.
 pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Finished jobs the service retains; past it the oldest finished job
+/// is dropped (see the module docs).
+pub const MAX_FINISHED_JOBS: usize = 256;
 
 /// The request-line reader both front ends share: reads bytes, not
 /// `String`s, so a line that is over-long or not UTF-8 costs that line
@@ -166,9 +176,28 @@ struct JobEntry {
 
 struct State {
     jobs: HashMap<String, JobEntry>,
-    queue: std::collections::VecDeque<String>,
+    queue: VecDeque<String>,
+    /// Ids of finished jobs, oldest first.
+    finished: VecDeque<String>,
     submitted: u64,
     shutdown: bool,
+}
+
+impl State {
+    /// Moves job `id` into the finished `phase` — the one path into
+    /// `done`, `cancelled` and `failed` — and drops the oldest finished
+    /// jobs past [`MAX_FINISHED_JOBS`].
+    fn finish(&mut self, id: &str, phase: Phase) {
+        if let Some(entry) = self.jobs.get_mut(id) {
+            entry.phase = phase;
+        }
+        self.finished.push_back(id.to_string());
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
 }
 
 struct Inner {
@@ -204,7 +233,8 @@ impl AuditService {
             lock,
             state: Mutex::new(State {
                 jobs: HashMap::new(),
-                queue: std::collections::VecDeque::new(),
+                queue: VecDeque::new(),
+                finished: VecDeque::new(),
                 submitted: 0,
                 shutdown: false,
             }),
@@ -480,7 +510,11 @@ impl Inner {
     fn wait_and_report(&self, id: &str) -> String {
         let mut st = self.lock();
         loop {
-            let entry = st.jobs.get(id).expect("waited-on job exists");
+            // A burst of finished jobs can drop this one from the
+            // retained set before the waiter wakes.
+            let Some(entry) = st.jobs.get(id) else {
+                return err_response(&format!("no job '{id}'"));
+            };
             match entry.phase {
                 Phase::Done => {
                     let report = entry.report.as_ref().expect("done job has a report");
@@ -586,30 +620,26 @@ impl Inner {
             Err(e) => return err_response(&e),
         };
         let mut st = self.lock();
-        match st.jobs.get_mut(&id) {
-            Some(entry) => {
-                let phase = match entry.phase {
-                    // A queued job never starts; a running one pauses at
-                    // its next checkpoint boundary.
-                    Phase::Queued => {
-                        entry.phase = Phase::Cancelled;
-                        st.queue.retain(|q| q != &id);
-                        self.cv.notify_all();
-                        Phase::Cancelled
-                    }
-                    Phase::Running => {
-                        entry.cancel = true;
-                        Phase::Running
-                    }
-                    done => done,
-                };
-                ok_response(vec![
-                    ("id".into(), Value::str(&id)),
-                    ("status".into(), Value::str(phase.name())),
-                ])
+        let phase = match st.jobs.get_mut(&id) {
+            None => return err_response(&format!("no job '{id}'")),
+            // A running job pauses at its next checkpoint boundary.
+            Some(entry) if entry.phase == Phase::Running => {
+                entry.cancel = true;
+                Phase::Running
             }
-            None => err_response(&format!("no job '{id}'")),
-        }
+            Some(entry) if entry.phase != Phase::Queued => entry.phase,
+            // A queued job never starts.
+            Some(_) => {
+                st.queue.retain(|q| q != &id);
+                st.finish(&id, Phase::Cancelled);
+                self.cv.notify_all();
+                Phase::Cancelled
+            }
+        };
+        ok_response(vec![
+            ("id".into(), Value::str(&id)),
+            ("status".into(), Value::str(phase.name())),
+        ])
     }
 }
 
@@ -690,21 +720,22 @@ fn worker_loop(inner: &Inner) {
 
         let mut st = inner.lock();
         let entry = st.jobs.get_mut(&id).expect("running job exists");
-        match outcome {
+        let phase = match outcome {
             AuditOutcome::Finished { report, sat } => {
-                entry.phase = Phase::Done;
                 entry.report = Some(report);
                 entry.sat = Some(sat);
+                Phase::Done
             }
             AuditOutcome::Paused(cp) => {
-                entry.phase = Phase::Cancelled;
                 entry.checkpoint = Some(*cp);
+                Phase::Cancelled
             }
             AuditOutcome::Failed(error) => {
-                entry.phase = Phase::Failed;
                 entry.error = Some(error);
+                Phase::Failed
             }
-        }
+        };
+        st.finish(&id, phase);
         inner.cv.notify_all();
         if st.shutdown {
             return;
@@ -719,4 +750,59 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("a panic without a message")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(phase: Phase) -> JobEntry {
+        JobEntry {
+            workload: Workload::new("synthetic", Vec::new()),
+            seed: 0,
+            scheme: SchemeKind::Camouflage,
+            phase,
+            cancel: false,
+            checkpoint: None,
+            resume: false,
+            report: None,
+            sat: None,
+            error: None,
+        }
+    }
+
+    #[test]
+    fn finished_jobs_past_the_cap_are_dropped_oldest_first() {
+        let service = AuditService::start(ServeConfig::default());
+        {
+            let mut st = service.inner.lock();
+            st.jobs.insert("queued".into(), entry(Phase::Queued));
+            st.jobs.insert("running".into(), entry(Phase::Running));
+            let finished = [Phase::Done, Phase::Cancelled, Phase::Failed];
+            for k in 0..MAX_FINISHED_JOBS + 10 {
+                let id = format!("job{k}");
+                st.jobs.insert(id.clone(), entry(Phase::Running));
+                st.finish(&id, finished[k % 3]);
+                assert_eq!(st.jobs[&id].phase, finished[k % 3]);
+            }
+            assert_eq!(st.finished.len(), MAX_FINISHED_JOBS);
+            // The ten oldest finished jobs are gone; queued and running
+            // jobs are never dropped.
+            assert_eq!(st.jobs.len(), MAX_FINISHED_JOBS + 2);
+            assert!((0..10).all(|k| !st.jobs.contains_key(&format!("job{k}"))));
+            assert_eq!(st.jobs["queued"].phase, Phase::Queued);
+            assert_eq!(st.jobs["running"].phase, Phase::Running);
+        }
+        // A dropped id answers `no job`, and may be submitted again.
+        for cmd in ["status", "result", "checkpoint", "cancel"] {
+            let response = service.handle(&format!(r#"{{"cmd":"{cmd}","id":"job0"}}"#));
+            assert!(response.contains("no job 'job0'"), "{cmd}: {response}");
+        }
+        let response = service.handle(
+            r#"{"cmd":"submit","id":"job0","workload":{"name":"w","seed":"7","functions":[{"n_in":1,"n_out":1,"table":[1,0]}]}}"#,
+        );
+        assert!(response.contains(r#""ok":true"#), "{response}");
+        service.handle(r#"{"cmd":"cancel","id":"job0"}"#);
+        service.shutdown_and_join();
+    }
 }

@@ -3,10 +3,12 @@
 //! The service audits many circuits over its lifetime, but tends to see
 //! the same few repeatedly (the same obfuscated design re-submitted with
 //! new candidate batches). [`SessionStore`] keeps the expensive part —
-//! the encoded SAT instance with its accumulated learnt clauses, plus
-//! cached screen batches — alive between submissions, keyed by the
-//! circuit's content fingerprint, and evicts least-recently-used
-//! sessions once the retained state exceeds a byte budget.
+//! the encoded SAT instance, plus cached screen batches — alive between
+//! submissions, keyed by the circuit's content fingerprint, and evicts
+//! least-recently-used sessions once the retained state exceeds a byte
+//! budget. Each job sweeps a clone of its session's solver, so learnt
+//! clauses never carry from one submission to the next: a warm start
+//! saves the encoding and the screen build, not search.
 //!
 //! Caching is invisible in the results: a warm session answers every
 //! sweep identically to a cold one (verdicts, witnesses *and* query
@@ -14,7 +16,6 @@
 //! store's tests assert exactly that under a budget small enough to
 //! evict on every access.
 
-use mvf::cells::{CamoLibrary, Library};
 use mvf::netlist::Netlist;
 use mvf::ObfuscationSpace;
 use mvf_attack::SweepSession;
@@ -52,17 +53,6 @@ impl SessionStore {
             misses: 0,
             evictions: 0,
         }
-    }
-
-    /// The warm camouflage session for this circuit — shorthand for
-    /// [`SessionStore::session_in`] over a camouflage space.
-    pub fn session(
-        &mut self,
-        nl: &Netlist,
-        lib: &Library,
-        camo: &CamoLibrary,
-    ) -> &mut SweepSession {
-        self.session_in(&ObfuscationSpace::camouflage(lib, camo), nl)
     }
 
     /// The warm session for this circuit under this obfuscation space,
@@ -150,7 +140,9 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvf_attack::{random_camouflage, SweepOptions};
+    use mvf::cells::{CamoLibrary, Library};
+    use mvf_attack::{random_camouflage, AnyIoOptions, AnyIoVerdict};
+    use mvf_logic::VectorFunction;
     use mvf_sboxes::optimal_sboxes;
 
     fn setup() -> (Library, CamoLibrary) {
@@ -159,14 +151,30 @@ mod tests {
         (lib, camo)
     }
 
+    /// Runs a job from the store's session for `nl` to completion.
+    fn sweep(
+        store: &mut SessionStore,
+        space: &ObfuscationSpace<'_>,
+        nl: &Netlist,
+        candidates: &[VectorFunction],
+    ) -> Vec<AnyIoVerdict> {
+        let opts = AnyIoOptions::default();
+        let mut job = store
+            .session_in(space, nl)
+            .any_io_job_in(space, nl, candidates, &opts);
+        job.step(usize::MAX);
+        job.verdicts()
+    }
+
     #[test]
     fn repeated_lookups_hit_the_same_session() {
         let (lib, camo) = setup();
+        let space = ObfuscationSpace::camouflage(&lib, &camo);
         let boxes = optimal_sboxes();
         let circuit = random_camouflage(&boxes[0], &lib, &camo).unwrap();
         let mut store = SessionStore::new(usize::MAX);
-        let key = store.session(&circuit, &lib, &camo).key();
-        assert_eq!(store.session(&circuit, &lib, &camo).key(), key);
+        let key = store.session_in(&space, &circuit).key();
+        assert_eq!(store.session_in(&space, &circuit).key(), key);
         assert_eq!(store.len(), 1);
         assert_eq!(store.hits(), 1);
         assert_eq!(store.misses(), 1);
@@ -175,12 +183,13 @@ mod tests {
     #[test]
     fn distinct_circuits_get_distinct_sessions() {
         let (lib, camo) = setup();
+        let space = ObfuscationSpace::camouflage(&lib, &camo);
         let boxes = optimal_sboxes();
         let a = random_camouflage(&boxes[0], &lib, &camo).unwrap();
         let b = random_camouflage(&boxes[1], &lib, &camo).unwrap();
         let mut store = SessionStore::new(usize::MAX);
-        let ka = store.session(&a, &lib, &camo).key();
-        let kb = store.session(&b, &lib, &camo).key();
+        let ka = store.session_in(&space, &a).key();
+        let kb = store.session_in(&space, &b).key();
         assert_ne!(ka, kb);
         assert_eq!(store.len(), 2);
     }
@@ -215,31 +224,21 @@ mod tests {
     #[test]
     fn a_tiny_budget_evicts_but_never_changes_verdicts() {
         let (lib, camo) = setup();
+        let space = ObfuscationSpace::camouflage(&lib, &camo);
         let boxes = optimal_sboxes();
         let a = random_camouflage(&boxes[0], &lib, &camo).unwrap();
         let b = random_camouflage(&boxes[1], &lib, &camo).unwrap();
         let candidates = boxes[..3].to_vec();
-        let opts = SweepOptions::default();
         // Reference verdicts from an unbounded store.
         let mut big = SessionStore::new(usize::MAX);
-        let want_a =
-            big.session(&a, &lib, &camo)
-                .sweep_identity(&a, &lib, &camo, &candidates, &opts);
-        let want_b =
-            big.session(&b, &lib, &camo)
-                .sweep_identity(&b, &lib, &camo, &candidates, &opts);
+        let want_a = sweep(&mut big, &space, &a, &candidates);
+        let want_b = sweep(&mut big, &space, &b, &candidates);
         // A budget of one byte cannot hold any session: every alternating
         // access rebuilds cold. Results must not move.
         let mut tiny = SessionStore::new(1);
         for _ in 0..2 {
-            let got_a =
-                tiny.session(&a, &lib, &camo)
-                    .sweep_identity(&a, &lib, &camo, &candidates, &opts);
-            assert_eq!(got_a, want_a);
-            let got_b =
-                tiny.session(&b, &lib, &camo)
-                    .sweep_identity(&b, &lib, &camo, &candidates, &opts);
-            assert_eq!(got_b, want_b);
+            assert_eq!(sweep(&mut tiny, &space, &a, &candidates), want_a);
+            assert_eq!(sweep(&mut tiny, &space, &b, &candidates), want_b);
         }
         assert_eq!(tiny.len(), 1, "over-budget sessions must not pile up");
         assert!(tiny.evictions() >= 3, "evictions: {}", tiny.evictions());

@@ -9,18 +9,17 @@
 //!   netlist;
 //! * [`eval_camo_netlist`] — evaluation of a camouflaged netlist under a
 //!   doping configuration (a function binding per camouflaged instance);
-//! * [`eval_camo_netlist_multi`] — word-parallel evaluation under *many*
-//!   doping configurations at once: the config index becomes extra
-//!   truth-table variables, so each camouflaged cell's pin-term products
-//!   are computed once and shared across every configuration;
-//! * [`eval_camo_netlist_vectors`] — the same multi-configuration pass
-//!   generalized from full truth tables to an arbitrary batch of input
-//!   vectors: the word index runs over sampled vectors instead of input
-//!   minterms, which is the probabilistic screening primitive of the
-//!   attack crate's screen-then-solve funnel;
+//! * [`eval_camo_netlist_vectors`] — word-parallel evaluation under
+//!   *many* doping configurations at once on a batch of input vectors:
+//!   the configuration index becomes extra arena variables above the
+//!   batch index, so each camouflaged cell's pin-term products are
+//!   computed once and shared across every configuration. Over a sampled
+//!   batch it is the probabilistic screening primitive of the attack
+//!   crate's screen-then-solve funnel; over every minterm it is exact;
 //! * [`validate_mapped`] — for every viable function, bind each
 //!   camouflaged cell to its witnessed function and check the circuit
-//!   equals the function on all inputs (one multi-config pass).
+//!   equals the function on all inputs (one vector pass over every
+//!   minterm).
 //!
 //! # Example
 //!
@@ -166,9 +165,20 @@ pub fn eval_camo_netlist(
     camo: &CamoLibrary,
     config: &HashMap<CellId, TruthTable>,
 ) -> Result<Vec<TruthTable>, ValidationError> {
-    // Pre-validate bindings.
-    for (cid, c) in nl.cells() {
-        if let CellRef::Camo(id) = c.cell {
+    check_bindings(nl, camo, config, nl.cells().map(|(cid, _)| cid))?;
+    Ok(eval_internal(nl, lib, &|cid| config.get(&cid).cloned()))
+}
+
+/// Checks that `config` binds every camouflaged cell among `cells` to a
+/// function in the cell's plausible set.
+fn check_bindings(
+    nl: &Netlist,
+    camo: &CamoLibrary,
+    config: &HashMap<CellId, TruthTable>,
+    cells: impl IntoIterator<Item = CellId>,
+) -> Result<(), ValidationError> {
+    for cid in cells {
+        if let CellRef::Camo(id) = nl.cell(cid).cell {
             let f = config
                 .get(&cid)
                 .ok_or(ValidationError::MissingBinding(cid))?;
@@ -177,7 +187,7 @@ pub fn eval_camo_netlist(
             }
         }
     }
-    Ok(eval_internal(nl, lib, &|cid| config.get(&cid).cloned()))
+    Ok(())
 }
 
 /// Reusable scratch for multi-configuration evaluation and validation:
@@ -206,182 +216,18 @@ fn config_bits(n: usize) -> usize {
     s
 }
 
-/// Evaluates a camouflaged netlist under **all** the given doping
-/// configurations in one word-parallel pass: `result[j]` equals
-/// [`eval_camo_netlist`] under `configs[j]`.
-///
-/// The configuration index is encoded as extra truth-table variables
-/// above the primary inputs, so every cell's pin-term products — the
-/// dominant cost of the Shannon-sum evaluation — are computed **once**
-/// and shared across all configurations; only the cheap per-minterm
-/// config masks differ. When `n_inputs + config bits` would exceed
-/// [`mvf_logic::MAX_VARS`], the configurations are processed in the
-/// widest chunks that fit.
-///
-/// # Errors
-///
-/// Same per-configuration errors as [`eval_camo_netlist`], checked for
-/// every configuration up front.
-pub fn eval_camo_netlist_multi(
-    nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
-    configs: &[HashMap<CellId, TruthTable>],
-) -> Result<Vec<Vec<TruthTable>>, ValidationError> {
-    eval_camo_netlist_multi_with(nl, lib, camo, configs, &mut TtArena::default())
-}
-
-/// [`eval_camo_netlist_multi`] with a caller-owned arena: the widened
-/// evaluation tables are reset in place across calls.
-///
-/// # Errors
-///
-/// Same as [`eval_camo_netlist_multi`].
-pub fn eval_camo_netlist_multi_with(
-    nl: &Netlist,
-    lib: &Library,
-    camo: &CamoLibrary,
-    configs: &[HashMap<CellId, TruthTable>],
-    arena: &mut TtArena,
-) -> Result<Vec<Vec<TruthTable>>, ValidationError> {
-    // Pre-validate every configuration's bindings, in config order.
-    for config in configs {
-        for (cid, c) in nl.cells() {
-            if let CellRef::Camo(id) = c.cell {
-                let f = config
-                    .get(&cid)
-                    .ok_or(ValidationError::MissingBinding(cid))?;
-                if !camo.cell(id).is_plausible(f) {
-                    return Err(ValidationError::NotPlausible { cell: cid });
-                }
-            }
-        }
-    }
-    let n_in = nl.inputs().len();
-    assert!(
-        n_in <= mvf_logic::MAX_VARS,
-        "exhaustive evaluation limited to {} inputs",
-        mvf_logic::MAX_VARS
-    );
-    let cap = 1usize << (mvf_logic::MAX_VARS - n_in).min(usize::BITS as usize - 1);
-    let mut out = Vec::with_capacity(configs.len());
-    for chunk in configs.chunks(cap.max(1)) {
-        eval_multi_chunk(nl, lib, chunk, arena, &mut out);
-    }
-    Ok(out)
-}
-
-/// One word-parallel pass over a chunk of configurations whose selector
-/// bits fit alongside the primary inputs.
-fn eval_multi_chunk(
-    nl: &Netlist,
-    lib: &Library,
-    configs: &[HashMap<CellId, TruthTable>],
-    arena: &mut TtArena,
-    out: &mut Vec<Vec<TruthTable>>,
-) {
-    let n_in = nl.inputs().len();
-    let n_cfg = configs.len();
-    let s = config_bits(n_cfg);
-    let n = n_in + s;
-    let n_nets = nl.n_nets();
-    // Slot layout: 0..n_nets per-net tables, then the product-term and
-    // config-mask scratch slots, the selector-variable projections, and
-    // one selector indicator per configuration.
-    let term = n_nets;
-    let mask = n_nets + 1;
-    let cfg_var = |b: usize| n_nets + 2 + b;
-    let sel = |j: usize| n_nets + 2 + s + j;
-    arena.reset(n, n_nets + 2 + s + n_cfg);
-    for (i, &pi) in nl.inputs().iter().enumerate() {
-        arena.write_var(pi.0 as usize, i);
-    }
-    for b in 0..s {
-        arena.write_var(cfg_var(b), n_in + b);
-    }
-    // Selector j: the indicator of "config vars == j".
-    for j in 0..n_cfg {
-        arena.write_one(sel(j));
-        for b in 0..s {
-            arena.and_in_place(sel(j), cfg_var(b), j & (1 << b) == 0);
-        }
-    }
-    // Per-cell bound-function views, resolved once per cell instead of
-    // once per minterm × configuration in the mask loop below.
-    let mut bound: Vec<&TruthTable> = Vec::with_capacity(n_cfg);
-    for cid in nl.topo_cells() {
-        let c = nl.cell(cid);
-        let out_slot = c.output.0 as usize;
-        arena.write_zero(out_slot);
-        match c.cell {
-            CellRef::Std(id) => {
-                // Config-independent: the plain Shannon sum.
-                let f = lib.cell(id).function();
-                for m in 0..f.n_minterms() {
-                    if !f.get(m) {
-                        continue;
-                    }
-                    arena.write_one(term);
-                    for (i, p) in c.inputs.iter().enumerate() {
-                        arena.and_in_place(term, p.0 as usize, m & (1 << i) == 0);
-                    }
-                    arena.or_in_place(out_slot, term);
-                }
-            }
-            CellRef::Camo(_) => {
-                // out = Σ_m (Π_i pin products)(m) · Σ_{j: f_j(m)} sel_j —
-                // the pin-term product of each minterm is built once and
-                // gated by the mask of configurations that enable it.
-                bound.clear();
-                bound.extend(configs.iter().map(|config| &config[&cid]));
-                let n_pins = c.inputs.len();
-                for m in 0..(1usize << n_pins) {
-                    arena.write_zero(mask);
-                    let mut any = false;
-                    for (j, f) in bound.iter().enumerate() {
-                        if f.get(m) {
-                            arena.or_in_place(mask, sel(j));
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        continue;
-                    }
-                    arena.write_one(term);
-                    for (i, p) in c.inputs.iter().enumerate() {
-                        arena.and_in_place(term, p.0 as usize, m & (1 << i) == 0);
-                    }
-                    arena.and_in_place(term, mask, false);
-                    arena.or_in_place(out_slot, term);
-                }
-            }
-        }
-    }
-    // Slice each configuration's outputs back out of the widened tables.
-    for j in 0..n_cfg {
-        out.push(
-            nl.outputs()
-                .iter()
-                .map(|(_, net)| {
-                    TruthTable::from_fn(n_in, |x| arena.get(net.0 as usize, x | (j << n_in)))
-                })
-                .collect(),
-        );
-    }
-}
-
 /// Evaluates the fan-in cone of some outputs of a camouflaged netlist
 /// under all the given doping configurations on an arbitrary **batch of
 /// input vectors** in one word-parallel pass: bit `b` of
 /// `result[j][k][w]` is output `outputs[k]` of the circuit under
-/// `configs[j]` on the input minterm `vectors[64*w + b]`.
+/// `configs[j]` on the input minterm `vectors[64*w + b]`, exactly as
+/// [`eval_camo_netlist`] under `configs[j]` computes it.
 ///
-/// This generalizes [`eval_camo_netlist_multi`] from full truth tables
-/// to sampled vectors: the low arena variables index the *vector batch*
-/// (each primary input becomes an arbitrary sampled bit-column, written
-/// raw rather than as a variable projection) and the high variables
-/// index the configuration, so every cell's pin-term products are still
-/// computed once and shared across all configurations. Because the
+/// The low arena variables index the *vector batch* (each primary input
+/// becomes an arbitrary bit-column, written raw rather than as a
+/// variable projection) and the high variables index the configuration,
+/// so every cell's pin-term products are computed once and shared across
+/// all configurations. Because the
 /// batch dimension replaces the input dimension, the primary-input
 /// count is *not* limited by [`mvf_logic::MAX_VARS`] — only
 /// `vectors.len() · configs-per-chunk` is. This is the probabilistic
@@ -443,16 +289,7 @@ pub fn eval_camo_netlist_vectors_with(
     let roots: Vec<NetId> = outputs.iter().map(|&o| nl.outputs()[o].1).collect();
     let cells = nl.cone_cells(&roots);
     for config in configs {
-        for &cid in &cells {
-            if let CellRef::Camo(id) = nl.cell(cid).cell {
-                let f = config
-                    .get(&cid)
-                    .ok_or(ValidationError::MissingBinding(cid))?;
-                if !camo.cell(id).is_plausible(f) {
-                    return Err(ValidationError::NotPlausible { cell: cid });
-                }
-            }
-        }
+        check_bindings(nl, camo, config, cells.iter().copied())?;
     }
     let v = vectors.len();
     assert!(
@@ -479,12 +316,11 @@ pub fn eval_camo_netlist_vectors_with(
 /// topological order) over a chunk of configurations whose selector bits
 /// fit alongside the batch-index variables.
 ///
-/// Unlike [`eval_multi_chunk`], configuration blocks here are always
-/// word-aligned (the batch length is a power of two ≥ 64), so the
-/// per-minterm configuration masks are written directly as raw word
-/// patterns — `O(words)` per minterm instead of `O(configs · words)`
-/// selector ORs, which is what lets the screen enumerate thousands of
-/// configurations cheaply.
+/// Configuration blocks are always word-aligned (the batch length is a
+/// power of two ≥ 64), so the per-minterm configuration masks are
+/// written directly as raw word patterns — `O(words)` per minterm rather
+/// than `O(configs · words)` selector ORs, which is what lets the screen
+/// enumerate thousands of configurations cheaply.
 #[allow(clippy::too_many_arguments)]
 fn eval_vectors_chunk(
     nl: &Netlist,
@@ -540,10 +376,9 @@ fn eval_vectors_chunk(
                 }
             }
             CellRef::Camo(_) => {
-                // As in [`eval_multi_chunk`], each pin-minterm product is
-                // built once and gated by the mask of configurations that
-                // enable it — but the mask is a direct block fill: word w
-                // belongs entirely to configuration w / wpv.
+                // Each pin-minterm product is built once and gated by the
+                // mask of configurations that enable it, a direct block
+                // fill: word w belongs entirely to configuration w / wpv.
                 bound.clear();
                 bound.extend(configs.iter().map(|config| &config[&cid]));
                 let n_pins = c.inputs.len();
@@ -587,9 +422,9 @@ fn eval_vectors_chunk(
 /// `viable[j]` exactly.
 ///
 /// All viable functions are checked in **one** word-parallel
-/// [`eval_camo_netlist_multi`] pass, so the per-cell pin-term products are
-/// shared across the doping configurations instead of being recomputed
-/// per function.
+/// [`eval_camo_netlist_vectors`] pass over every input minterm, so the
+/// per-cell pin-term products are shared across the doping
+/// configurations instead of being recomputed per function.
 ///
 /// `viable[j]` must be expressed over the mapped netlist's input/output
 /// ordering (i.e. the *pin-permuted* functions from the merged circuit).
@@ -598,6 +433,10 @@ fn eval_vectors_chunk(
 ///
 /// Returns the first [`ValidationError`] encountered (shape and binding
 /// errors for every function are reported before any mismatch).
+///
+/// # Panics
+///
+/// Panics if the circuit has more inputs than [`mvf_logic::MAX_VARS`].
 pub fn validate_mapped(
     mapped: &CamoMappedCircuit,
     lib: &Library,
@@ -613,6 +452,10 @@ pub fn validate_mapped(
 /// `mvf::EvalContext`.
 ///
 /// # Errors
+///
+/// Same as [`validate_mapped`].
+///
+/// # Panics
 ///
 /// Same as [`validate_mapped`].
 pub fn validate_mapped_with(
@@ -636,7 +479,8 @@ pub fn validate_mapped_with(
             )));
         }
     }
-    // One binding map per viable function, rebuilt in the reused buffers.
+    // One binding map per viable function, rebuilt in the reused buffers
+    // and checked over every cell, not just the outputs' cones.
     if scratch.configs.len() < viable.len() {
         scratch.configs.resize_with(viable.len(), HashMap::new);
     }
@@ -646,17 +490,31 @@ pub fn validate_mapped_with(
         for w in &mapped.witness.cells {
             config.insert(w.cell, w.function_for(j).clone());
         }
+        check_bindings(nl, camo, config, nl.cells().map(|(cid, _)| cid))?;
     }
-    let results = eval_camo_netlist_multi_with(
+    assert!(
+        n_in <= mvf_logic::MAX_VARS,
+        "exhaustive evaluation limited to {} inputs",
+        mvf_logic::MAX_VARS
+    );
+    // Every minterm, cycled up to the pass's 64-vector minimum.
+    let minterms = 1u64 << n_in;
+    let vectors: Vec<u64> = (0..minterms.max(64)).map(|m| m % minterms).collect();
+    let outputs: Vec<usize> = (0..n_out).collect();
+    let results = eval_camo_netlist_vectors_with(
         nl,
         lib,
         camo,
+        &outputs,
         &scratch.configs[..viable.len()],
+        &vectors,
         &mut scratch.arena,
     )?;
     for (j, f) in viable.iter().enumerate() {
-        for (o, got) in results[j].iter().enumerate() {
-            if got != f.output(o) {
+        for (o, cols) in results[j].iter().enumerate() {
+            let want = f.output(o);
+            let bit = |m: usize| (cols[m / 64] >> (m % 64)) & 1 == 1;
+            if (0..want.n_minterms()).any(|m| bit(m) != want.get(m)) {
                 return Err(ValidationError::FunctionMismatch {
                     function: j,
                     output: o,
@@ -771,10 +629,15 @@ mod tests {
         assert!(validate_mapped(&mapped, &lib, &camo, &wrong).is_err());
     }
 
-    #[test]
-    fn multi_config_eval_matches_per_config() {
-        // The word-parallel pass must agree bit-for-bit with evaluating
-        // each doping configuration separately.
+    /// Four merged PRESENT S-boxes, camouflage-mapped, with one doping
+    /// configuration per viable function.
+    fn present4_configs() -> (
+        Library,
+        CamoLibrary,
+        CamoMappedCircuit,
+        Vec<VectorFunction>,
+        Vec<HashMap<CellId, TruthTable>>,
+    ) {
         let funcs = optimal_sboxes()[..4].to_vec();
         let merged = build_merged(&funcs, &PinAssignment::identity(&funcs)).unwrap();
         let synthesized = mvf_aig::Script::fast().run(&merged.aig);
@@ -789,7 +652,7 @@ mod tests {
             &CamoMapOptions::default(),
         )
         .expect("mappable");
-        let configs: Vec<HashMap<CellId, TruthTable>> = (0..funcs.len())
+        let configs = (0..funcs.len())
             .map(|j| {
                 mapped
                     .witness
@@ -799,26 +662,54 @@ mod tests {
                     .collect()
             })
             .collect();
-        let multi = eval_camo_netlist_multi(&mapped.netlist, &lib, &camo, &configs).unwrap();
+        (lib, camo, mapped, merged.functions, configs)
+    }
+
+    /// Every minterm of `n_in` inputs, cycled up to 64 vectors.
+    fn all_minterms(n_in: usize) -> Vec<u64> {
+        let minterms = 1u64 << n_in;
+        (0..minterms.max(64)).map(|m| m % minterms).collect()
+    }
+
+    /// One configuration's columns over [`all_minterms`] as truth tables.
+    fn tables(cols: &[Vec<u64>], n_in: usize) -> Vec<TruthTable> {
+        cols.iter()
+            .map(|c| TruthTable::from_fn(n_in, |m| (c[m / 64] >> (m % 64)) & 1 == 1))
+            .collect()
+    }
+
+    #[test]
+    fn multi_config_eval_matches_per_config() {
+        // The word-parallel pass over every minterm must agree
+        // bit-for-bit with evaluating each doping configuration
+        // separately.
+        let (lib, camo, mapped, functions, configs) = present4_configs();
+        let nl = &mapped.netlist;
+        let n_in = nl.inputs().len();
+        let all: Vec<usize> = (0..nl.outputs().len()).collect();
+        let vectors = all_minterms(n_in);
+        let multi = eval_camo_netlist_vectors(nl, &lib, &camo, &all, &configs, &vectors).unwrap();
         assert_eq!(multi.len(), configs.len());
         for (j, config) in configs.iter().enumerate() {
-            let single = eval_camo_netlist(&mapped.netlist, &lib, &camo, config).unwrap();
-            assert_eq!(multi[j], single, "config {j}");
+            let single = eval_camo_netlist(nl, &lib, &camo, config).unwrap();
+            assert_eq!(tables(&multi[j], n_in), single, "config {j}");
         }
         // A reused scratch gives the same answers.
         let mut scratch = CamoEvalScratch::new();
         for _ in 0..2 {
-            let again = eval_camo_netlist_multi_with(
-                &mapped.netlist,
+            let again = eval_camo_netlist_vectors_with(
+                nl,
                 &lib,
                 &camo,
+                &all,
                 &configs,
+                &vectors,
                 &mut scratch.arena,
             )
             .unwrap();
             assert_eq!(again, multi);
         }
-        validate_mapped_with(&mapped, &lib, &camo, &merged.functions, &mut scratch)
+        validate_mapped_with(&mapped, &lib, &camo, &functions, &mut scratch)
             .expect("valid under scratch reuse");
     }
 
@@ -835,50 +726,38 @@ mod tests {
         let b = nl.add_input("b");
         let (cid, y) = nl.add_cell("u1", nand_id.into(), vec![a, b]);
         nl.add_output("y", y);
-        assert!(eval_camo_netlist_multi(&nl, &lib, &camo, &[])
-            .unwrap()
-            .is_empty());
+        let vectors = all_minterms(2);
+        assert!(
+            eval_camo_netlist_vectors(&nl, &lib, &camo, &[0], &[], &vectors)
+                .unwrap()
+                .is_empty()
+        );
         let a_tt = TruthTable::var(0, 2);
         let mut config = HashMap::new();
         config.insert(cid, a_tt.not());
-        let multi = eval_camo_netlist_multi(&nl, &lib, &camo, std::slice::from_ref(&config))
+        let configs = std::slice::from_ref(&config);
+        let multi = eval_camo_netlist_vectors(&nl, &lib, &camo, &[0], configs, &vectors)
             .expect("single config");
         assert_eq!(multi.len(), 1);
-        assert_eq!(multi[0][0], a_tt.not());
+        assert_eq!(tables(&multi[0], 2), [a_tt.not()]);
+        assert_eq!(
+            eval_camo_netlist(&nl, &lib, &camo, &config).unwrap(),
+            [a_tt.not()]
+        );
     }
 
     #[test]
     fn vector_batch_eval_matches_multi_config_eval() {
-        // The vector-batch pass must agree bit-for-bit with the full
-        // truth-table multi-config pass on every sampled vector — the
-        // soundness anchor of the attack crate's screening funnel.
-        let funcs = optimal_sboxes()[..4].to_vec();
-        let merged = build_merged(&funcs, &PinAssignment::identity(&funcs)).unwrap();
-        let synthesized = mvf_aig::Script::fast().run(&merged.aig);
-        let lib = Library::standard();
-        let camo = CamoLibrary::from_library(&lib);
-        let subject = subject_graph::from_aig(&synthesized, &lib);
-        let mapped = map_camouflage(
-            &subject,
-            &lib,
-            &camo,
-            &merged.select_indices,
-            &CamoMapOptions::default(),
-        )
-        .expect("mappable");
-        let configs: Vec<HashMap<CellId, TruthTable>> = (0..funcs.len())
-            .map(|j| {
-                mapped
-                    .witness
-                    .cells
-                    .iter()
-                    .map(|w| (w.cell, w.function_for(j).clone()))
-                    .collect()
-            })
-            .collect();
+        // The vector-batch pass must agree bit-for-bit with evaluating
+        // each configuration's full truth tables on every sampled vector
+        // — the soundness anchor of the attack crate's screening funnel.
+        let (lib, camo, mapped, _, configs) = present4_configs();
         let nl = &mapped.netlist;
         let n_in = nl.inputs().len();
-        let full = eval_camo_netlist_multi(nl, &lib, &camo, &configs).unwrap();
+        let full: Vec<Vec<TruthTable>> = configs
+            .iter()
+            .map(|config| eval_camo_netlist(nl, &lib, &camo, config).unwrap())
+            .collect();
         // A cycled complete batch and a scattered sampled batch, with a
         // reused arena across calls.
         let cycled: Vec<u64> = (0..64u64).map(|m| m % (1 << n_in)).collect();

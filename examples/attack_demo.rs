@@ -22,7 +22,8 @@
 
 use mvf::Flow;
 use mvf_attack::{
-    plausibility_sweep, plausibility_sweep_any_io_with, random_camouflage, AnyIoJob, AnyIoOptions,
+    plausibility_sweep_any_io_in, plausibility_sweep_in, random_camouflage, AnyIoJob, AnyIoOptions,
+    ObfuscationSpace,
 };
 use mvf_cells::{CamoLibrary, Library};
 use mvf_ga::GaConfig;
@@ -32,7 +33,9 @@ use mvf_sboxes::optimal_sboxes;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = Library::standard();
     let camo = CamoLibrary::from_library(&lib);
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     let viable = optimal_sboxes()[..4].to_vec();
+    let p_opts = AnyIoOptions::default();
 
     println!("Baseline: random camouflage of S-box G0 alone");
     let baseline = random_camouflage(&viable[0], &lib, &camo)?;
@@ -41,15 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         baseline.n_cells(),
         baseline.area_ge(&lib, Some(&camo))
     );
-    // One batched sweep: the netlist is encoded once, every candidate is
-    // an incremental SAT query.
-    for (j, p) in plausibility_sweep(&baseline, &lib, &camo, &viable)
+    // One batched identity sweep: the netlist is encoded once, every
+    // candidate the screen leaves is an incremental SAT query.
+    for (j, v) in plausibility_sweep_in(&space, &baseline, &viable, &p_opts)
         .into_iter()
         .enumerate()
     {
         println!(
             "  G{j} plausible? {}",
-            if p {
+            if v.plausible {
                 "yes"
             } else {
                 "NO  → adversary rules it out"
@@ -71,14 +74,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.mapped.netlist.n_cells(),
         result.mapped_area_ge
     );
-    let verdicts = plausibility_sweep(
+    let verdicts = plausibility_sweep_in(
+        &space,
         &result.mapped.netlist,
-        &lib,
-        &camo,
         &result.merged.functions,
+        &p_opts,
     );
     let mut all = true;
-    for (j, p) in verdicts.into_iter().enumerate() {
+    for (j, p) in verdicts.into_iter().map(|v| v.plausible).enumerate() {
         all &= p;
         println!("  G{j} plausible? {}", if p { "yes" } else { "NO (bug!)" });
     }
@@ -97,14 +100,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .permute_outputs(&[1, 3, 0, 2])?;
     // Run the sweep through a job so the solver's counters are
     // observable afterwards (verdicts are identical to
-    // `plausibility_sweep_any_io`).
-    let mut job = AnyIoJob::new(
-        &baseline,
-        &lib,
-        &camo,
-        vec![scrambled],
-        &AnyIoOptions::default(),
-    );
+    // `plausibility_sweep_any_io_in`).
+    let mut job = AnyIoJob::new_in(&space, &baseline, vec![scrambled], &p_opts);
     while !job.is_done() {
         job.step(usize::MAX);
     }
@@ -146,7 +143,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out_neg: 0b010,
     };
     let batch = vec![g.clone(), t1.apply(&g)?, t2.apply(&g)?];
-    let p_opts = AnyIoOptions::default();
     let npn_opts = AnyIoOptions {
         npn: true,
         ..p_opts.clone()
@@ -155,8 +151,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         class_share: true,
         ..npn_opts.clone()
     };
-    let solo = plausibility_sweep_any_io_with(&npn_target, &lib, &camo, &batch, &npn_opts);
-    let shared = plausibility_sweep_any_io_with(&npn_target, &lib, &camo, &batch, &shared_opts);
+    let solo = plausibility_sweep_any_io_in(&space, &npn_target, &batch, &npn_opts);
+    let shared = plausibility_sweep_any_io_in(&space, &npn_target, &batch, &shared_opts);
     for (j, (a, b)) in solo.iter().zip(&shared).enumerate() {
         assert_eq!(
             (a.plausible, &a.witness),
@@ -192,20 +188,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tiny = VectorFunction::from_lookup_table(2, 2, &[1, 2, 0, 3])?;
     let tiny_target = random_camouflage(&tiny, &lib, &camo)?;
     let suspect = VectorFunction::from_lookup_table(2, 2, &[0, 0, 0, 3])?;
-    let screen_npn = plausibility_sweep_any_io_with(
-        &tiny_target,
-        &lib,
-        &camo,
-        std::slice::from_ref(&suspect),
-        &npn_opts,
-    );
-    let screen_p = plausibility_sweep_any_io_with(
-        &tiny_target,
-        &lib,
-        &camo,
-        std::slice::from_ref(&suspect),
-        &p_opts,
-    );
+    let suspects = std::slice::from_ref(&suspect);
+    let screen_npn = plausibility_sweep_any_io_in(&space, &tiny_target, suspects, &npn_opts);
+    let screen_p = plausibility_sweep_any_io_in(&space, &tiny_target, suspects, &p_opts);
     println!(
         "  suspect plausible? {} — {} of {} NPN orbit points settled SAT-free \
          ({} SAT queries); {} are negation points beyond the {} the \

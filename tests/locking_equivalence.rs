@@ -10,9 +10,7 @@
 //! invariant to shard count and to the SAT-free screen.
 
 use mvf::{Flow, FlowResult, Ga, LockOptions, SchemeKind, Workload};
-use mvf_attack::{
-    plausibility_sweep_any_io_in, plausibility_sweep_in, AnyIoOptions, AnyIoVerdict, SweepOptions,
-};
+use mvf_attack::{plausibility_sweep_any_io_in, plausibility_sweep_in, AnyIoOptions, AnyIoVerdict};
 use mvf_ga::GaConfig;
 use mvf_logic::{TruthTable, VectorFunction};
 use mvf_sboxes::optimal_sboxes;
@@ -76,7 +74,7 @@ fn identity_sweep_equals_key_enumeration() {
     // plus decoys that no key can reach.
     let mut candidates = result.merged.functions.clone();
     candidates.extend(optimal_sboxes()[2..5].iter().cloned());
-    let verdicts = plausibility_sweep_in(&space, nl, &candidates, &SweepOptions::default());
+    let verdicts = plausibility_sweep_in(&space, nl, &candidates, &AnyIoOptions::default());
     assert_eq!(verdicts.len(), candidates.len());
     for (candidate, verdict) in candidates.iter().zip(&verdicts) {
         assert_eq!(

@@ -4,9 +4,9 @@
 //! flat `u32` arena; these tests pin the observable behavior to the seed
 //! solver's contract: identical SAT/UNSAT verdicts (cross-checked against
 //! brute force), models that satisfy every clause, assumption queries that
-//! are fully undone, identical `plausibility_sweep` output across the
-//! attack test corpus, and a propagation-heavy stress case that leans on
-//! the in-place database reuse across queries.
+//! are fully undone, identical identity-sweep output across the attack
+//! test corpus, and a propagation-heavy stress case that leans on the
+//! in-place database reuse across queries.
 //!
 //! The scaling layers ride the same corpus: learnt-DB reduction under a
 //! tiny cap must leave every verdict unchanged while bounding arena
@@ -15,6 +15,14 @@
 //! and leave it able to find a model afterwards, and the sharded
 //! parallel sweep must be bit-identical to the serial sweep for every
 //! shard count.
+//!
+//! Every sweep verdict is checked against `sat_oracle`, which shares
+//! only the encoder and the solver with the sweeps (no screen, plan,
+//! orbit walk or work loop); both are pinned on their own by the
+//! brute-force CNF cases above and the encoding-versus-simulation case
+//! below. The identity sweep is the one-point orbit of the any-IO sweep,
+//! and a corpus of its own checks exactly that across every screen
+//! regime and a shape whose permutation orbit overflows.
 //!
 //! The interpretation-freedom layer gets its own corpus: the any-IO
 //! sweep (serial and sharded 1/2/4) must match brute-force permutation
@@ -47,16 +55,48 @@
 //! encode to unit-pinned row outputs only.
 
 use mvf_attack::{
-    is_plausible, plausibility_sweep, plausibility_sweep_any_io, plausibility_sweep_any_io_sharded,
-    plausibility_sweep_any_io_with, plausibility_sweep_sharded, plausibility_sweep_with,
-    random_camouflage, AnyIoOptions, AnyIoVerdict, ConfigScreen, ObfuscationSpace, SweepOptions,
-    DEFAULT_SCREEN_VECTORS,
+    checked_orbit, plausibility_sweep_any_io_in, plausibility_sweep_in, random_camouflage,
+    AnyIoOptions, AnyIoVerdict, ConfigScreen, ObfuscationSpace, DEFAULT_SCREEN_VECTORS,
 };
 use mvf_cells::{CamoLibrary, Library};
 use mvf_logic::npn::all_permutations;
 use mvf_logic::{IoInterpretation, VectorFunction};
+use mvf_netlist::Netlist;
 use mvf_sat::{Lit, Solver, Var};
 use mvf_sboxes::optimal_sboxes;
+
+/// The independent plausibility oracle: encodes `nl` under `space` once
+/// and, for each function `g`, pins every row output `row_outputs[m][o]`
+/// to bit `o` of `g(m)` and asks the solver. It shares only the encoder
+/// and the solver with the sweeps.
+fn sat_oracle(
+    space: &ObfuscationSpace<'_>,
+    nl: &Netlist,
+    functions: &[VectorFunction],
+) -> Vec<bool> {
+    let mut cnf = space.encode(nl);
+    functions
+        .iter()
+        .map(|g| {
+            let mut assumptions = Vec::new();
+            for (m, row) in cnf.row_outputs.iter().enumerate() {
+                let want = g.eval(m);
+                for (o, &v) in row.iter().enumerate() {
+                    assumptions.push(Lit::with_polarity(v, (want >> o) & 1 == 1));
+                }
+            }
+            cnf.solver.solve_with(&assumptions)
+        })
+        .collect()
+}
+
+/// Options with `shards` and every other field at its default.
+fn sharded(shards: usize) -> AnyIoOptions {
+    AnyIoOptions {
+        shards,
+        ..AnyIoOptions::default()
+    }
+}
 
 /// Deterministic xorshift stream for reproducible random instances.
 struct XorShift(u64);
@@ -286,14 +326,15 @@ fn pigeonhole_8_into_8_with_a_closed_hole_is_unsat_then_sat() {
 fn sharded_sweep_matches_serial_for_every_shard_count() {
     let lib = Library::standard();
     let camo = CamoLibrary::from_library(&lib);
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     let present = optimal_sboxes();
     let circuit = random_camouflage(&present[0], &lib, &camo).expect("buildable");
     let candidates = &present[..5];
-    let serial = plausibility_sweep(&circuit, &lib, &camo, candidates);
+    let serial = plausibility_sweep_in(&space, &circuit, candidates, &sharded(1));
     for shards in [1usize, 2, 4] {
-        let sharded = plausibility_sweep_sharded(&circuit, &lib, &camo, candidates, shards);
+        let got = plausibility_sweep_in(&space, &circuit, candidates, &sharded(shards));
         assert_eq!(
-            serial, sharded,
+            serial, got,
             "sharded sweep with {shards} shards diverged from serial"
         );
     }
@@ -306,22 +347,23 @@ fn plausibility_sweep_matches_per_candidate_queries_on_attack_corpus() {
     let present = optimal_sboxes();
     // The batched incremental-solver verdicts must equal fresh
     // per-candidate encodings.
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     let circuit = random_camouflage(&present[0], &lib, &camo).expect("buildable");
     let candidates = &present[..5];
-    let swept = plausibility_sweep(&circuit, &lib, &camo, candidates);
+    let swept = plausibility_sweep_in(&space, &circuit, candidates, &AnyIoOptions::default());
     assert_eq!(swept.len(), candidates.len());
-    for (j, (f, &verdict)) in candidates.iter().zip(&swept).enumerate() {
+    for (j, (f, verdict)) in candidates.iter().zip(&swept).enumerate() {
         assert_eq!(
-            verdict,
-            is_plausible(&circuit, &lib, &camo, f),
+            verdict.plausible,
+            sat_oracle(&space, &circuit, std::slice::from_ref(f))[0],
             "PRESENT candidate {j}"
         );
     }
-    assert!(swept[0], "the true function is always plausible");
+    assert!(swept[0].plausible, "the true function is always plausible");
     // A second sweep over a fresh encoding of the same netlist must agree
     // verdict for verdict (the learnt clauses kept in the arena across
     // queries never change answers).
-    let again = plausibility_sweep(&circuit, &lib, &camo, candidates);
+    let again = plausibility_sweep_in(&space, &circuit, candidates, &AnyIoOptions::default());
     assert_eq!(swept, again, "sweeps over one netlist are deterministic");
 }
 
@@ -331,6 +373,7 @@ fn designed_circuit_sweep_is_all_true() {
     // keep every viable function plausible under the batched adversary.
     let lib = Library::standard();
     let camo = CamoLibrary::from_library(&lib);
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     let funcs = optimal_sboxes()[..2].to_vec();
     let assignment = mvf_merge::PinAssignment::identity(&funcs);
     let merged = mvf_merge::build_merged(&funcs, &assignment).expect("mergeable");
@@ -344,8 +387,16 @@ fn designed_circuit_sweep_is_all_true() {
         &mvf_techmap::CamoMapOptions::default(),
     )
     .expect("mappable");
-    let verdicts = plausibility_sweep(&mapped.netlist, &lib, &camo, &merged.functions);
-    assert!(verdicts.iter().all(|&v| v), "verdicts: {verdicts:?}");
+    let verdicts = plausibility_sweep_in(
+        &space,
+        &mapped.netlist,
+        &merged.functions,
+        &AnyIoOptions::default(),
+    );
+    assert!(
+        verdicts.iter().all(|v| v.plausible),
+        "verdicts: {verdicts:?}"
+    );
 }
 
 /// The 3-bit any-IO corpus: a camouflaged netlist plus candidates that
@@ -388,29 +439,28 @@ fn any_io_corpus() -> (
     (lib, camo, circuit, candidates)
 }
 
-/// Brute-force interpretation freedom: try every `(in_perm, out_perm)`
-/// pair (input-permutation major, lexicographic — the sweep's
-/// enumeration order) through fresh [`is_plausible`] encodings, and
-/// report the first satisfying pair.
+/// Brute-force interpretation freedom: materialize every `(in_perm,
+/// out_perm)` pair (input-permutation major, lexicographic — the sweep's
+/// enumeration order), settle each transformed function with
+/// [`sat_oracle`], and report the first satisfying pair.
 fn brute_force_any_io(
-    nl: &mvf_netlist::Netlist,
+    nl: &Netlist,
     lib: &Library,
     camo: &CamoLibrary,
     candidate: &VectorFunction,
 ) -> (bool, Option<IoInterpretation>) {
+    let mut interps = Vec::new();
+    let mut transformed = Vec::new();
     for ip in all_permutations(candidate.n_inputs()) {
         for op in all_permutations(candidate.n_outputs()) {
-            let g = candidate
-                .permute_inputs(&ip)
-                .unwrap()
-                .permute_outputs(&op)
-                .unwrap();
-            if is_plausible(nl, lib, camo, &g) {
-                return (true, Some(IoInterpretation::from_perms(ip, op)));
-            }
+            let g = candidate.permute_inputs(&ip).unwrap();
+            transformed.push(g.permute_outputs(&op).unwrap());
+            interps.push(IoInterpretation::from_perms(ip.clone(), op));
         }
     }
-    (false, None)
+    let space = ObfuscationSpace::camouflage(lib, camo);
+    let first = sat_oracle(&space, nl, &transformed).iter().position(|&p| p);
+    (first.is_some(), first.map(|i| interps[i].clone()))
 }
 
 /// Every NPN interpretation in the sweep's enumeration order: input
@@ -440,13 +490,14 @@ fn npn_interpretations(n_in: usize, n_out: usize) -> Vec<IoInterpretation> {
 #[test]
 fn any_io_sweep_matches_brute_force_and_every_shard_count() {
     let (lib, camo, full_circuit, candidates) = any_io_corpus();
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     // The fully camouflaged corpus circuit, and a mixed one of the same
     // function with standard gates between the camouflaged ones (every
     // third gate camouflaged).
     let mixed_circuit =
         mvf_attack::partial_camouflage(&candidates[1], &lib, &camo, 3).expect("buildable");
     for (name, circuit) in [("full", full_circuit), ("mixed", mixed_circuit)] {
-        let serial = plausibility_sweep_any_io(&circuit, &lib, &camo, &candidates);
+        let serial = plausibility_sweep_any_io_in(&space, &circuit, &candidates, &sharded(1));
         assert_eq!(serial.len(), candidates.len());
         // Serial sweep vs. brute-force permutation enumeration: verdict
         // and witness must coincide exactly (the sweep's witness is
@@ -491,9 +542,8 @@ fn any_io_sweep_matches_brute_force_and_every_shard_count() {
                 .collect()
         };
         for shards in [1usize, 2, 4] {
-            let sharded =
-                plausibility_sweep_any_io_sharded(&circuit, &lib, &camo, &candidates, shards);
-            assert_eq!(key(&serial), key(&sharded), "{name}, shards = {shards}");
+            let got = plausibility_sweep_any_io_in(&space, &circuit, &candidates, &sharded(shards));
+            assert_eq!(key(&serial), key(&got), "{name}, shards = {shards}");
         }
     }
 }
@@ -501,12 +551,12 @@ fn any_io_sweep_matches_brute_force_and_every_shard_count() {
 #[test]
 fn any_io_pruning_never_changes_a_verdict_and_strictly_cuts_queries() {
     let (lib, camo, circuit, candidates) = any_io_corpus();
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     // Screening off: this test isolates the effect of signature pruning
     // on the SAT query count.
-    let pruned = plausibility_sweep_any_io_with(
+    let pruned = plausibility_sweep_any_io_in(
+        &space,
         &circuit,
-        &lib,
-        &camo,
         &candidates,
         &AnyIoOptions {
             shards: 1,
@@ -534,14 +584,15 @@ fn any_io_pruning_never_changes_a_verdict_and_strictly_cuts_queries() {
 #[test]
 fn any_io_witnesses_satisfy_their_interpretation() {
     let (lib, camo, circuit, candidates) = any_io_corpus();
-    let verdicts = plausibility_sweep_any_io_sharded(&circuit, &lib, &camo, &candidates, 2);
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
+    let verdicts = plausibility_sweep_any_io_in(&space, &circuit, &candidates, &sharded(2));
     let mut witnessed = 0;
     for (f, v) in candidates.iter().zip(&verdicts) {
         if let Some(w) = &v.witness {
             assert!(v.plausible, "witness implies plausible");
             let g = w.apply(f).unwrap();
             assert!(
-                is_plausible(&circuit, &lib, &camo, &g),
+                sat_oracle(&space, &circuit, &[g])[0],
                 "reported witness must satisfy the identity-interpretation test"
             );
             witnessed += 1;
@@ -586,21 +637,22 @@ fn npn_sweep_matches_batched_brute_force_on_the_full_orbit() {
     // The oracle enumerates all 3!·2³·3!·2³ = 2304 NPN interpretations
     // with public logic primitives in the layout order the sweep commits
     // to, materializes every transformed function, and settles them with
-    // one batched *identity* sweep per candidate — an independent code
-    // path (no orbit walk, no unranking). Verdict AND witness transform
-    // must coincide exactly: the sweep's witness is defined as the first
+    // `sat_oracle` — an independent code path (no screen, orbit walk,
+    // unranking or work loop). Verdict AND witness transform must
+    // coincide exactly: the sweep's witness is defined as the first
     // satisfying interpretation in this order.
     let (lib, camo, circuit, candidates) = npn_corpus();
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     let interps = npn_interpretations(3, 3);
     assert_eq!(interps.len(), 2304, "3! · 2^3 · 3! · 2^3");
     let opts = AnyIoOptions {
         npn: true,
         ..AnyIoOptions::default()
     };
-    let serial = plausibility_sweep_any_io_with(&circuit, &lib, &camo, &candidates, &opts);
+    let serial = plausibility_sweep_any_io_in(&space, &circuit, &candidates, &opts);
     for (j, (f, v)) in candidates.iter().zip(&serial).enumerate() {
         let orbit_fns: Vec<VectorFunction> = interps.iter().map(|t| t.apply(f).unwrap()).collect();
-        let oracle = plausibility_sweep(&circuit, &lib, &camo, &orbit_fns);
+        let oracle = sat_oracle(&space, &circuit, &orbit_fns);
         let want = oracle.iter().position(|&p| p);
         assert_eq!(v.plausible, want.is_some(), "candidate {j}: verdict");
         assert_eq!(
@@ -641,10 +693,9 @@ fn npn_sweep_matches_batched_brute_force_on_the_full_orbit() {
             .collect()
     };
     for shards in [1usize, 2, 4] {
-        let sharded = plausibility_sweep_any_io_with(
+        let sharded = plausibility_sweep_any_io_in(
+            &space,
             &circuit,
-            &lib,
-            &camo,
             &candidates,
             &AnyIoOptions {
                 shards,
@@ -665,6 +716,7 @@ fn npn_class_sharing_never_changes_answers_and_cuts_work_by_the_class_size() {
     // duplication factor: the first member pays for the class, the
     // others resolve every representative from the shared verdict cache.
     let (lib, camo, circuit, _) = npn_corpus();
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     let c = VectorFunction::from_lookup_table(3, 3, &[7, 1, 0, 2, 4, 3, 6, 5]).unwrap();
     let t1 = IoInterpretation {
         in_perm: vec![1, 2, 0],
@@ -683,11 +735,10 @@ fn npn_class_sharing_never_changes_answers_and_cuts_work_by_the_class_size() {
         npn: true,
         ..AnyIoOptions::default()
     };
-    let solo = plausibility_sweep_any_io_with(&circuit, &lib, &camo, &trio, &npn);
-    let shared = plausibility_sweep_any_io_with(
+    let solo = plausibility_sweep_any_io_in(&space, &circuit, &trio, &npn);
+    let shared = plausibility_sweep_any_io_in(
+        &space,
         &circuit,
-        &lib,
-        &camo,
         &trio,
         &AnyIoOptions {
             class_share: true,
@@ -725,12 +776,13 @@ fn npn_sharded_sweep_with_sharing_is_consistent() {
     // witness (query counts may differ under sharded sharing — cache
     // races are benign).
     let (lib, camo, circuit, candidates) = npn_corpus();
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
     let opts = AnyIoOptions {
         npn: true,
         class_share: true,
         ..AnyIoOptions::default()
     };
-    let serial = plausibility_sweep_any_io_with(&circuit, &lib, &camo, &candidates, &opts);
+    let serial = plausibility_sweep_any_io_in(&space, &circuit, &candidates, &opts);
     // The transformed copy walks the true function's whole orbit, so the
     // true function itself joins its class.
     assert_eq!(
@@ -746,10 +798,9 @@ fn npn_sharded_sweep_with_sharing_is_consistent() {
             .collect()
     };
     for shards in [1usize, 2, 4] {
-        let sharded = plausibility_sweep_any_io_with(
+        let sharded = plausibility_sweep_any_io_in(
+            &space,
             &circuit,
-            &lib,
-            &camo,
             &candidates,
             &AnyIoOptions {
                 shards,
@@ -866,11 +917,11 @@ fn any_io_screening_never_changes_a_verdict_or_witness() {
     // that fit it and refutes from those — the screened path must still
     // be bit-identical to the SAT-only sweep there too.
     let (lib, camo, circuit, candidates) = any_io_corpus();
-    let on = plausibility_sweep_any_io(&circuit, &lib, &camo, &candidates);
-    let off = plausibility_sweep_any_io_with(
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
+    let on = plausibility_sweep_any_io_in(&space, &circuit, &candidates, &AnyIoOptions::default());
+    let off = plausibility_sweep_any_io_in(
+        &space,
         &circuit,
-        &lib,
-        &camo,
         &candidates,
         &AnyIoOptions {
             screen: false,
@@ -890,10 +941,9 @@ fn any_io_screening_never_changes_a_verdict_or_witness() {
     // deterministic for every shard count (queries may differ — the
     // plausible early exit is cooperative).
     for shards in [2usize, 4] {
-        let sharded = plausibility_sweep_any_io_with(
+        let sharded = plausibility_sweep_any_io_in(
+            &space,
             &circuit,
-            &lib,
-            &camo,
             &candidates,
             &AnyIoOptions {
                 shards,
@@ -934,11 +984,10 @@ fn complete_screen_matches_brute_force_with_zero_sat_queries() {
         64,
         "minterms cycled up to word granularity"
     );
-    let on = plausibility_sweep_any_io(&nl, &lib, &camo, &candidates);
-    let off = plausibility_sweep_any_io_with(
+    let on = plausibility_sweep_any_io_in(&space, &nl, &candidates, &AnyIoOptions::default());
+    let off = plausibility_sweep_any_io_in(
+        &space,
         &nl,
-        &lib,
-        &camo,
         &candidates,
         &AnyIoOptions {
             screen: false,
@@ -980,10 +1029,9 @@ fn complete_screen_matches_brute_force_with_zero_sat_queries() {
     // With every representative settled up front and zero SAT queries,
     // whole verdicts — counters included — are shard-invariant.
     for shards in [2usize, 4] {
-        let sharded = plausibility_sweep_any_io_with(
+        let sharded = plausibility_sweep_any_io_in(
+            &space,
             &nl,
-            &lib,
-            &camo,
             &candidates,
             &AnyIoOptions {
                 shards,
@@ -1061,7 +1109,7 @@ fn surviving_config_masks_match_exhaustive_enumeration() {
         // does some configuration realize the candidate?
         assert_eq!(
             mask.iter().any(|&s| s),
-            is_plausible(&nl, &lib, &camo, f),
+            sat_oracle(&space, &nl, std::slice::from_ref(f))[0],
             "candidate {j}: any surviving configuration == identity plausibility"
         );
     }
@@ -1130,67 +1178,48 @@ fn sampling_screen_refutes_chaff_without_changing_verdicts() {
         "128 minterms exceed the 64-vector batch"
     );
     assert_eq!(screen.n_vectors(), 64);
-    let on_opts = SweepOptions {
+    let sampled = |shards| AnyIoOptions {
+        shards,
         screen_vectors: 64,
-        ..SweepOptions::default()
+        ..AnyIoOptions::default()
     };
-    let on = plausibility_sweep_with(&nl, &lib, &camo, &candidates, &on_opts);
-    let off = plausibility_sweep_with(
+    let on = plausibility_sweep_in(&space, &nl, &candidates, &sampled(1));
+    let off = plausibility_sweep_in(
+        &space,
         &nl,
-        &lib,
-        &camo,
         &candidates,
-        &SweepOptions {
+        &AnyIoOptions {
             screen: false,
-            ..SweepOptions::default()
+            ..AnyIoOptions::default()
         },
     );
     for (j, (von, voff)) in on.iter().zip(&off).enumerate() {
         assert_eq!(von.plausible, voff.plausible, "candidate {j}: verdict");
-        assert!(!voff.screened, "screen off never screens");
+        assert_eq!(voff.screened, 0, "screen off never screens");
     }
     assert!(on[0].plausible, "the true function is plausible");
-    assert!(
-        !on[0].screened,
+    assert_eq!(
+        on[0].screened, 0,
         "a sampling screen never confirms — the true function goes to SAT"
     );
     assert!(
-        on[2].screened && on[3].screened && !on[2].plausible && !on[3].plausible,
+        on[2].screened == 1 && on[3].screened == 1 && !on[2].plausible && !on[3].plausible,
         "the deterministic batch refutes random chaff SAT-free"
     );
     // Sharded identity sweeps with sampling screening stay bit-identical.
     for shards in [2usize, 4] {
-        let sharded = plausibility_sweep_with(
-            &nl,
-            &lib,
-            &camo,
-            &candidates,
-            &SweepOptions {
-                shards,
-                screen_vectors: 64,
-                ..SweepOptions::default()
-            },
-        );
-        assert_eq!(on, sharded, "shards = {shards}");
+        let got = plausibility_sweep_in(&space, &nl, &candidates, &sampled(shards));
+        assert_eq!(on, got, "shards = {shards}");
     }
     // Any-IO through the sampling screen: an early-witness candidate
     // (outputs swapped — witness at orbit index 1) must report the same
     // verdict and witness with and without screening.
     let swapped = truth.permute_outputs(&[1, 0]).unwrap();
-    let von = plausibility_sweep_any_io_with(
+    let von =
+        plausibility_sweep_any_io_in(&space, &nl, std::slice::from_ref(&swapped), &sampled(1));
+    let voff = plausibility_sweep_any_io_in(
+        &space,
         &nl,
-        &lib,
-        &camo,
-        std::slice::from_ref(&swapped),
-        &AnyIoOptions {
-            screen_vectors: 64,
-            ..AnyIoOptions::default()
-        },
-    );
-    let voff = plausibility_sweep_any_io_with(
-        &nl,
-        &lib,
-        &camo,
         std::slice::from_ref(&swapped),
         &AnyIoOptions {
             screen: false,
@@ -1210,6 +1239,136 @@ fn sampling_screen_refutes_chaff_without_changing_verdicts() {
         )),
         "identity inputs, swapped outputs"
     );
+}
+
+/// A 13-input, 1-output netlist whose one camouflaged NAND2 reads inputs
+/// 0 and 12. Its permutation orbit, 13!·1!, overflows the sweeps' `u32`
+/// orbit indices; its identity orbit is one point. Returns the netlist
+/// and its function under the look-alike reading.
+fn wide_nand(camo: &CamoLibrary) -> (Netlist, VectorFunction) {
+    use mvf_logic::TruthTable;
+    let nand2 = camo
+        .iter()
+        .find(|(_, cc)| cc.name() == "NAND2")
+        .expect("camouflaged cell exists")
+        .0;
+    let mut nl = Netlist::new("wide_nand");
+    let ins: Vec<_> = (0..13).map(|i| nl.add_input(format!("x{i}"))).collect();
+    let (_, y) = nl.add_cell(
+        "u0",
+        mvf_netlist::CellRef::Camo(nand2),
+        vec![ins[0], ins[12]],
+    );
+    nl.add_output("y", y);
+    let nand = TruthTable::var(0, 13).and(&TruthTable::var(12, 13)).not();
+    (nl, VectorFunction::new(13, vec![nand]))
+}
+
+#[test]
+fn identity_sweep_is_the_one_point_orbit() {
+    let lib = Library::standard();
+    let camo = CamoLibrary::from_library(&lib);
+    let space = ObfuscationSpace::camouflage(&lib, &camo);
+    let mut cases: Vec<(&str, Netlist, Vec<VectorFunction>, usize)> = Vec::new();
+    // Projected screen: the any-IO corpus refutes all but its true
+    // function from the output cones.
+    let (_, _, circuit, candidates) = any_io_corpus();
+    cases.push(("projected", circuit, candidates, DEFAULT_SCREEN_VECTORS));
+    // No cone fits the cap: the screen stands down, every candidate goes
+    // to SAT.
+    let boxes = optimal_sboxes();
+    let present = random_camouflage(&boxes[0], &lib, &camo).expect("buildable");
+    cases.push((
+        "stand-down",
+        present,
+        boxes[..4].to_vec(),
+        DEFAULT_SCREEN_VECTORS,
+    ));
+    // A whole, complete screen settles every candidate.
+    let (_, _, nl, truth) = screen_demo();
+    let lut3 = |t: &[u16; 8]| VectorFunction::from_lookup_table(3, 3, t).unwrap();
+    let chaff = vec![
+        lut3(&[0, 1, 2, 3, 4, 5, 6, 7]),
+        lut3(&[1, 0, 3, 2, 5, 7, 6, 4]),
+    ];
+    cases.push((
+        "complete",
+        nl,
+        [vec![truth], chaff].concat(),
+        DEFAULT_SCREEN_VECTORS,
+    ));
+    // A sampling screen refutes chaff and leaves the true function to SAT.
+    let (_, _, nl, truth) = sampling_demo();
+    let mut rng = XorShift(0x0AE0_1D00);
+    let mut random_fn = || {
+        let table: Vec<u16> = (0..128).map(|_| (rng.next() % 4) as u16).collect();
+        VectorFunction::from_lookup_table(7, 2, &table).unwrap()
+    };
+    let candidates = vec![truth, random_fn(), random_fn()];
+    cases.push(("sampling", nl, candidates, 64));
+    // Past the orbit bound: a sweep that sized the identity orbit by
+    // `checked_orbit` would refuse this shape.
+    let (nl, truth) = wide_nand(&camo);
+    assert!(checked_orbit(13, 1, false).is_none(), "13! overflows u32");
+    let xor = truth
+        .output(0)
+        .not()
+        .xor(&mvf_logic::TruthTable::var(5, 13));
+    let wide = vec![truth.clone(), VectorFunction::new(13, vec![xor])];
+    cases.push(("wide", nl, wide, DEFAULT_SCREEN_VECTORS));
+
+    for (name, nl, candidates, vectors) in &cases {
+        let screen = ConfigScreen::build_in(&space, nl, candidates, *vectors);
+        let regime = match &screen {
+            None => "stand-down",
+            Some(s) if s.survivors(&candidates[0]).is_none() => "projected",
+            Some(s) if s.is_complete() => "complete",
+            Some(_) => "sampling",
+        };
+        assert_eq!(regime, if *name == "wide" { "sampling" } else { *name });
+        let opts = |shards, screen| AnyIoOptions {
+            shards,
+            screen,
+            screen_vectors: *vectors,
+            ..AnyIoOptions::default()
+        };
+        let serial = plausibility_sweep_in(&space, nl, candidates, &opts(1, true));
+        let oracle = sat_oracle(&space, nl, candidates);
+        let identity = IoInterpretation::identity(nl.inputs().len(), nl.outputs().len());
+        for (j, (v, &want)) in serial.iter().zip(&oracle).enumerate() {
+            assert_eq!(v.plausible, want, "{name}, candidate {j}: verdict");
+            assert_eq!((v.orbit, v.unique), (1, 1), "{name}, candidate {j}");
+            assert_eq!(v.screened + v.queries, 1, "{name}, candidate {j}");
+            assert_eq!(
+                v.witness,
+                want.then(|| identity.clone()),
+                "{name}, candidate {j}: witness"
+            );
+        }
+        assert!(
+            oracle.contains(&true) && oracle.contains(&false),
+            "{name}: both verdicts occur"
+        );
+        let screened = serial.iter().filter(|v| v.screened == 1).count();
+        match regime {
+            "stand-down" => assert_eq!(screened, 0, "{name}: every candidate goes to SAT"),
+            "complete" => assert_eq!(screened, candidates.len(), "{name}: SAT-free"),
+            _ => assert!(screened > 0, "{name}: the screen refutes chaff"),
+        }
+        for shards in [2, 4] {
+            let got = plausibility_sweep_in(&space, nl, candidates, &opts(shards, true));
+            assert_eq!(got, serial, "{name}, shards = {shards}");
+        }
+        let off = plausibility_sweep_in(&space, nl, candidates, &opts(1, false));
+        for (j, (a, b)) in serial.iter().zip(&off).enumerate() {
+            assert_eq!(
+                (a.plausible, &a.witness, a.orbit, a.unique),
+                (b.plausible, &b.witness, b.orbit, b.unique),
+                "{name}, candidate {j}: screen on vs off"
+            );
+            assert_eq!((b.screened, b.queries), (0, 1), "{name}, candidate {j}");
+        }
+    }
 }
 
 /// A seeded netlist over `n_in` inputs: `n_std` random standard cells
