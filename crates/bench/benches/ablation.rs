@@ -8,13 +8,16 @@
 //! Results are printed as small tables before the timing section.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mvf::FlowConfig;
+use mvf::{EvalContext, FlowConfig, PinObjective};
 use mvf_aig::Script;
 use mvf_cells::{CamoLibrary, Library};
-use mvf_ga::{GaConfig, GeneticAlgorithm};
+use mvf_ga::permutation::{pmx, swap_mutation};
+use mvf_ga::{Ga, GaConfig, HillClimb, Objective, RandomSearch, SearchStrategy};
 use mvf_merge::{build_merged, PinAssignment};
 use mvf_netlist::subject_graph;
 use mvf_techmap::{map_camouflage, CamoMapOptions};
+use rand::rngs::StdRng;
+use rand::Rng;
 
 fn depth_ablation() {
     println!("\n--- Ablation: camo-mapper subtree depth bound (PRESENT x4) ---");
@@ -68,15 +71,52 @@ fn standard_cells_ablation() {
     }
 }
 
+/// The Phase-II objective with input-only variation: swap mutation and
+/// PMX crossover act on the input permutations, and the output pins keep
+/// their random draw. Drawing and scoring are [`PinObjective`]'s.
+struct InputOnly<'a>(PinObjective<'a>);
+
+impl Objective for InputOnly<'_> {
+    type Genome = PinAssignment;
+    type Ctx = EvalContext;
+
+    fn new_ctx(&self) -> EvalContext {
+        self.0.new_ctx()
+    }
+
+    fn init(&self, rng: &mut StdRng) -> PinAssignment {
+        self.0.init(rng)
+    }
+
+    fn mutate(&self, g: &mut PinAssignment, rng: &mut StdRng) {
+        let j = rng.gen_range(0..g.input_perms.len());
+        swap_mutation(&mut g.input_perms[j], rng);
+    }
+
+    fn crossover(&self, a: &PinAssignment, b: &PinAssignment, rng: &mut StdRng) -> PinAssignment {
+        let mut child = a.clone();
+        for (cp, bp) in child.input_perms.iter_mut().zip(&b.input_perms) {
+            *cp = pmx(cp, bp, rng);
+        }
+        child
+    }
+
+    fn evaluate(&self, ctx: &mut EvalContext, g: &PinAssignment) -> f64 {
+        self.0.evaluate(ctx, g)
+    }
+}
+
 fn ga_operator_ablation() {
     println!("\n--- Ablation: GA operators (PRESENT x4, tiny budget) ---");
     let functions = mvf_sboxes::optimal_sboxes()[..4].to_vec();
     let flow_cfg = FlowConfig::default();
     let lib = Library::standard();
-    let fitness = |a: &PinAssignment| {
-        mvf::synthesized_area_ge(&functions, a, &flow_cfg.script, &lib, &flow_cfg.map)
-            .unwrap_or(f64::INFINITY)
-    };
+    let objective = InputOnly(PinObjective::new(
+        &functions,
+        &flow_cfg.script,
+        &lib,
+        &flow_cfg.map,
+    ));
     let base = GaConfig {
         population: 8,
         generations: 4,
@@ -93,43 +133,26 @@ fn ga_operator_ablation() {
             mutation_rate,
             ..base.clone()
         };
-        let engine = GeneticAlgorithm::new(cfg);
-        let res = engine.run(
-            |rng| mvf::random_assignment(&functions, rng),
-            |g, rng| {
-                let j = rand::Rng::gen_range(rng, 0..g.input_perms.len());
-                mvf_ga::permutation::swap_mutation(&mut g.input_perms[j], rng);
-            },
-            |a, b, rng| {
-                let mut child = a.clone();
-                for (cp, bp) in child.input_perms.iter_mut().zip(&b.input_perms) {
-                    *cp = mvf_ga::permutation::pmx(cp, bp, rng);
-                }
-                child
-            },
-            fitness,
-        );
+        let res = Ga::new(cfg).search(&objective);
         println!(
             "{label:<15} best {:>7.1} GE in {} evals",
             res.best_fitness, res.evaluations
         );
     }
-    let budget = GeneticAlgorithm::new(base).evaluation_budget();
-    let rs = mvf_ga::random_search(
-        budget,
-        99,
-        |rng| mvf::random_assignment(&functions, rng),
-        fitness,
-    );
+    let budget = Ga::new(base).evaluation_budget();
+    let rs = RandomSearch {
+        n_evals: budget,
+        seed: 99,
+        threads: 0,
+    }
+    .search(&objective);
     println!(
         "{:<15} best {:>7.1} GE in {} evals",
-        "random search", rs.best_fitness, budget
+        "random search", rs.best_fitness, rs.evaluations
     );
-    // The hill-climbing strategy at the same budget, through the
-    // objective/strategy API (2 restarts × (1 + 3 steps × 5) = 32).
-    use mvf_ga::SearchStrategy;
-    let objective = mvf::PinObjective::new(&functions, &flow_cfg.script, &lib, &flow_cfg.map);
-    let hc = mvf_ga::HillClimb {
+    // The hill-climbing strategy at the same budget, over the full
+    // pin-assignment operators (2 restarts × (1 + 3 steps × 5) = 32).
+    let hc = HillClimb {
         restarts: 2,
         steps: 3,
         batch: 5,
@@ -137,7 +160,7 @@ fn ga_operator_ablation() {
         threads: 0,
     };
     assert_eq!(hc.evaluation_budget(), budget, "equal-budget comparison");
-    let out = hc.search(&objective);
+    let out = hc.search(&objective.0);
     println!(
         "{:<15} best {:>7.1} GE in {} evals",
         "hill climb", out.best_fitness, out.evaluations

@@ -918,17 +918,17 @@ fn main() {
         );
     }) / configs.len() as f64;
     let camo_speedup = camo_percfg_ns / camo_multi_ns;
-    // The Phase-III mapper itself: cold vs EvalContext-warmed scratch.
-    let mut camo_ctx = EvalContext::new();
-    let warm_mapped = camo_ctx
-        .map_camouflage(
-            &subject,
-            &lib,
-            &camo,
-            &merged.select_indices,
-            &mvf_techmap::CamoMapOptions::default(),
-        )
-        .expect("mappable");
+    // The Phase-III mapper itself: cold vs a reused matcher scratch.
+    let mut camo_match = mvf_techmap::CamoMatchScratch::default();
+    let warm_mapped = mvf_techmap::map_camouflage_with(
+        &subject,
+        &lib,
+        &camo,
+        &merged.select_indices,
+        &mvf_techmap::CamoMapOptions::default(),
+        &mut camo_match,
+    )
+    .expect("mappable");
     assert_eq!(
         warm_mapped.netlist.area_ge(&lib, Some(&camo)),
         mapped.netlist.area_ge(&lib, Some(&camo)),
@@ -948,15 +948,15 @@ fn main() {
     });
     let camo_map_warm_ns = time_ns(|| {
         black_box(
-            camo_ctx
-                .map_camouflage(
-                    black_box(&subject),
-                    &lib,
-                    &camo,
-                    &merged.select_indices,
-                    &mvf_techmap::CamoMapOptions::default(),
-                )
-                .expect("mappable"),
+            mvf_techmap::map_camouflage_with(
+                black_box(&subject),
+                &lib,
+                &camo,
+                &merged.select_indices,
+                &mvf_techmap::CamoMapOptions::default(),
+                &mut camo_match,
+            )
+            .expect("mappable"),
         );
     });
     println!("camo percfg: {camo_percfg_ns:>12.0} ns / config (one eval per doping config)");

@@ -15,18 +15,13 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use mvf_aig::{Script, SynthScratch};
-use mvf_cells::{CamoLibrary, Library};
+use mvf_cells::Library;
 use mvf_ga::permutation::{pmx, random_permutation, swap_mutation};
 use mvf_ga::Objective;
 use mvf_logic::VectorFunction;
 use mvf_merge::{build_merged, PinAssignment};
 use mvf_netlist::subject_graph::{self, SubjectScratch};
-use mvf_netlist::Netlist;
-use mvf_sim::{validate_mapped_with, CamoEvalScratch};
-use mvf_techmap::{
-    map_camouflage_with, map_standard_with, CamoMapOptions, CamoMappedCircuit, CamoMatchScratch,
-    MapOptions, MatchScratch,
-};
+use mvf_techmap::{map_standard_with, MapOptions, MatchScratch};
 
 use crate::error::MvfError;
 
@@ -34,9 +29,11 @@ use crate::error::MvfError;
 ///
 /// Holds the synthesis scratch (NPN-canonicalization and recipe caches,
 /// cut buffers, truth-table arena), the AIG→subject-graph lowering maps
-/// and the mappers' covering arenas; standard-cell matching goes through
-/// the library's own match index. Reuse never changes results: every
-/// cached entry equals what recomputation would produce.
+/// and the standard mapper's covering arena; standard-cell matching goes
+/// through the library's own match index. Phase III (camouflage mapping
+/// and validation) runs once per workload in [`crate::Flow::finish_with`],
+/// so it keeps no state here. Reuse never changes results: every cached
+/// entry equals what recomputation would produce.
 ///
 /// # Example
 ///
@@ -67,8 +64,6 @@ pub struct EvalContext {
     synth: SynthScratch,
     subject: SubjectScratch,
     matcher: MatchScratch,
-    camo_matcher: CamoMatchScratch,
-    camo_eval: CamoEvalScratch,
 }
 
 impl EvalContext {
@@ -98,76 +93,6 @@ impl EvalContext {
         let mapped = map_standard_with(&subject, lib, map, &mut self.matcher)?;
         Ok(mapped.area_ge(lib, None))
     }
-
-    /// Phase-III camouflage mapping through this context's reusable
-    /// [`CamoMatchScratch`]: identical mapping decisions to
-    /// [`mvf_techmap::map_camouflage`], with the pin-permutation tables
-    /// and candidate buffers kept warm across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MvfError`] if no cover exists or the subject is
-    /// malformed.
-    pub fn map_camouflage(
-        &mut self,
-        subject: &Netlist,
-        lib: &Library,
-        camo: &CamoLibrary,
-        select_inputs: &[usize],
-        options: &CamoMapOptions,
-    ) -> Result<CamoMappedCircuit, MvfError> {
-        Ok(map_camouflage_with(
-            subject,
-            lib,
-            camo,
-            select_inputs,
-            options,
-            &mut self.camo_matcher,
-        )?)
-    }
-
-    /// Phase-III validation through this context's reusable
-    /// [`CamoEvalScratch`]: one word-parallel multi-configuration
-    /// evaluation per call, with the widened arena and binding maps kept
-    /// warm across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MvfError`] if the mapped circuit cannot realize every
-    /// viable function.
-    pub fn validate_mapped(
-        &mut self,
-        mapped: &CamoMappedCircuit,
-        lib: &Library,
-        camo: &CamoLibrary,
-        viable: &[VectorFunction],
-    ) -> Result<(), MvfError> {
-        Ok(validate_mapped_with(
-            mapped,
-            lib,
-            camo,
-            viable,
-            &mut self.camo_eval,
-        )?)
-    }
-}
-
-/// The Phase-II fitness as a standalone call: identical to
-/// [`EvalContext::synthesized_area_ge`] but with a cold context per call.
-/// Prefer the context form (or the [`crate::Flow`] API, which manages
-/// contexts per worker thread) in any loop.
-///
-/// # Errors
-///
-/// Returns an [`MvfError`] if merging or mapping fails.
-pub fn synthesized_area_ge(
-    functions: &[VectorFunction],
-    assignment: &PinAssignment,
-    script: &Script,
-    lib: &Library,
-    map: &MapOptions,
-) -> Result<f64, MvfError> {
-    EvalContext::new().synthesized_area_ge(functions, assignment, script, lib, map)
 }
 
 /// Draws a uniformly random pin assignment for the given functions.
@@ -328,7 +253,9 @@ mod tests {
             let warm = ctx
                 .synthesized_area_ge(&funcs, &a, &script, &lib, &map)
                 .expect("fitness");
-            let cold = synthesized_area_ge(&funcs, &a, &script, &lib, &map).expect("fitness");
+            let cold = EvalContext::new()
+                .synthesized_area_ge(&funcs, &a, &script, &lib, &map)
+                .expect("fitness");
             assert_eq!(warm.to_bits(), cold.to_bits());
         }
     }

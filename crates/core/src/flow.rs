@@ -2,18 +2,20 @@
 
 use mvf_aig::Script;
 use mvf_cells::{CamoLibrary, Library};
-use mvf_ga::{Ga, GaConfig, GenStats, SearchOutcome, SearchStrategy};
+use mvf_ga::{Ga, GaConfig, GenStats, RandomSearch, SearchOutcome, SearchStrategy};
 use mvf_logic::VectorFunction;
 use mvf_merge::{build_merged, MergedCircuit, PinAssignment};
 use mvf_netlist::subject_graph;
 use mvf_obfuscate::{
     lock_library, lock_merged_netlist, LockOptions, LockedNetlist, ObfuscationSpace, SchemeKind,
 };
-use mvf_sim::ValidationError;
-use mvf_techmap::{map_standard, CamoMapOptions, CamoMappedCircuit, CamoWitness, MapOptions};
+use mvf_sim::{validate_mapped, ValidationError};
+use mvf_techmap::{
+    map_camouflage, map_standard, CamoMapOptions, CamoMappedCircuit, CamoWitness, MapOptions,
+};
 
 use crate::error::MvfError;
-use crate::eval::{EvalContext, PinObjective};
+use crate::eval::PinObjective;
 
 /// Configuration of the three-phase flow.
 #[derive(Debug, Clone)]
@@ -451,26 +453,13 @@ impl<S> Flow<S> {
         &self.strategy
     }
 
-    /// Completes the flow for a fixed assignment (used for baselines and
-    /// internally by [`Flow::run`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Flow::run`].
-    pub fn finish(
-        &self,
-        functions: &[VectorFunction],
-        assignment: PinAssignment,
-        ga_history: Vec<GenStats>,
-        evaluations: usize,
-    ) -> Result<FlowResult, MvfError> {
-        self.complete(functions, assignment, ga_history, evaluations, 0)
-    }
-
-    /// [`Flow::finish`] with an explicit failed-evaluation tally, for
-    /// externally driven searches (checkpointed or stepped runners) that
-    /// track their own failure count instead of going through
-    /// [`Flow::run`].
+    /// Completes the flow for a fixed assignment: Phase I (merge and
+    /// synthesis), the standard mapping, Phase III (camouflage mapping or
+    /// key-gate locking) and, when [`FlowConfig::validate`] is set,
+    /// exhaustive validation. [`Flow::run`] calls it with the search's
+    /// outcome; externally driven searches (checkpointed or stepped
+    /// runners) pass their own history, evaluation count and
+    /// failed-evaluation tally.
     ///
     /// # Errors
     ///
@@ -483,35 +472,14 @@ impl<S> Flow<S> {
         evaluations: usize,
         failed_evaluations: usize,
     ) -> Result<FlowResult, MvfError> {
-        self.complete(
-            functions,
-            assignment,
-            ga_history,
-            evaluations,
-            failed_evaluations,
-        )
-    }
-
-    pub(crate) fn complete(
-        &self,
-        functions: &[VectorFunction],
-        assignment: PinAssignment,
-        ga_history: Vec<GenStats>,
-        evaluations: usize,
-        failed_evaluations: usize,
-    ) -> Result<FlowResult, MvfError> {
         let mut merged = build_merged(functions, &assignment)?;
         merged.aig = self.config.script.run(&merged.aig);
         let subject = subject_graph::from_aig(&merged.aig, &self.lib);
         let plain = map_standard(&subject, &self.lib, &self.config.map)?;
         let synthesized_area = plain.area_ge(&self.lib, None);
-        // One context carries the Phase-III scratch (camouflage matcher
-        // tables, widened validation arena) through mapping *and*
-        // validation.
-        let mut ctx = EvalContext::new();
         let (mapped, locked) = match self.scheme {
             SchemeKind::Camouflage => {
-                let mapped = ctx.map_camouflage(
+                let mapped = map_camouflage(
                     &subject,
                     &self.lib,
                     &self.camo,
@@ -545,7 +513,7 @@ impl<S> Flow<S> {
             .area_ge(&self.lib, Some(self.choice_library()));
         if self.config.validate {
             match &locked {
-                None => ctx.validate_mapped(&mapped, &self.lib, &self.camo, &merged.functions)?,
+                None => validate_mapped(&mapped, &self.lib, &self.camo, &merged.functions)?,
                 Some(locked) => self.validate_locked(locked, &merged.functions)?,
             }
         }
@@ -636,7 +604,7 @@ impl<S: SearchStrategy> Flow<S> {
             evaluations,
             ..
         } = strategy.search(&objective);
-        self.complete(
+        self.finish_with(
             functions,
             best_genome,
             history,
@@ -645,9 +613,13 @@ impl<S: SearchStrategy> Flow<S> {
         )
     }
 
-    /// Runs the equal-budget random baseline: `n_evals` random pin
-    /// assignments evaluated with the same fitness as the search, using
-    /// the strategy's worker thread-count.
+    /// Runs the equal-budget random baseline: a [`RandomSearch`] of
+    /// `n_evals` random pin assignments, scored with the same fitness as
+    /// the search and on the strategy's worker thread-count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_evals == 0`.
     pub fn random_baseline(
         &self,
         functions: &[VectorFunction],
@@ -656,13 +628,18 @@ impl<S: SearchStrategy> Flow<S> {
     ) -> RandomBaseline {
         let objective =
             PinObjective::new(functions, &self.config.script, &self.lib, &self.config.map);
-        let rs =
-            mvf_ga::random_search_objective(n_evals, seed, self.strategy.threads(), &objective);
+        let outcome = RandomSearch {
+            n_evals,
+            seed,
+            threads: self.strategy.threads(),
+        }
+        .search(&objective);
+        let samples = outcome.samples.expect("random search retains samples");
         RandomBaseline {
-            avg_area_ge: rs.avg_fitness,
-            best_area_ge: rs.best_fitness,
-            best_assignment: rs.best_genome,
-            samples: rs.samples,
+            avg_area_ge: samples.iter().sum::<f64>() / samples.len() as f64,
+            best_area_ge: outcome.best_fitness,
+            best_assignment: outcome.best_genome,
+            samples,
             failed_evaluations: objective.failed_evaluations(),
         }
     }
@@ -749,7 +726,7 @@ mod tests {
         let funcs = optimal_sboxes()[..2].to_vec();
         let a = PinAssignment::identity(&funcs);
         let result = flow
-            .finish(&funcs, a, Vec::new(), 0)
+            .finish_with(&funcs, a, Vec::new(), 0, 0)
             .expect("finish succeeds");
         assert!(result.mapped_area_ge > 0.0);
     }

@@ -73,7 +73,7 @@ mod report;
 mod workload;
 
 pub use error::MvfError;
-pub use eval::{random_assignment, synthesized_area_ge, EvalContext, PinObjective};
+pub use eval::{random_assignment, EvalContext, PinObjective};
 pub use flow::{Flow, FlowBuilder, FlowConfig, FlowResult, RandomBaseline};
 pub use report::{Fig4Data, Table1, Table1Row};
 pub use workload::{PlausibilityVerdict, Workload, WorkloadReport};

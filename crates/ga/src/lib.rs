@@ -4,11 +4,12 @@
 //! genetic algorithm (DEAP in the authors' toolchain) whose fitness is the
 //! synthesized circuit area, and compares against a random-search baseline
 //! given the same number of fitness evaluations (Fig. 4). This crate is
-//! the DEAP substitute: a small, deterministic, generic GA engine
-//! ([`GeneticAlgorithm`]) with tournament selection, elitism,
-//! user-supplied mutation/crossover, per-generation statistics, plus the
-//! equal-budget [`random_search`] baseline and permutation operators
-//! ([`permutation`]) for the pin-assignment genotype.
+//! the DEAP substitute. The problem is an [`Objective`] and the search
+//! policy a [`SearchStrategy`]: the deterministic GA ([`Ga`], stepped by
+//! [`ObjectiveRunner`]) with tournament selection, elitism and
+//! per-generation statistics, the equal-budget [`RandomSearch`] baseline,
+//! and [`HillClimb`]. [`permutation`] holds the operators of the
+//! pin-assignment genotype.
 //!
 //! # Parallel fitness evaluation
 //!
@@ -27,19 +28,33 @@
 //! # Example
 //!
 //! ```
-//! use mvf_ga::{GaConfig, GeneticAlgorithm};
+//! use mvf_ga::{Ga, GaConfig, Objective, SearchStrategy};
+//! use rand::rngs::StdRng;
 //! use rand::Rng;
 //!
-//! // Minimize the number of set bits of a 16-bit genome.
+//! /// Minimize the number of set bits of a 16-bit genome.
+//! struct Bits;
+//! impl Objective for Bits {
+//!     type Genome = u16;
+//!     type Ctx = ();
+//!     fn new_ctx(&self) {}
+//!     fn init(&self, rng: &mut StdRng) -> u16 {
+//!         rng.gen()
+//!     }
+//!     fn mutate(&self, g: &mut u16, rng: &mut StdRng) {
+//!         *g ^= 1u16 << rng.gen_range(0..16);
+//!     }
+//!     fn crossover(&self, a: &u16, b: &u16, _rng: &mut StdRng) -> u16 {
+//!         (a & 0xFF00) | (b & 0x00FF)
+//!     }
+//!     fn evaluate(&self, _ctx: &mut (), g: &u16) -> f64 {
+//!         g.count_ones() as f64
+//!     }
+//! }
+//!
 //! let cfg = GaConfig { population: 16, generations: 10, seed: 7, ..GaConfig::default() };
-//! let result = GeneticAlgorithm::new(cfg)
-//!     .run(
-//!         |rng| rng.gen::<u16>(),
-//!         |g, rng| *g ^= 1u16 << rng.gen_range(0..16),
-//!         |a, b, _rng| (a & 0xFF00) | (b & 0x00FF),
-//!         |g| g.count_ones() as f64,
-//!     );
-//! assert!(result.best_fitness <= 4.0);
+//! let outcome = Ga::new(cfg).search(&Bits);
+//! assert!(outcome.best_fitness <= 4.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,6 +62,8 @@
 
 pub mod permutation;
 pub mod strategy;
+
+use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,48 +125,7 @@ pub fn resolve_threads(configured: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A batch fitness evaluator: scores genomes through a per-worker
-/// evaluation context.
-///
-/// This is the seam between the search engines and the two fitness
-/// flavors: a plain `Fn(&G) -> f64` closure (context-free) and an
-/// [`Objective`] whose evaluations reuse an expensive scratch context.
-/// Each worker thread gets its own context, so contexts never need
-/// synchronization and their reuse cannot change results.
-pub(crate) trait BatchScorer<G>: Sync {
-    /// Per-worker evaluation state.
-    type Ctx;
-    /// Creates one worker context.
-    fn new_ctx(&self) -> Self::Ctx;
-    /// Scores a genome (lower is better).
-    fn score(&self, ctx: &mut Self::Ctx, genome: &G) -> f64;
-}
-
-/// Adapts a plain fitness closure to [`BatchScorer`].
-pub(crate) struct FnScorer<F>(pub F);
-
-impl<G, F: Fn(&G) -> f64 + Sync> BatchScorer<G> for FnScorer<F> {
-    type Ctx = ();
-    fn new_ctx(&self) {}
-    fn score(&self, _ctx: &mut (), genome: &G) -> f64 {
-        (self.0)(genome)
-    }
-}
-
-/// Adapts an [`Objective`] to [`BatchScorer`].
-pub(crate) struct ObjScorer<'a, O>(pub &'a O);
-
-impl<O: Objective> BatchScorer<O::Genome> for ObjScorer<'_, O> {
-    type Ctx = O::Ctx;
-    fn new_ctx(&self) -> O::Ctx {
-        self.0.new_ctx()
-    }
-    fn score(&self, ctx: &mut O::Ctx, genome: &O::Genome) -> f64 {
-        self.0.evaluate(ctx, genome)
-    }
-}
-
-/// Scores a batch of genomes, preserving order.
+/// Scores a batch of genomes through `objective`, preserving order.
 ///
 /// Serial by default; with the `parallel` feature the slice is split into
 /// per-thread chunks scored concurrently and re-stitched in order, so the
@@ -158,18 +134,15 @@ impl<O: Objective> BatchScorer<O::Genome> for ObjScorer<'_, O> {
 /// `ctxs` holds one lazily-created evaluation context per worker slot and
 /// is owned by the *caller*, so the contexts — and everything they cache —
 /// survive across batches: a GA reuses the same contexts for every
-/// generation of the run, not just within one batch.
-pub(crate) fn evaluate_batch<G, S>(
-    genomes: &[G],
-    scorer: &S,
+/// generation of the run, not just within one batch. Each worker thread
+/// gets its own context, so contexts never need synchronization and, by
+/// the [`Objective`] contract, their reuse cannot change results.
+pub(crate) fn evaluate_batch<O: Objective>(
+    genomes: &[O::Genome],
+    objective: &O,
     threads: usize,
-    ctxs: &mut Vec<Option<S::Ctx>>,
-) -> Vec<f64>
-where
-    G: Sync,
-    S: BatchScorer<G>,
-    S::Ctx: Send,
-{
+    ctxs: &mut Vec<Option<O::Ctx>>,
+) -> Vec<f64> {
     #[cfg(feature = "parallel")]
     {
         let threads = threads.min(genomes.len());
@@ -186,8 +159,10 @@ where
                     .zip(ctxs.iter_mut())
                     .map(|(c, slot)| {
                         scope.spawn(move || {
-                            let ctx = slot.get_or_insert_with(|| scorer.new_ctx());
-                            c.iter().map(|g| scorer.score(ctx, g)).collect::<Vec<f64>>()
+                            let ctx = slot.get_or_insert_with(|| objective.new_ctx());
+                            c.iter()
+                                .map(|g| objective.evaluate(ctx, g))
+                                .collect::<Vec<f64>>()
                         })
                     })
                     .collect();
@@ -203,8 +178,8 @@ where
     if ctxs.is_empty() {
         ctxs.push(None);
     }
-    let ctx = ctxs[0].get_or_insert_with(|| scorer.new_ctx());
-    genomes.iter().map(|g| scorer.score(ctx, g)).collect()
+    let ctx = ctxs[0].get_or_insert_with(|| objective.new_ctx());
+    genomes.iter().map(|g| objective.evaluate(ctx, g)).collect()
 }
 
 /// Per-generation statistics (fitness is minimized).
@@ -216,19 +191,6 @@ pub struct GenStats {
     pub best: f64,
     /// Mean fitness of this generation.
     pub avg: f64,
-}
-
-/// Result of a GA run.
-#[derive(Debug, Clone)]
-pub struct GaResult<G> {
-    /// The best genome found.
-    pub best_genome: G,
-    /// Its fitness.
-    pub best_fitness: f64,
-    /// Statistics per generation (index 0 = initial population).
-    pub history: Vec<GenStats>,
-    /// Total number of fitness evaluations performed.
-    pub evaluations: usize,
 }
 
 /// The complete mid-run state of a GA search at a generation boundary.
@@ -268,30 +230,23 @@ fn gen_stats<G>(pop: &[(G, f64)], best: f64) -> GenStats {
 }
 
 /// Evaluates the initial population — the state every run steps from.
-fn ga_init<G, I, S>(
+fn ga_init<O: Objective>(
     cfg: &GaConfig,
-    init: &mut I,
-    scorer: &S,
+    objective: &O,
     threads: usize,
-    ctxs: &mut Vec<Option<S::Ctx>>,
-) -> GaSearchState<G>
-where
-    G: Clone + Sync,
-    I: FnMut(&mut StdRng) -> G,
-    S: BatchScorer<G>,
-    S::Ctx: Send,
-{
+    ctxs: &mut Vec<Option<O::Ctx>>,
+) -> GaSearchState<O::Genome> {
     let mut master = StdRng::seed_from_u64(cfg.seed);
     // Initial population: one pre-drawn RNG stream per individual.
-    let genomes: Vec<G> = (0..cfg.population)
+    let genomes: Vec<O::Genome> = (0..cfg.population)
         .map(|_| {
             let mut stream = StdRng::seed_from_u64(master.gen::<u64>());
-            init(&mut stream)
+            objective.init(&mut stream)
         })
         .collect();
-    let fits = evaluate_batch(&genomes, scorer, threads, ctxs);
+    let fits = evaluate_batch(&genomes, objective, threads, ctxs);
     let evaluations = genomes.len();
-    let mut population: Vec<(G, f64)> = genomes.into_iter().zip(fits).collect();
+    let mut population: Vec<(O::Genome, f64)> = genomes.into_iter().zip(fits).collect();
     population.sort_by(|a, b| a.1.total_cmp(&b.1));
     let best = population[0].clone();
     let mut history = Vec::with_capacity(cfg.generations + 1);
@@ -309,26 +264,18 @@ where
 /// Advances a search state by exactly one generation: breed serially
 /// from the state's RNG position, score the batch, apply elitism, sort,
 /// update the incumbent and the statistics trail.
-fn ga_step<G, M, C, S>(
+fn ga_step<O: Objective>(
     cfg: &GaConfig,
-    mutate: &mut M,
-    crossover: &mut C,
-    scorer: &S,
+    objective: &O,
     threads: usize,
-    ctxs: &mut Vec<Option<S::Ctx>>,
-    state: &mut GaSearchState<G>,
-) where
-    G: Clone + Sync,
-    M: FnMut(&mut G, &mut StdRng),
-    C: FnMut(&G, &G, &mut StdRng) -> G,
-    S: BatchScorer<G>,
-    S::Ctx: Send,
-{
+    ctxs: &mut Vec<Option<O::Ctx>>,
+    state: &mut GaSearchState<O::Genome>,
+) {
     let mut master = StdRng::from_state(state.master_rng);
     let population = &mut state.population;
     let n_elite = cfg.elitism.min(cfg.population);
     // Breed all children serially (cheap), then score the batch.
-    let mut children: Vec<G> = Vec::with_capacity(cfg.population - n_elite);
+    let mut children: Vec<O::Genome> = Vec::with_capacity(cfg.population - n_elite);
     while children.len() < cfg.population - n_elite {
         let p1 = tournament(population, cfg.tournament, &mut master);
         let p2 = if master.gen_bool(cfg.crossover_rate) {
@@ -339,17 +286,17 @@ fn ga_step<G, M, C, S>(
         let do_mutate = master.gen_bool(cfg.mutation_rate);
         let mut stream = StdRng::seed_from_u64(master.gen::<u64>());
         let mut child = match p2 {
-            Some(p2) => crossover(&population[p1].0, &population[p2].0, &mut stream),
+            Some(p2) => objective.crossover(&population[p1].0, &population[p2].0, &mut stream),
             None => population[p1].0.clone(),
         };
         if do_mutate {
-            mutate(&mut child, &mut stream);
+            objective.mutate(&mut child, &mut stream);
         }
         children.push(child);
     }
-    let fits = evaluate_batch(&children, scorer, threads, ctxs);
+    let fits = evaluate_batch(&children, objective, threads, ctxs);
     state.evaluations += children.len();
-    let mut next: Vec<(G, f64)> = Vec::with_capacity(cfg.population);
+    let mut next: Vec<(O::Genome, f64)> = Vec::with_capacity(cfg.population);
     for e in population.iter().take(n_elite) {
         next.push(e.clone());
     }
@@ -365,7 +312,8 @@ fn ga_step<G, M, C, S>(
     state.master_rng = master.state();
 }
 
-/// A minimizing genetic algorithm over an arbitrary genome type.
+/// A minimizing genetic algorithm's configuration, checked; drive it
+/// with [`ObjectiveRunner`] or through the [`Ga`] strategy.
 #[derive(Debug, Clone)]
 pub struct GeneticAlgorithm {
     cfg: GaConfig,
@@ -383,85 +331,6 @@ impl GeneticAlgorithm {
         GeneticAlgorithm { cfg }
     }
 
-    /// Runs the GA.
-    ///
-    /// * `init` creates a random genome;
-    /// * `mutate` perturbs a genome in place;
-    /// * `crossover` combines two parents into a child;
-    /// * `fitness` scores a genome (lower is better). It must be a pure
-    ///   function of the genome: batches are scored together, potentially
-    ///   on several threads (see the crate docs on determinism).
-    pub fn run<G, I, M, C, F>(&self, init: I, mutate: M, crossover: C, fitness: F) -> GaResult<G>
-    where
-        G: Clone + Sync,
-        I: FnMut(&mut StdRng) -> G,
-        M: FnMut(&mut G, &mut StdRng),
-        C: FnMut(&G, &G, &mut StdRng) -> G,
-        F: Fn(&G) -> f64 + Sync,
-    {
-        self.run_inner(init, mutate, crossover, &FnScorer(fitness))
-    }
-
-    /// Runs the GA against an [`Objective`], threading a per-worker
-    /// evaluation context through the fitness calls.
-    ///
-    /// The breeding discipline (RNG streams, selection, variation) is the
-    /// same code as [`GeneticAlgorithm::run`], so for equivalent operators
-    /// the two are **bit-identical** given the same seed; only the
-    /// fitness plumbing differs.
-    pub fn run_objective<O: Objective>(&self, objective: &O) -> GaResult<O::Genome> {
-        self.run_inner(
-            |rng| objective.init(rng),
-            |g, rng| objective.mutate(g, rng),
-            |a, b, rng| objective.crossover(a, b, rng),
-            &ObjScorer(objective),
-        )
-    }
-
-    fn run_inner<G, I, M, C, S>(
-        &self,
-        mut init: I,
-        mut mutate: M,
-        mut crossover: C,
-        scorer: &S,
-    ) -> GaResult<G>
-    where
-        G: Clone + Sync,
-        I: FnMut(&mut StdRng) -> G,
-        M: FnMut(&mut G, &mut StdRng),
-        C: FnMut(&G, &G, &mut StdRng) -> G,
-        S: BatchScorer<G>,
-        S::Ctx: Send,
-    {
-        let cfg = &self.cfg;
-        let threads = resolve_threads(cfg.threads);
-        // Per-worker evaluation contexts, reused across every generation
-        // of the run.
-        let mut ctxs: Vec<Option<S::Ctx>> = Vec::new();
-        // The run is the stepped engine driven to completion: the state
-        // between generations is the same [`GaSearchState`] a paused
-        // service job checkpoints, so `run == resume(step*)` by
-        // construction, not by parallel maintenance of two loops.
-        let mut state = ga_init(cfg, &mut init, scorer, threads, &mut ctxs);
-        for _ in 0..cfg.generations {
-            ga_step(
-                cfg,
-                &mut mutate,
-                &mut crossover,
-                scorer,
-                threads,
-                &mut ctxs,
-                &mut state,
-            );
-        }
-        GaResult {
-            best_genome: state.best.0,
-            best_fitness: state.best.1,
-            history: state.history,
-            evaluations: state.evaluations,
-        }
-    }
-
     /// Total fitness evaluations the configured run will perform
     /// (initial population plus per-generation children).
     pub fn evaluation_budget(&self) -> usize {
@@ -470,17 +339,41 @@ impl GeneticAlgorithm {
     }
 }
 
+/// Why [`ObjectiveRunner::resume`] refused a snapshot: its population
+/// size differs from the engine's — the clearest symptom of restoring a
+/// checkpoint against the wrong job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PopulationMismatch {
+    /// Individuals in the snapshot.
+    pub snapshot: usize,
+    /// Individuals the engine is configured for.
+    pub configured: usize,
+}
+
+impl fmt::Display for PopulationMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "checkpoint population has {} individuals, the engine is configured for {}",
+            self.snapshot, self.configured
+        )
+    }
+}
+
+impl std::error::Error for PopulationMismatch {}
+
 /// Drives a [`GeneticAlgorithm`] over an [`Objective`] one generation at
 /// a time, exposing the full [`GaSearchState`] at every boundary.
 ///
-/// This is the pausable form of [`GeneticAlgorithm::run_objective`] the
-/// audit service builds checkpoints on: run some generations, serialize
-/// [`ObjectiveRunner::state`], and later [`ObjectiveRunner::resume`]
-/// from the snapshot — the completed search is bit-identical to one that
-/// was never interrupted, because the state carries the master RNG's
-/// exact stream position and the scored population. Evaluation contexts
-/// are rebuilt on resume; by the [`Objective`] contract their reuse (or
-/// loss) cannot change results.
+/// This is the one GA driver: [`Ga::search`](SearchStrategy::search) is
+/// [`ObjectiveRunner::start`] followed by [`ObjectiveRunner::finish`],
+/// and the audit service builds checkpoints on the same runner: run some
+/// generations, serialize [`ObjectiveRunner::state`], and later
+/// [`ObjectiveRunner::resume`] from the snapshot — the completed search
+/// is bit-identical to one that was never interrupted, because the state
+/// carries the master RNG's exact stream position and the scored
+/// population. Evaluation contexts are rebuilt on resume; by the
+/// [`Objective`] contract their reuse (or loss) cannot change results.
 pub struct ObjectiveRunner<'a, O: Objective> {
     engine: GeneticAlgorithm,
     objective: &'a O,
@@ -494,14 +387,10 @@ impl<'a, O: Objective> ObjectiveRunner<'a, O> {
     /// at the first generation boundary.
     pub fn start(engine: GeneticAlgorithm, objective: &'a O) -> Self {
         let threads = resolve_threads(engine.cfg.threads);
+        // Per-worker evaluation contexts, reused across every generation
+        // of the run.
         let mut ctxs: Vec<Option<O::Ctx>> = Vec::new();
-        let state = ga_init(
-            &engine.cfg,
-            &mut |rng| objective.init(rng),
-            &ObjScorer(objective),
-            threads,
-            &mut ctxs,
-        );
+        let state = ga_init(&engine.cfg, objective, threads, &mut ctxs);
         ObjectiveRunner {
             engine,
             objective,
@@ -514,29 +403,29 @@ impl<'a, O: Objective> ObjectiveRunner<'a, O> {
     /// Resumes from a snapshot taken by [`ObjectiveRunner::state`] on an
     /// engine with the *same* configuration (seed, rates, population).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot's population size does not match the
-    /// engine configuration — the clearest symptom of restoring a
-    /// checkpoint against the wrong job.
+    /// [`PopulationMismatch`] if the snapshot's population size does not
+    /// match the engine configuration.
     pub fn resume(
         engine: GeneticAlgorithm,
         objective: &'a O,
         state: GaSearchState<O::Genome>,
-    ) -> Self {
-        assert_eq!(
-            state.population.len(),
-            engine.cfg.population,
-            "checkpoint population does not match the engine configuration"
-        );
+    ) -> Result<Self, PopulationMismatch> {
+        if state.population.len() != engine.cfg.population {
+            return Err(PopulationMismatch {
+                snapshot: state.population.len(),
+                configured: engine.cfg.population,
+            });
+        }
         let threads = resolve_threads(engine.cfg.threads);
-        ObjectiveRunner {
+        Ok(ObjectiveRunner {
             engine,
             objective,
             threads,
             ctxs: Vec::new(),
             state,
-        }
+        })
     }
 
     /// The state at the current generation boundary.
@@ -555,12 +444,9 @@ impl<'a, O: Objective> ObjectiveRunner<'a, O> {
         if self.is_done() {
             return false;
         }
-        let objective = self.objective;
         ga_step(
             &self.engine.cfg,
-            &mut |g: &mut O::Genome, rng: &mut StdRng| objective.mutate(g, rng),
-            &mut |a: &O::Genome, b: &O::Genome, rng: &mut StdRng| objective.crossover(a, b, rng),
-            &ObjScorer(objective),
+            self.objective,
             self.threads,
             &mut self.ctxs,
             &mut self.state,
@@ -568,20 +454,17 @@ impl<'a, O: Objective> ObjectiveRunner<'a, O> {
         true
     }
 
-    /// Steps until done and returns the final result.
-    pub fn finish(mut self) -> GaResult<O::Genome> {
+    /// Steps until done and returns the outcome: the incumbent best, the
+    /// history trail and the evaluation count (no retained samples).
+    pub fn finish(mut self) -> SearchOutcome<O::Genome> {
         while self.step() {}
-        self.into_result()
-    }
-
-    /// The result of the search so far (the incumbent best, the history
-    /// trail and the evaluation count up to the current boundary).
-    pub fn into_result(self) -> GaResult<O::Genome> {
-        GaResult {
-            best_genome: self.state.best.0,
-            best_fitness: self.state.best.1,
+        let (best_genome, best_fitness) = self.state.best;
+        SearchOutcome {
+            best_genome,
+            best_fitness,
             history: self.state.history,
             evaluations: self.state.evaluations,
+            samples: None,
         }
     }
 }
@@ -597,112 +480,6 @@ fn tournament<G>(pop: &[(G, f64)], k: usize, rng: &mut StdRng) -> usize {
     best
 }
 
-/// Result of a random-search baseline run.
-#[derive(Debug, Clone)]
-pub struct RandomSearchResult<G> {
-    /// The best genome found.
-    pub best_genome: G,
-    /// Its fitness.
-    pub best_fitness: f64,
-    /// The mean of all sampled fitness values.
-    pub avg_fitness: f64,
-    /// Every sampled fitness, in order (Fig. 4a's histogram data).
-    pub samples: Vec<f64>,
-}
-
-/// The equal-budget random baseline of Fig. 4: draws `n_evals` random
-/// genomes and records every fitness.
-///
-/// Like [`GeneticAlgorithm::run`], the genomes are drawn from
-/// per-individual RNG streams and scored batch-wise (parallel with the
-/// `parallel` feature, bit-identical to serial). The thread count is
-/// auto-resolved; use [`random_search_with_threads`] to pin it.
-///
-/// # Panics
-///
-/// Panics if `n_evals == 0`.
-pub fn random_search<G, I, F>(
-    n_evals: usize,
-    seed: u64,
-    init: I,
-    fitness: F,
-) -> RandomSearchResult<G>
-where
-    G: Clone + Sync,
-    I: FnMut(&mut StdRng) -> G,
-    F: Fn(&G) -> f64 + Sync,
-{
-    random_search_with_threads(n_evals, seed, 0, init, fitness)
-}
-
-/// [`random_search`] with an explicit thread-count setting (`0` = auto,
-/// `1` = serial; interpreted like [`GaConfig::threads`]).
-///
-/// # Panics
-///
-/// Panics if `n_evals == 0`.
-pub fn random_search_with_threads<G, I, F>(
-    n_evals: usize,
-    seed: u64,
-    threads: usize,
-    init: I,
-    fitness: F,
-) -> RandomSearchResult<G>
-where
-    G: Clone + Sync,
-    I: FnMut(&mut StdRng) -> G,
-    F: Fn(&G) -> f64 + Sync,
-{
-    random_search_inner(n_evals, seed, threads, 0, init, &FnScorer(fitness))
-}
-
-/// Random search against an [`Objective`]: like
-/// [`random_search_with_threads`], with fitness evaluated through the
-/// objective's per-worker context (bit-identical to the closure form).
-///
-/// # Panics
-///
-/// Panics if `n_evals == 0`.
-pub fn random_search_objective<O: Objective>(
-    n_evals: usize,
-    seed: u64,
-    threads: usize,
-    objective: &O,
-) -> RandomSearchResult<O::Genome> {
-    random_search_objective_chunked(n_evals, seed, threads, 0, objective)
-}
-
-/// [`random_search_objective`] with an explicit evaluation chunk size:
-/// at most `chunk` genomes are materialized at a time (`0` = auto), so a
-/// paper-scale budget (`MVF_PAPER_SCALE=1`: 9,726 evaluations per
-/// workload) streams through bounded memory instead of allocating the
-/// whole candidate batch up front.
-///
-/// Chunking never changes results: genomes are drawn from the same
-/// per-individual RNG streams in the same master order, and every chunk
-/// is scored by the same batch engine, so the outcome is bit-identical
-/// for every chunk size (and every thread count).
-///
-/// # Panics
-///
-/// Panics if `n_evals == 0`.
-pub fn random_search_objective_chunked<O: Objective>(
-    n_evals: usize,
-    seed: u64,
-    threads: usize,
-    chunk: usize,
-    objective: &O,
-) -> RandomSearchResult<O::Genome> {
-    random_search_inner(
-        n_evals,
-        seed,
-        threads,
-        chunk,
-        |rng| objective.init(rng),
-        &ObjScorer(objective),
-    )
-}
-
 /// Resolves a chunk-size setting: explicit value, else a multiple of the
 /// worker count large enough to keep every thread busy while bounding
 /// the number of genomes held in memory.
@@ -713,40 +490,48 @@ fn resolve_chunk(chunk: usize, threads: usize) -> usize {
     (threads * 64).clamp(256, 4096)
 }
 
-fn random_search_inner<G, I, S>(
+/// The body of [`RandomSearch`]: draws `n_evals` genomes from
+/// per-individual RNG streams and scores them batch-wise, at most
+/// `chunk` at a time (`0` = auto), so a paper-scale budget
+/// (`MVF_PAPER_SCALE=1`: 9,726 evaluations per workload) streams through
+/// bounded memory instead of allocating the whole candidate batch up
+/// front. Every sampled fitness is retained, in draw order.
+///
+/// Chunking never changes results: genomes are drawn from the same
+/// per-individual RNG streams in the same master order, and every chunk
+/// is scored by the same batch engine, so the outcome is bit-identical
+/// for every chunk size (and every thread count).
+///
+/// # Panics
+///
+/// Panics if `n_evals == 0`.
+fn random_search_inner<O: Objective>(
     n_evals: usize,
     seed: u64,
     threads: usize,
     chunk: usize,
-    mut init: I,
-    scorer: &S,
-) -> RandomSearchResult<G>
-where
-    G: Clone + Sync,
-    I: FnMut(&mut StdRng) -> G,
-    S: BatchScorer<G>,
-    S::Ctx: Send,
-{
+    objective: &O,
+) -> SearchOutcome<O::Genome> {
     assert!(n_evals > 0, "random search needs at least one evaluation");
     let threads = resolve_threads(threads);
     let chunk = resolve_chunk(chunk, threads);
     let mut master = StdRng::seed_from_u64(seed);
-    let mut ctxs: Vec<Option<S::Ctx>> = Vec::new();
+    let mut ctxs: Vec<Option<O::Ctx>> = Vec::new();
     let mut samples: Vec<f64> = Vec::with_capacity(n_evals);
-    let mut genomes: Vec<G> = Vec::with_capacity(chunk.min(n_evals));
+    let mut genomes: Vec<O::Genome> = Vec::with_capacity(chunk.min(n_evals));
     // `best` replicates `min_by(total_cmp)` over the full sample stream:
     // the *first* genome attaining the minimum wins ties, so only a
     // strict improvement replaces the incumbent.
-    let mut best: Option<(G, f64)> = None;
+    let mut best: Option<(O::Genome, f64)> = None;
     let mut remaining = n_evals;
     while remaining > 0 {
         let take = chunk.min(remaining);
         genomes.clear();
         for _ in 0..take {
             let mut stream = StdRng::seed_from_u64(master.gen::<u64>());
-            genomes.push(init(&mut stream));
+            genomes.push(objective.init(&mut stream));
         }
-        let fits = evaluate_batch(&genomes, scorer, threads, &mut ctxs);
+        let fits = evaluate_batch(&genomes, objective, threads, &mut ctxs);
         for (g, &f) in genomes.iter().zip(&fits) {
             let improves = match &best {
                 None => true,
@@ -760,11 +545,12 @@ where
         remaining -= take;
     }
     let (best_genome, best_fitness) = best.expect("n_evals > 0");
-    RandomSearchResult {
+    SearchOutcome {
         best_genome,
         best_fitness,
-        avg_fitness: samples.iter().sum::<f64>() / samples.len() as f64,
-        samples,
+        history: Vec::new(),
+        evaluations: n_evals,
+        samples: Some(samples),
     }
 }
 
@@ -772,8 +558,33 @@ where
 mod tests {
     use super::*;
 
-    // Takes `&Vec` because it is passed directly as the GA fitness over
-    // `Vec<f64>` genomes.
+    /// A context-free test objective assembled from plain functions.
+    struct FnObjective<G> {
+        init: fn(&mut StdRng) -> G,
+        mutate: fn(&mut G, &mut StdRng),
+        crossover: fn(&G, &G, &mut StdRng) -> G,
+        fitness: fn(&G) -> f64,
+    }
+
+    impl<G: Clone + Send + Sync> Objective for FnObjective<G> {
+        type Genome = G;
+        type Ctx = ();
+        fn new_ctx(&self) {}
+        fn init(&self, rng: &mut StdRng) -> G {
+            (self.init)(rng)
+        }
+        fn mutate(&self, g: &mut G, rng: &mut StdRng) {
+            (self.mutate)(g, rng)
+        }
+        fn crossover(&self, a: &G, b: &G, rng: &mut StdRng) -> G {
+            (self.crossover)(a, b, rng)
+        }
+        fn evaluate(&self, _ctx: &mut (), g: &G) -> f64 {
+            (self.fitness)(g)
+        }
+    }
+
+    // Takes `&Vec` because it is the fitness of `Vec<f64>` genomes.
     #[allow(clippy::ptr_arg)]
     fn sphere(g: &Vec<f64>) -> f64 {
         g.iter().map(|x| x * x).sum()
@@ -787,22 +598,22 @@ mod tests {
             seed: 42,
             ..GaConfig::default()
         };
-        let res = GeneticAlgorithm::new(cfg).run(
-            |rng| {
+        let res = Ga::new(cfg).search(&FnObjective {
+            init: |rng| {
                 (0..4)
                     .map(|_| rng.gen_range(-10.0..10.0))
                     .collect::<Vec<f64>>()
             },
-            |g, rng| {
+            mutate: |g, rng| {
                 let i = rng.gen_range(0..g.len());
                 g[i] += rng.gen_range(-1.0..1.0);
             },
-            |a, b, rng| {
+            crossover: |a, b, rng| {
                 let cut = rng.gen_range(0..a.len());
                 a[..cut].iter().chain(b[cut..].iter()).copied().collect()
             },
-            sphere,
-        );
+            fitness: sphere,
+        });
         assert!(res.best_fitness < sphere(&vec![10.0; 4]));
         assert!(
             res.best_fitness < res.history[0].avg,
@@ -819,12 +630,12 @@ mod tests {
             ..GaConfig::default()
         };
         let run = || {
-            GeneticAlgorithm::new(cfg.clone()).run(
-                |rng| rng.gen::<u32>(),
-                |g, rng| *g ^= 1u32 << rng.gen_range(0..32),
-                |a, b, _| a ^ b,
-                |g| g.count_ones() as f64,
-            )
+            Ga::new(cfg.clone()).search(&FnObjective {
+                init: |rng| rng.gen::<u32>(),
+                mutate: |g, rng| *g ^= 1u32 << rng.gen_range(0..32),
+                crossover: |a, b, _| a ^ b,
+                fitness: |g| g.count_ones() as f64,
+            })
         };
         let r1 = run();
         let r2 = run();
@@ -841,12 +652,12 @@ mod tests {
             seed: 5,
             ..GaConfig::default()
         };
-        let res = GeneticAlgorithm::new(cfg).run(
-            |rng| rng.gen::<u16>(),
-            |g, rng| *g = g.rotate_left(rng.gen_range(1..4)),
-            |a, b, _| a.wrapping_add(*b),
-            |g| *g as f64,
-        );
+        let res = Ga::new(cfg).search(&FnObjective {
+            init: |rng| rng.gen::<u16>(),
+            mutate: |g, rng| *g = g.rotate_left(rng.gen_range(1..4)),
+            crossover: |a, b, _| a.wrapping_add(*b),
+            fitness: |g| *g as f64,
+        });
         for w in res.history.windows(2) {
             assert!(w[1].best_so_far <= w[0].best_so_far);
         }
@@ -862,22 +673,38 @@ mod tests {
             ..GaConfig::default()
         };
         let engine = GeneticAlgorithm::new(cfg);
-        let res = engine.run(
-            |rng| rng.gen::<u8>(),
-            |g, rng| *g ^= 1u8 << rng.gen_range(0..8),
-            |a, b, _| a ^ b,
-            |g| *g as f64,
-        );
+        let res = ObjectiveRunner::start(
+            engine.clone(),
+            &FnObjective {
+                init: |rng| rng.gen::<u8>(),
+                mutate: |g, rng| *g ^= 1u8 << rng.gen_range(0..8),
+                crossover: |a, b, _| a ^ b,
+                fitness: |g| *g as f64,
+            },
+        )
+        .finish();
         assert_eq!(res.evaluations, engine.evaluation_budget());
     }
 
     #[test]
     fn random_search_tracks_best_and_average() {
-        let res = random_search(100, 3, |rng| rng.gen_range(0.0..1.0f64), |g| *g);
-        assert_eq!(res.samples.len(), 100);
-        assert!(res.best_fitness <= res.avg_fitness);
+        let rs = RandomSearch {
+            n_evals: 100,
+            seed: 3,
+            threads: 0,
+        };
+        let res = rs.search(&FnObjective {
+            init: |rng| rng.gen_range(0.0..1.0f64),
+            mutate: |_, _| {},
+            crossover: |a, _, _| *a,
+            fitness: |g| *g,
+        });
+        let samples = res.samples.expect("random search retains samples");
+        assert_eq!(samples.len(), 100);
+        let avg_fitness = samples.iter().sum::<f64>() / samples.len() as f64;
+        assert!(res.best_fitness <= avg_fitness);
         assert!(
-            (res.best_fitness - res.samples.iter().cloned().fold(f64::INFINITY, f64::min)).abs()
+            (res.best_fitness - samples.iter().cloned().fold(f64::INFINITY, f64::min)).abs()
                 < 1e-12
         );
     }
@@ -894,12 +721,12 @@ mod tests {
             seed: 11,
             ..GaConfig::default()
         };
-        let res = GeneticAlgorithm::new(cfg).run(
-            |rng| rng.gen::<u32>(),
-            |g, rng| *g = rng.gen(),
-            |a, b, _| a ^ b,
-            |g| g.count_ones() as f64,
-        );
+        let res = Ga::new(cfg).search(&FnObjective {
+            init: |rng| rng.gen::<u32>(),
+            mutate: |g, rng| *g = rng.gen(),
+            crossover: |a, b, _| a ^ b,
+            fitness: |g| g.count_ones() as f64,
+        });
         for w in res.history.windows(2) {
             assert!(w[1].best_so_far <= w[0].best_so_far);
         }
@@ -918,12 +745,7 @@ mod tests {
                 threads,
                 ..GaConfig::default()
             };
-            GeneticAlgorithm::new(cfg).run(
-                |rng| rng.gen::<u32>(),
-                |g, rng| *g ^= 1u32 << rng.gen_range(0..32),
-                |a, b, _| (a & 0xFFFF_0000) | (b & 0xFFFF),
-                |g| g.count_ones() as f64,
-            )
+            Ga::new(cfg).search(&BitsObjective)
         };
         let serial = run(1);
         for threads in [2, 4, 7] {
@@ -962,7 +784,7 @@ mod tests {
         }
     }
 
-    fn assert_results_identical(a: &GaResult<u32>, b: &GaResult<u32>) {
+    fn assert_results_identical(a: &SearchOutcome<u32>, b: &SearchOutcome<u32>) {
         assert_eq!(a.best_genome, b.best_genome);
         assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
         assert_eq!(a.evaluations, b.evaluations);
@@ -975,20 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn stepped_runner_is_bit_identical_to_run_objective() {
-        let cfg = GaConfig {
-            population: 10,
-            generations: 9,
-            seed: 0xBEE,
-            threads: 1,
-            ..GaConfig::default()
-        };
-        let direct = GeneticAlgorithm::new(cfg.clone()).run_objective(&BitsObjective);
-        let stepped = ObjectiveRunner::start(GeneticAlgorithm::new(cfg), &BitsObjective).finish();
-        assert_results_identical(&direct, &stepped);
-    }
-
-    #[test]
     fn resume_at_every_boundary_is_bit_identical() {
         let cfg = GaConfig {
             population: 8,
@@ -997,7 +805,8 @@ mod tests {
             threads: 1,
             ..GaConfig::default()
         };
-        let uninterrupted = GeneticAlgorithm::new(cfg.clone()).run_objective(&BitsObjective);
+        let uninterrupted =
+            ObjectiveRunner::start(GeneticAlgorithm::new(cfg.clone()), &BitsObjective).finish();
         for kill_at in 0..=cfg.generations {
             // Run to the boundary, snapshot, drop the runner ("kill"),
             // resume from the snapshot alone.
@@ -1013,13 +822,13 @@ mod tests {
                 &BitsObjective,
                 snapshot,
             )
+            .expect("same configuration")
             .finish();
             assert_results_identical(&uninterrupted, &resumed);
         }
     }
 
     #[test]
-    #[should_panic(expected = "checkpoint population")]
     fn resume_rejects_mismatched_population() {
         let cfg = GaConfig {
             population: 8,
@@ -1034,7 +843,17 @@ mod tests {
             population: 9,
             ..cfg
         };
-        let _ = ObjectiveRunner::resume(GeneticAlgorithm::new(wrong), &BitsObjective, state);
+        let err = ObjectiveRunner::resume(GeneticAlgorithm::new(wrong), &BitsObjective, state)
+            .err()
+            .expect("a population of 8 cannot resume on an engine of 9");
+        assert_eq!(
+            err,
+            PopulationMismatch {
+                snapshot: 8,
+                configured: 9
+            }
+        );
+        assert!(err.to_string().contains("checkpoint population"), "{err}");
     }
 
     #[test]
@@ -1085,16 +904,16 @@ mod tests {
             .iter()
             .min_by(|a, b| ((*a % 4) as f64).total_cmp(&((*b % 4) as f64)))
             .expect("non-empty");
-        let reference = random_search_objective_chunked(100, 0xC1, 1, 100, &Quantized);
+        let reference = random_search_inner(100, 0xC1, 1, 100, &Quantized);
         assert_eq!(
             reference.best_genome, min_by_winner,
             "the first tied minimum must win, as min_by returns it"
         );
         for chunk in [1usize, 3, 7, 32, 0] {
-            let got = random_search_objective_chunked(100, 0xC1, 1, chunk, &Quantized);
+            let got = random_search_inner(100, 0xC1, 1, chunk, &Quantized);
             assert_eq!(got.best_genome, reference.best_genome, "chunk={chunk}");
             assert_eq!(got.best_fitness.to_bits(), reference.best_fitness.to_bits());
-            assert_eq!(got.avg_fitness.to_bits(), reference.avg_fitness.to_bits());
+            assert_eq!(got.evaluations, reference.evaluations);
             assert_eq!(got.samples, reference.samples);
         }
     }

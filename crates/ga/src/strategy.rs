@@ -12,10 +12,9 @@
 //!   [`RandomSearch`] (the equal-budget baseline of Fig. 4) and
 //!   [`HillClimb`] (batched stochastic hill climbing with restarts).
 //!
-//! Every strategy is deterministic given its seed, evaluates genome
-//! batches through the same engine as the closure API (so the `parallel`
-//! feature keeps its bit-identical guarantee), and reports a uniform
-//! [`SearchOutcome`].
+//! Every strategy is deterministic given its seed, scores genome batches
+//! through one batch evaluator (so the `parallel` feature keeps its
+//! bit-identical guarantee), and reports a uniform [`SearchOutcome`].
 //!
 //! # Example
 //!
@@ -51,7 +50,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{evaluate_batch, resolve_threads, GaConfig, GenStats, GeneticAlgorithm, ObjScorer};
+use crate::{
+    evaluate_batch, random_search_inner, resolve_threads, GaConfig, GenStats, GeneticAlgorithm,
+    ObjectiveRunner,
+};
 
 /// A search problem: genome construction, variation operators and a
 /// context-threaded fitness function (minimized).
@@ -128,8 +130,9 @@ pub trait SearchStrategy: Clone + Send + Sync {
 }
 
 /// The paper's Phase II: a genetic algorithm over the objective's
-/// genome, driven by [`GeneticAlgorithm`]. Bit-identical to the closure
-/// API for the same [`GaConfig`].
+/// genome. A search is [`ObjectiveRunner::start`] followed by
+/// [`ObjectiveRunner::finish`], so it is bit-identical to a stepped,
+/// checkpointed or resumed run with the same [`GaConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct Ga {
     cfg: GaConfig,
@@ -149,14 +152,7 @@ impl Ga {
 
 impl SearchStrategy for Ga {
     fn search<O: Objective>(&self, objective: &O) -> SearchOutcome<O::Genome> {
-        let result = GeneticAlgorithm::new(self.cfg.clone()).run_objective(objective);
-        SearchOutcome {
-            best_genome: result.best_genome,
-            best_fitness: result.best_fitness,
-            history: result.history,
-            evaluations: result.evaluations,
-            samples: None,
-        }
+        ObjectiveRunner::start(GeneticAlgorithm::new(self.cfg.clone()), objective).finish()
     }
 
     fn reconfigured(&self, seed: u64, threads: usize) -> Self {
@@ -186,11 +182,11 @@ impl SearchStrategy for Ga {
 /// The equal-budget random baseline of Fig. 4 as a strategy: `n_evals`
 /// independent draws, every sampled fitness retained.
 ///
-/// Candidates are streamed through a bounded evaluation chunk
-/// ([`RandomSearch::chunk`]) so a paper-scale budget
-/// (`MVF_PAPER_SCALE=1`: 9,726 evaluations per workload) never
-/// materializes the whole batch; results are bit-identical for every
-/// chunk size.
+/// Candidates stream through an evaluation chunk sized from the thread
+/// count, so a paper-scale budget (`MVF_PAPER_SCALE=1`: 9,726
+/// evaluations per workload) never materializes the whole batch; results
+/// are bit-identical for every chunk size and thread count. A search
+/// with `n_evals == 0` panics.
 #[derive(Debug, Clone)]
 pub struct RandomSearch {
     /// Number of genomes drawn and evaluated.
@@ -199,9 +195,6 @@ pub struct RandomSearch {
     pub seed: u64,
     /// Worker threads (`0` = auto, `1` = serial).
     pub threads: usize,
-    /// Maximum genomes materialized at a time (`0` = auto). Results are
-    /// bit-identical for every setting.
-    pub chunk: usize,
 }
 
 impl Default for RandomSearch {
@@ -210,27 +203,13 @@ impl Default for RandomSearch {
             n_evals: 1000,
             seed: 0xBA5E,
             threads: 0,
-            chunk: 0,
         }
     }
 }
 
 impl SearchStrategy for RandomSearch {
     fn search<O: Objective>(&self, objective: &O) -> SearchOutcome<O::Genome> {
-        let result = crate::random_search_objective_chunked(
-            self.n_evals,
-            self.seed,
-            self.threads,
-            self.chunk,
-            objective,
-        );
-        SearchOutcome {
-            best_genome: result.best_genome,
-            best_fitness: result.best_fitness,
-            history: Vec::new(),
-            evaluations: self.n_evals,
-            samples: Some(result.samples),
-        }
+        random_search_inner(self.n_evals, self.seed, self.threads, 0, objective)
     }
 
     fn reconfigured(&self, seed: u64, threads: usize) -> Self {
@@ -300,7 +279,6 @@ impl SearchStrategy for HillClimb {
     fn search<O: Objective>(&self, objective: &O) -> SearchOutcome<O::Genome> {
         assert!(self.restarts > 0, "hill climb needs at least one restart");
         assert!(self.batch > 0, "hill climb needs a positive batch size");
-        let scorer = ObjScorer(objective);
         let threads = resolve_threads(self.threads);
         let mut master = StdRng::seed_from_u64(self.seed);
         let mut history = Vec::with_capacity(self.restarts * (self.steps + 1));
@@ -312,7 +290,8 @@ impl SearchStrategy for HillClimb {
         for _ in 0..self.restarts {
             let mut stream = StdRng::seed_from_u64(master.gen::<u64>());
             let start = objective.init(&mut stream);
-            let start_fit = evaluate_batch(std::slice::from_ref(&start), &scorer, 1, &mut ctxs)[0];
+            let start_fit =
+                evaluate_batch(std::slice::from_ref(&start), objective, 1, &mut ctxs)[0];
             evaluations += 1;
             let mut current = (start, start_fit);
             if global.as_ref().is_none_or(|g| current.1 < g.1) {
@@ -334,7 +313,7 @@ impl SearchStrategy for HillClimb {
                     objective.mutate(&mut n, &mut stream);
                     neighbors.push(n);
                 }
-                let fits = evaluate_batch(&neighbors, &scorer, threads, &mut ctxs);
+                let fits = evaluate_batch(&neighbors, objective, threads, &mut ctxs);
                 evaluations += neighbors.len();
                 let avg = fits.iter().sum::<f64>() / fits.len() as f64;
                 let (best_idx, best_fit) = fits
@@ -423,30 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn ga_strategy_matches_run_objective() {
-        let cfg = GaConfig {
-            population: 12,
-            generations: 8,
-            seed: 0xAB,
-            ..GaConfig::default()
-        };
-        let direct = GeneticAlgorithm::new(cfg.clone()).run_objective(&Sphere);
-        let via_strategy = Ga::new(cfg).search(&Sphere);
-        assert_eq!(direct.best_genome, via_strategy.best_genome);
-        assert_eq!(
-            direct.best_fitness.to_bits(),
-            via_strategy.best_fitness.to_bits()
-        );
-        assert_eq!(direct.evaluations, via_strategy.evaluations);
-    }
-
-    #[test]
     fn random_search_strategy_keeps_samples() {
         let rs = RandomSearch {
             n_evals: 40,
             seed: 3,
             threads: 1,
-            chunk: 0,
         };
         let out = rs.search(&Sphere);
         let samples = out.samples.expect("random search retains samples");

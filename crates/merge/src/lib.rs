@@ -98,8 +98,15 @@ impl PinAssignment {
         }
     }
 
-    /// Validates shape against a function list.
-    fn check(&self, functions: &[VectorFunction]) -> Result<(), MergeError> {
+    /// Validates the assignment against a function list: one input and
+    /// one output permutation per function, each a permutation of that
+    /// function's pins.
+    ///
+    /// # Errors
+    ///
+    /// [`MergeError::BadAssignment`] if any list has the wrong length or
+    /// any permutation repeats or skips a pin.
+    pub fn check(&self, functions: &[VectorFunction]) -> Result<(), MergeError> {
         if self.input_perms.len() != functions.len() || self.output_perms.len() != functions.len() {
             return Err(MergeError::BadAssignment);
         }

@@ -242,6 +242,19 @@ fn ga_state_from(v: &Value) -> Result<GaSearchState<PinAssignment>, CheckpointEr
     })
 }
 
+/// Refuses a genome that is not a pin assignment of `workload`: the GA
+/// breeds from checkpointed genomes, and its crossover assumes
+/// permutations.
+fn check_genome(
+    genome: &PinAssignment,
+    workload: &Workload,
+    what: fmt::Arguments<'_>,
+) -> Result<(), CheckpointError> {
+    genome
+        .check(&workload.functions)
+        .map_err(|e| CheckpointError::Malformed(format!("{what}: {e}")))
+}
+
 /// `best` entries use `null` for "no witness yet" (`usize::MAX` does not
 /// fit an exact JSON number).
 fn progress_value(p: &AnyIoProgress) -> Value {
@@ -361,7 +374,8 @@ impl Checkpoint {
     }
 
     /// Parses a checkpoint document, rejecting unknown formats and
-    /// versions.
+    /// versions, genomes that are not pin assignments of the workload
+    /// ([`PinAssignment::check`]) and sweep cursors of the wrong width.
     ///
     /// # Errors
     ///
@@ -391,7 +405,14 @@ impl Checkpoint {
         })?;
         let failed_evaluations = usize_field(v, "failed_evaluations")?;
         let phase = match field(v, "phase")?.as_str() {
-            Some("ga") => CheckpointPhase::Ga(ga_state_from(field(v, "ga")?)?),
+            Some("ga") => {
+                let state = ga_state_from(field(v, "ga")?)?;
+                for (i, (genome, _)) in state.population.iter().enumerate() {
+                    check_genome(genome, &workload, format_args!("population genome {i}"))?;
+                }
+                check_genome(&state.best.0, &workload, format_args!("best genome"))?;
+                CheckpointPhase::Ga(state)
+            }
             Some("sweep") => {
                 let ga = field(v, "ga")?;
                 let progress = progress_from(field(v, "sweep")?)?;
@@ -405,9 +426,11 @@ impl Checkpoint {
                         progress.queries.len()
                     )));
                 }
+                let best = decode_assignment(field(ga, "best")?)?;
+                check_genome(&best, &workload, format_args!("best genome"))?;
                 CheckpointPhase::Sweep {
                     ga: GaFinal {
-                        best: decode_assignment(field(ga, "best")?)?,
+                        best,
                         history: history_from(ga, "history")?,
                         evaluations: usize_field(ga, "evaluations")?,
                     },
@@ -544,10 +567,7 @@ mod tests {
             failed_evaluations: 0,
             phase: CheckpointPhase::Sweep {
                 ga: GaFinal {
-                    best: PinAssignment {
-                        input_perms: vec![vec![0, 1]],
-                        output_perms: vec![vec![1, 0]],
-                    },
+                    best: sample_state().best.0,
                     history: Vec::new(),
                     evaluations: 40,
                 },
@@ -568,6 +588,51 @@ mod tests {
         assert_eq!(progress.best, vec![usize::MAX, 4]);
         assert_eq!(progress.queries, vec![9, 2]);
         assert_eq!(progress.resolved, vec![(0, false), (3, true), (11, false)]);
+    }
+
+    /// A repeated pin in any GA-phase genome, or in the sweep phase's
+    /// best, is refused at decode: crossover assumes permutations.
+    #[test]
+    fn genomes_that_are_not_pin_assignments_are_rejected() {
+        let bad = |genome: &mut PinAssignment| genome.input_perms[1] = vec![0, 0, 2, 3];
+        let mut population = sample_state();
+        bad(&mut population.population[1].0);
+        let mut best = sample_state();
+        bad(&mut best.best.0);
+        let mut sweep_best = sample_state().best.0;
+        bad(&mut sweep_best);
+        let phases = [
+            CheckpointPhase::Ga(population),
+            CheckpointPhase::Ga(best),
+            CheckpointPhase::Sweep {
+                ga: GaFinal {
+                    best: sweep_best,
+                    history: Vec::new(),
+                    evaluations: 0,
+                },
+                progress: AnyIoProgress {
+                    pos: 0,
+                    best: vec![usize::MAX; 2],
+                    queries: vec![0; 2],
+                    resolved: Vec::new(),
+                },
+            },
+        ];
+        for phase in phases {
+            let cp = Checkpoint {
+                workload: sample_workload(),
+                seed: 1,
+                scheme: SchemeKind::Camouflage,
+                failed_evaluations: 0,
+                phase,
+            };
+            match Checkpoint::from_json(&cp.to_json()) {
+                Err(CheckpointError::Malformed(m)) => {
+                    assert!(m.contains("not a permutation"), "{m}")
+                }
+                other => panic!("expected a malformed checkpoint, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -57,8 +57,10 @@ pub enum AuditOutcome {
     },
     /// Paused by the observer; resume later with [`resume_audit`].
     Paused(Box<Checkpoint>),
-    /// The checkpoint's sweep progress does not fit the rebuilt plan
-    /// ([`mvf_attack::RestoreError`]), so the job cannot resume from it.
+    /// The checkpoint does not fit the rebuilt job, so the job cannot
+    /// resume from it: its GA population differs from the configured one
+    /// ([`mvf_ga::PopulationMismatch`]), or its sweep progress does not
+    /// fit the rebuilt plan ([`mvf_attack::RestoreError`]).
     Failed(String),
 }
 
@@ -162,7 +164,10 @@ fn drive(
             let engine = GeneticAlgorithm::new(ga_cfg);
             let mut runner = match ga_phase {
                 Some(CheckpointPhase::Ga(state)) => {
-                    ObjectiveRunner::resume(engine, &objective, state)
+                    match ObjectiveRunner::resume(engine, &objective, state) {
+                        Ok(runner) => runner,
+                        Err(e) => return AuditOutcome::Failed(format!("checkpoint refused: {e}")),
+                    }
                 }
                 _ => ObjectiveRunner::start(engine, &objective),
             };

@@ -6,7 +6,7 @@
 //!
 //! | `cmd` | fields | response |
 //! |---|---|---|
-//! | `submit` | `id`, `workload` *or* `checkpoint`, optional `wait` | `status` (and `report` with `wait`); a workload the service cannot run — a function without inputs, or an interpretation orbit too large for the adversary tier — is refused up front, as is a sweep-phase checkpoint whose cursor does not cover exactly the workload's functions |
+//! | `submit` | `id`, `workload` *or* `checkpoint`, optional `wait` | `status` (and `report` with `wait`); a workload the service cannot run — a function without inputs, or an interpretation orbit too large for the adversary tier — is refused up front, as is a checkpoint whose genomes are not pin assignments of the workload or whose sweep cursor does not cover exactly the workload's functions |
 //! | `status` | `id` | `status`, `error` when failed; done jobs add the sweep solver's counters (`n_vivified`, `n_eliminated`, `n_reductions`; the first two are always 0, since the solver has no inprocessing) |
 //! | `result` | `id` | `report` (once done) |
 //! | `checkpoint` | `id` | `checkpoint` (latest boundary snapshot) |
@@ -18,10 +18,11 @@
 //! discarded and serving continues with the next one.
 //!
 //! A job's `status` is `queued`, `running`, `done`, `cancelled` or
-//! `failed`. A job fails when it panics, or when its checkpoint's sweep
-//! cursor does not fit the plan rebuilt on resume; `status` and a
-//! waiting `submit` then carry the message in `error`, and the worker
-//! goes on with the next job.
+//! `failed`. A job fails when it panics, or when its checkpoint does not
+//! fit the job rebuilt on resume (a GA population of another size, a
+//! sweep cursor past the rebuilt plan); `status` and a waiting `submit`
+//! then carry the message in `error`, and the worker goes on with the
+//! next job.
 //!
 //! The service keeps the last [`MAX_FINISHED_JOBS`] finished jobs
 //! (`done`, `cancelled` or `failed`) with their reports and checkpoints.

@@ -9,7 +9,9 @@ use mvf_attack::AnyIoProgress;
 use mvf_serve::checkpoint::GaFinal;
 use mvf_serve::json::Value;
 use mvf_serve::wire::encode_workload;
-use mvf_serve::{AuditService, Checkpoint, CheckpointPhase, ServeConfig};
+use mvf_serve::{
+    run_audit, AuditOutcome, AuditService, Checkpoint, CheckpointPhase, Control, ServeConfig,
+};
 
 fn tiny_cfg() -> ServeConfig {
     let mut cfg = ServeConfig::default();
@@ -231,6 +233,89 @@ fn sweep_checkpoints_of_the_wrong_width_are_refused_and_the_service_keeps_answer
         "{{\"cmd\":\"submit\",\"id\":\"fine\",\"wait\":true,\"workload\":{}}}",
         workload_json(5)
     )));
+    service.shutdown_and_join();
+}
+
+/// A GA-phase checkpoint whose genomes repeat a pin is refused at
+/// submit. Resumed, a crossover of two such parents can loop forever in
+/// PMX, and that would block the service's only worker.
+#[test]
+fn ga_checkpoints_whose_genomes_are_not_pin_assignments_are_refused() {
+    let cfg = tiny_cfg();
+    let workload =
+        Workload::new("PRESENT x2", mvf_sboxes::optimal_sboxes()[..2].to_vec()).with_seed(4);
+    // A real GA-phase checkpoint: the first boundary of a fresh run.
+    let mut checkpoint = match run_audit(&cfg, &workload, 4, None, &mut |_| Control::Pause) {
+        AuditOutcome::Paused(cp) => *cp,
+        _ => panic!("the observer pauses at the first boundary"),
+    };
+    let CheckpointPhase::Ga(state) = &mut checkpoint.phase else {
+        panic!("a two-generation run first pauses in the GA phase");
+    };
+    for (genome, _) in &mut state.population {
+        genome.input_perms[0] = vec![0, 0, 2, 3];
+    }
+    state.best.0.input_perms[0] = vec![0, 0, 2, 3];
+    let service = AuditService::start(cfg);
+    let v = Value::parse(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"repeated\",\"checkpoint\":{}}}",
+        checkpoint.to_value()
+    )))
+    .expect("response is JSON");
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{v}");
+    let error = v.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("bad checkpoint"), "{error}");
+    // Refused up front: no job was queued, and the service answers.
+    let status = Value::parse(&service.handle("{\"cmd\":\"status\",\"id\":\"repeated\"}")).unwrap();
+    assert!(
+        status
+            .get("error")
+            .and_then(Value::as_str)
+            .unwrap()
+            .contains("no job"),
+        "{status}"
+    );
+    // The worker is free: a good workload runs to completion.
+    let fine = parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"fine\",\"wait\":true,\"workload\":{}}}",
+        workload_json(5)
+    )));
+    assert_eq!(fine.get("status").and_then(Value::as_str), Some("done"));
+    service.shutdown_and_join();
+}
+
+/// A GA-phase checkpoint of another population size decodes, but the
+/// job fails with the runner's typed refusal instead of a panic, and the
+/// worker goes on with the next job.
+#[test]
+fn a_ga_checkpoint_of_another_population_fails_the_job_and_the_worker_lives_on() {
+    let workload =
+        Workload::new("PRESENT x2", mvf_sboxes::optimal_sboxes()[..2].to_vec()).with_seed(4);
+    let checkpoint = match run_audit(&tiny_cfg(), &workload, 4, None, &mut |_| Control::Pause) {
+        AuditOutcome::Paused(cp) => *cp,
+        _ => panic!("the observer pauses at the first boundary"),
+    };
+    let mut cfg = tiny_cfg();
+    cfg.flow.ga.population = 5;
+    let service = AuditService::start(cfg);
+    let v = parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"wider\",\"wait\":true,\"checkpoint\":{}}}",
+        checkpoint.to_value()
+    )));
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("failed"));
+    assert_eq!(
+        v.get("error").and_then(Value::as_str),
+        Some(
+            "checkpoint refused: checkpoint population has 4 individuals, \
+             the engine is configured for 5"
+        ),
+        "{v}"
+    );
+    let fine = parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"fine\",\"wait\":true,\"workload\":{}}}",
+        workload_json(5)
+    )));
+    assert_eq!(fine.get("status").and_then(Value::as_str), Some("done"));
     service.shutdown_and_join();
 }
 

@@ -6,78 +6,106 @@
 //!   deterministic and equals the per-workload serial runs;
 //! * failed fitness evaluations are counted (and zero in healthy runs).
 
-use mvf::{synthesized_area_ge, Flow, Ga, Workload};
+use mvf::{EvalContext, Flow, Ga, Objective, SearchOutcome, SearchStrategy, Workload};
 use mvf_ga::permutation::{pmx, random_permutation, swap_mutation};
-use mvf_ga::{GaConfig, GeneticAlgorithm};
+use mvf_ga::GaConfig;
 use mvf_merge::PinAssignment;
 use mvf_sboxes::optimal_sboxes;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// The PR-1 closure plumbing, frozen here as the reference
-/// implementation: ad-hoc init/mutate/crossover closures wired straight
-/// into the GA engine, with a cold fitness call per evaluation.
-fn pr1_closure_ga(
-    functions: &[mvf_logic::VectorFunction],
-    cfg: GaConfig,
-) -> mvf_ga::GaResult<PinAssignment> {
-    let flow_cfg = mvf::FlowConfig::default();
-    let lib = mvf_cells::Library::standard();
-    let engine = GeneticAlgorithm::new(cfg);
-    engine.run(
-        |rng| PinAssignment {
-            input_perms: functions
+/// The original closure plumbing, frozen here as the reference
+/// implementation: its ad-hoc init/mutate/crossover/fitness closures as
+/// a context-free objective, with a cold fitness call per evaluation.
+struct ClosureReference<'a> {
+    functions: &'a [mvf_logic::VectorFunction],
+    flow_cfg: mvf::FlowConfig,
+    lib: mvf_cells::Library,
+}
+
+impl Objective for ClosureReference<'_> {
+    type Genome = PinAssignment;
+    type Ctx = ();
+
+    fn new_ctx(&self) {}
+
+    fn init(&self, rng: &mut StdRng) -> PinAssignment {
+        PinAssignment {
+            input_perms: self
+                .functions
                 .iter()
                 .map(|f| random_permutation(f.n_inputs(), rng))
                 .collect(),
-            output_perms: functions
+            output_perms: self
+                .functions
                 .iter()
                 .map(|f| random_permutation(f.n_outputs(), rng))
                 .collect(),
-        },
-        |g: &mut PinAssignment, rng: &mut StdRng| {
-            let j = rng.gen_range(0..g.input_perms.len());
-            if rng.gen_bool(0.5) {
-                swap_mutation(&mut g.input_perms[j], rng);
-            } else {
-                swap_mutation(&mut g.output_perms[j], rng);
-            }
-        },
-        |a: &PinAssignment, b: &PinAssignment, rng: &mut StdRng| {
-            let input_perms = a
-                .input_perms
-                .iter()
-                .zip(&b.input_perms)
-                .map(|(x, y)| {
-                    if rng.gen_bool(0.5) {
-                        pmx(x, y, rng)
-                    } else {
-                        x.clone()
-                    }
-                })
-                .collect();
-            let output_perms = a
-                .output_perms
-                .iter()
-                .zip(&b.output_perms)
-                .map(|(x, y)| {
-                    if rng.gen_bool(0.5) {
-                        pmx(x, y, rng)
-                    } else {
-                        x.clone()
-                    }
-                })
-                .collect();
-            PinAssignment {
-                input_perms,
-                output_perms,
-            }
-        },
-        |g: &PinAssignment| {
-            synthesized_area_ge(functions, g, &flow_cfg.script, &lib, &flow_cfg.map)
-                .unwrap_or(f64::INFINITY)
-        },
-    )
+        }
+    }
+
+    fn mutate(&self, g: &mut PinAssignment, rng: &mut StdRng) {
+        let j = rng.gen_range(0..g.input_perms.len());
+        if rng.gen_bool(0.5) {
+            swap_mutation(&mut g.input_perms[j], rng);
+        } else {
+            swap_mutation(&mut g.output_perms[j], rng);
+        }
+    }
+
+    fn crossover(&self, a: &PinAssignment, b: &PinAssignment, rng: &mut StdRng) -> PinAssignment {
+        let input_perms = a
+            .input_perms
+            .iter()
+            .zip(&b.input_perms)
+            .map(|(x, y)| {
+                if rng.gen_bool(0.5) {
+                    pmx(x, y, rng)
+                } else {
+                    x.clone()
+                }
+            })
+            .collect();
+        let output_perms = a
+            .output_perms
+            .iter()
+            .zip(&b.output_perms)
+            .map(|(x, y)| {
+                if rng.gen_bool(0.5) {
+                    pmx(x, y, rng)
+                } else {
+                    x.clone()
+                }
+            })
+            .collect();
+        PinAssignment {
+            input_perms,
+            output_perms,
+        }
+    }
+
+    fn evaluate(&self, _ctx: &mut (), g: &PinAssignment) -> f64 {
+        EvalContext::new()
+            .synthesized_area_ge(
+                self.functions,
+                g,
+                &self.flow_cfg.script,
+                &self.lib,
+                &self.flow_cfg.map,
+            )
+            .unwrap_or(f64::INFINITY)
+    }
+}
+
+fn pr1_closure_ga(
+    functions: &[mvf_logic::VectorFunction],
+    cfg: GaConfig,
+) -> SearchOutcome<PinAssignment> {
+    Ga::new(cfg).search(&ClosureReference {
+        functions,
+        flow_cfg: mvf::FlowConfig::default(),
+        lib: mvf_cells::Library::standard(),
+    })
 }
 
 #[test]
