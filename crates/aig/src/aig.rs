@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mvf_logic::{TruthTable, TtArena};
 
@@ -76,6 +77,48 @@ impl fmt::Debug for Lit {
     }
 }
 
+/// A hasher for the engine's small integer keys (structural-hash literal
+/// pairs, cut-function words): a key of two 32-bit integers is packed
+/// into one word exactly, and `finish` applies the SplitMix64 finalizer.
+///
+/// It costs a few multiplies where the default SipHash runs several
+/// rounds per key, and needs no dependency. It does not resist chosen
+/// keys, which these maps never see: their keys are literals and truth
+/// tables the engine computes itself, and they are only ever probed and
+/// inserted, never iterated, so hash order cannot reach a result.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = self.0.rotate_left(32) ^ x;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// A hash map keyed through [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 #[derive(Debug, Clone, Copy)]
 struct Node {
     /// Fanins; `Lit::FALSE` placeholders for the constant and PI nodes.
@@ -96,7 +139,7 @@ struct Node {
 pub struct Aig {
     n_inputs: usize,
     nodes: Vec<Node>,
-    strash: HashMap<(Lit, Lit), NodeId>,
+    strash: WordMap<(Lit, Lit), NodeId>,
     outputs: Vec<(String, Lit)>,
     input_names: Vec<String>,
 }
@@ -123,7 +166,7 @@ impl Aig {
         Aig {
             n_inputs,
             nodes,
-            strash: HashMap::new(),
+            strash: WordMap::default(),
             outputs: Vec::new(),
             input_names: (0..n_inputs).map(|i| format!("i{i}")).collect(),
         }
@@ -358,28 +401,30 @@ impl Aig {
     pub fn compact(&self) -> Aig {
         let mut out = Aig::new(self.n_inputs);
         out.input_names = self.input_names.clone();
-        let mut map: HashMap<NodeId, Lit> = HashMap::new();
-        map.insert(NodeId(0), Lit::FALSE);
+        // `map[id]`: the node's literal in `out`, once copied.
+        let mut map: Vec<Option<Lit>> = vec![None; self.nodes.len()];
+        map[0] = Some(Lit::FALSE);
         for i in 0..self.n_inputs {
-            map.insert(NodeId(i as u32 + 1), out.input(i));
+            map[i + 1] = Some(out.input(i));
         }
         // Iterative DFS to avoid recursion depth issues.
+        let mut stack = Vec::new();
         for (name, lit) in &self.outputs {
-            let mut stack = vec![lit.node()];
+            stack.push(lit.node());
             while let Some(id) = stack.pop() {
-                if map.contains_key(&id) {
+                if map[id.0 as usize].is_some() {
                     continue;
                 }
                 let (f0, f1) = self.fanins(id);
-                let m0 = map.get(&f0.node()).copied();
-                let m1 = map.get(&f1.node()).copied();
+                let m0 = map[f0.node().0 as usize];
+                let m1 = map[f1.node().0 as usize];
                 match (m0, m1) {
                     (Some(a), Some(b)) => {
                         let l = out.and(
                             a.xor_sign(f0.is_complement()),
                             b.xor_sign(f1.is_complement()),
                         );
-                        map.insert(id, l);
+                        map[id.0 as usize] = Some(l);
                     }
                     _ => {
                         stack.push(id);
@@ -392,7 +437,7 @@ impl Aig {
                     }
                 }
             }
-            let l = map[&lit.node()];
+            let l = map[lit.node().0 as usize].expect("output node copied");
             let name = name.clone();
             out.add_output(name, l.xor_sign(lit.is_complement()));
         }

@@ -161,7 +161,7 @@ fn signature_bit(id: u32) -> u64 {
 
 /// Reusable scratch for cut-function evaluation: the cone list, the
 /// traversal stack and the truth-table [`TtArena`] keep their allocations
-/// across [`cut_function_with`] calls.
+/// across [`cut_function_with`] and [`cut_word_with`] calls.
 ///
 /// Synthesis passes evaluate thousands of small cones per run; a fitness
 /// loop that synthesizes one circuit per evaluation shares a single
@@ -360,15 +360,31 @@ pub fn cut_function_with(
     leaves: &[u32],
     scratch: &mut CutScratch,
 ) -> TruthTable {
+    let slot = eval_cone(aig, root, leaves, scratch);
+    scratch.arena.to_table(slot)
+}
+
+/// The function of `root` over a cut of at most 6 leaves as its one
+/// truth-table word: `cut_function_with(..).as_word()` without building
+/// the table. The two share the cone evaluation.
+///
+/// # Panics
+///
+/// Panics if the leaf set is not a valid cut of `root` or has more than
+/// 6 leaves.
+pub fn cut_word_with(aig: &Aig, root: NodeId, leaves: &[u32], scratch: &mut CutScratch) -> u64 {
+    assert!(leaves.len() <= 6, "cut word needs at most 6 leaves");
+    let slot = eval_cone(aig, root, leaves, scratch);
+    scratch.arena.slot(slot)[0]
+}
+
+/// Evaluates the cone of `root` above `leaves` in the scratch arena and
+/// returns the slot holding the root's function.
+fn eval_cone(aig: &Aig, root: NodeId, leaves: &[u32], scratch: &mut CutScratch) -> usize {
     let k = leaves.len();
     assert!(k <= mvf_logic::MAX_VARS, "cut too wide: {k} leaves");
-    if let Some(pos) = leaves.iter().position(|&l| l == root.0) {
-        return TruthTable::var(pos, k);
-    }
-    if root.0 == 0 {
-        return TruthTable::zero(k);
-    }
-    // Collect the cone above the leaves.
+    // Collect the cone above the leaves (empty when the root is a leaf or
+    // the constant).
     let cone = &mut scratch.cone;
     let stack = &mut scratch.stack;
     cone.clear();
@@ -413,7 +429,7 @@ pub fn cut_function_with(
             f1.is_complement(),
         );
     }
-    arena.to_table(slot_of(root.0))
+    slot_of(root.0)
 }
 
 /// Number of AND nodes in the cone of `root` above the cut leaves.

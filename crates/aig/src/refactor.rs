@@ -7,7 +7,7 @@
 //! fresh graph and is monotone: the result never has more AND nodes.
 
 use crate::cuts::{cut_function_with, enumerate_cuts_into, CutScratch, CutSet};
-use crate::rewrite::{exclusive_cone_size, Recipe};
+use crate::rewrite::{exclusive_cone_size, ConeScratch, Recipe};
 use crate::{Aig, Lit};
 
 /// Default cut width of the refactoring pass.
@@ -52,7 +52,7 @@ pub fn refactor_with_scratch(
     assert!(k > 0 && k <= 16, "cut width must be in 1..=16");
     enumerate_cuts_into(aig, k, max_cuts, cuts);
     let fanouts = aig.fanout_counts();
-    let mut refs_scratch = Vec::new();
+    let mut scratch = ConeScratch::default();
     let mut new = Aig::new(aig.n_inputs());
     for i in 0..aig.n_inputs() {
         new.set_input_name(i, aig.input_name(i).to_string());
@@ -89,12 +89,12 @@ pub fn refactor_with_scratch(
             }
             let actual: Vec<Lit> = leaf_ids.iter().map(|&l| map[l as usize]).collect();
             let recipe = Recipe::build(&f);
-            let (cost, probed_out) = recipe.probe(&new, &actual);
+            let (cost, probed_out) = recipe.probe(&new, &actual, &mut scratch.probe);
             // Skip no-op candidates that resolve to the existing node.
             if probed_out == Some(map[id.0 as usize]) {
                 continue;
             }
-            let freed = exclusive_cone_size(aig, id, cut.leaves(), &fanouts, &mut refs_scratch);
+            let freed = exclusive_cone_size(aig, id, cut.leaves(), &fanouts, &mut scratch);
             // Zero-cost candidates reuse existing structure and never add
             // nodes, so they are always worth taking even when the freed
             // estimate is conservative.

@@ -7,13 +7,15 @@
 //! cone holds. The pass rebuilds into a fresh graph and is kept only if it
 //! reduces the AND count, so it is monotone by construction.
 
-use std::collections::HashMap;
-
 use mvf_logic::npn::{npn_canonical, NpnTransform};
 use mvf_logic::TruthTable;
 
-use crate::cuts::{cut_function_with, enumerate_cuts_into, CutScratch, CutSet};
-use crate::{build, Aig, Lit};
+use crate::aig::WordMap;
+use crate::cuts::{cut_word_with, enumerate_cuts_into, CutScratch, CutSet};
+use crate::{build, Aig, Lit, NodeId};
+
+/// Cut width of the rewriting pass: every cut function fits one word.
+const CUT_WIDTH: usize = 4;
 
 /// A cached implementation of a canonical function: a miniature AIG over
 /// the canonical variables plus its output literal.
@@ -56,9 +58,15 @@ impl Recipe {
     /// Counts how many new nodes [`Recipe::paste`] would create, without
     /// mutating `target`. Also returns the output literal the paste would
     /// produce when every node hash-hits (`None` if any node is new).
-    pub(crate) fn probe(&self, target: &Aig, leaves: &[Lit]) -> (usize, Option<Lit>) {
+    /// `map` is the caller's reusable node map.
+    pub(crate) fn probe(
+        &self,
+        target: &Aig,
+        leaves: &[Lit],
+        map: &mut Vec<Option<Lit>>,
+    ) -> (usize, Option<Lit>) {
         // `None` marks a virtual (not-yet-existing) node.
-        let mut map: Vec<Option<Lit>> = Vec::with_capacity(self.aig.n_nodes());
+        map.clear();
         map.push(Some(Lit::FALSE));
         for i in 0..self.aig.n_inputs() {
             map.push(Some(leaves[i]));
@@ -85,37 +93,44 @@ impl Recipe {
 
 /// Shared rewriting caches: NPN canonicalization and canonical recipes.
 ///
-/// Every cut function of the pass has at most 4 variables, so its one
-/// word plus its arity identify it without hashing a heap table. Entries
-/// live in flat vectors indexed by first appearance, and a lookup hands
-/// out borrows instead of cloning a table and a transform.
+/// Every cut function of the pass has at most 4 variables, so its arity
+/// and its one truth-table word identify it: the pass computes that word
+/// directly and a lookup hashes the pair with the cheap [`WordMap`]
+/// hasher, building a [`TruthTable`] only on a miss, for
+/// canonicalization. Entries live in flat vectors indexed by first
+/// appearance, and a lookup hands out borrows instead of cloning a table
+/// and a transform.
 #[derive(Default)]
 pub(crate) struct RewriteCache {
-    /// Cut function `(n_vars, word)` → entry index.
-    entries: HashMap<(usize, u64), usize>,
+    /// Cut function `(arity, word)` → entry index.
+    entries: WordMap<(usize, u64), usize>,
     /// Per entry: the transform onto the function's NPN canon.
     transforms: Vec<NpnTransform>,
     /// Per entry: the index of the canon's recipe.
     recipe_of: Vec<usize>,
-    /// Canon `(n_vars, word)` → recipe index.
-    canons: HashMap<(usize, u64), usize>,
+    /// Canon `(arity, word)` → recipe index.
+    canons: WordMap<(usize, u64), usize>,
     /// One pre-optimized implementation per NPN class met so far.
     recipes: Vec<Recipe>,
 }
 
 impl RewriteCache {
-    /// The transform taking `f` onto its NPN canon, and the canon's
-    /// recipe; `f` is canonicalized on its first appearance only.
+    /// The transform taking the `arity`-variable function `word` onto its
+    /// NPN canon, and the canon's recipe; the function is canonicalized on
+    /// its first appearance only. Bits of `word` above `2^arity` must be
+    /// zero.
     ///
     /// # Panics
     ///
-    /// Panics if `f` has more than 6 variables.
-    pub(crate) fn lookup(&mut self, f: &TruthTable) -> (&NpnTransform, &Recipe) {
-        let key = (f.n_vars(), f.as_word());
+    /// Panics if `arity > 6`.
+    pub(crate) fn lookup(&mut self, arity: usize, word: u64) -> (&NpnTransform, &Recipe) {
+        let key = (arity, word);
         let entry = match self.entries.get(&key) {
             Some(&entry) => entry,
             None => {
-                let (canon, t) = npn_canonical(f);
+                let f = TruthTable::from_word(arity, word).expect("at most 6 variables");
+                debug_assert_eq!(f.as_word(), word, "bits above the table");
+                let (canon, t) = npn_canonical(&f);
                 let recipes = &mut self.recipes;
                 let recipe = *self
                     .canons
@@ -140,12 +155,56 @@ impl RewriteCache {
 
 /// Instantiation order of cut leaves for a canonical recipe: recipe input
 /// `t.perm[v]` receives actual leaf `v`, complemented per the transform.
-pub(crate) fn transformed_leaves(t: &NpnTransform, actual: &[Lit]) -> (Vec<Lit>, bool) {
-    let mut out = vec![Lit::FALSE; actual.len()];
+/// The first `actual.len()` entries of the array are the leaves.
+pub(crate) fn transformed_leaves(t: &NpnTransform, actual: &[Lit]) -> ([Lit; CUT_WIDTH], bool) {
+    let mut out = [Lit::FALSE; CUT_WIDTH];
     for (v, &p) in t.perm.iter().enumerate() {
         out[p] = actual[v].xor_sign(t.input_neg & (1 << v) != 0);
     }
     (out, t.output_neg)
+}
+
+/// Bit patterns of the first four variables inside one truth-table word.
+const VAR_WORD: [u64; CUT_WIDTH] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+];
+
+/// Bitmask of the variables the `n_vars`-variable function `word`
+/// depends on (`TruthTable::support_mask` on one word): variable `v`
+/// matters iff some minterm with bit `v` clear differs from its
+/// neighbour with it set.
+///
+/// # Panics
+///
+/// Panics if `n_vars > 4`.
+pub(crate) fn word_support(word: u64, n_vars: usize) -> u32 {
+    let minterms = (1u64 << (1 << n_vars)) - 1;
+    let mut mask = 0;
+    for (v, &var) in VAR_WORD[..n_vars].iter().enumerate() {
+        if ((word >> (1 << v)) ^ word) & !var & minterms != 0 {
+            mask |= 1 << v;
+        }
+    }
+    mask
+}
+
+/// `TruthTable::project` on one word: the function over the variables
+/// set in `support` (which must include every variable it depends on),
+/// renumbered in ascending order.
+pub(crate) fn project_word(word: u64, support: u32) -> u64 {
+    let support = u64::from(support);
+    let mut out = 0u64;
+    // `m` runs through the subsets of `support` in ascending order, so it
+    // is minterm `m2` with its bits spread onto the support's positions.
+    let mut m = 0u64;
+    for m2 in 0..1u64 << support.count_ones() {
+        out |= ((word >> m) & 1) << m2;
+        m = m.wrapping_sub(support) & support;
+    }
+    out
 }
 
 /// One rewriting pass. Returns an equivalent graph with at most as many
@@ -160,26 +219,49 @@ pub fn rewrite(aig: &Aig) -> Aig {
     )
 }
 
+/// Buffers a rewriting or refactoring pass reuses for every candidate:
+/// [`Recipe::probe`]'s node map and [`exclusive_cone_size`]'s lists and
+/// per-node reference counts.
+#[derive(Default)]
+pub(crate) struct ConeScratch {
+    pub(crate) probe: Vec<Option<Lit>>,
+    cone: Vec<u32>,
+    stack: Vec<u32>,
+    freed: Vec<u32>,
+    frontier: Vec<u32>,
+    /// All zeros between calls (see [`exclusive_cone_size`]).
+    refs_inside: Vec<u32>,
+}
+
 /// Number of cone nodes above `leaves` that would really be freed if
 /// `root` were re-expressed: nodes all of whose fanouts lie inside the
 /// freed set (an MFFC restricted to the cut).
 pub(crate) fn exclusive_cone_size(
     aig: &Aig,
-    root: crate::NodeId,
+    root: NodeId,
     leaves: &[u32],
     fanouts: &[u32],
-    refs_inside: &mut Vec<u32>,
+    scratch: &mut ConeScratch,
 ) -> usize {
+    let ConeScratch {
+        cone,
+        stack,
+        freed,
+        frontier,
+        refs_inside,
+        ..
+    } = scratch;
     // Collect cone nodes (excluding leaves).
-    let mut cone: Vec<u32> = Vec::new();
-    let mut stack = vec![root.0];
+    cone.clear();
+    stack.clear();
+    stack.push(root.0);
     while let Some(id) = stack.pop() {
         if leaves.contains(&id) || cone.contains(&id) {
             continue;
         }
-        if aig.is_and(crate::NodeId(id)) {
+        if aig.is_and(NodeId(id)) {
             cone.push(id);
-            let (f0, f1) = aig.fanins(crate::NodeId(id));
+            let (f0, f1) = aig.fanins(NodeId(id));
             stack.push(f0.node().0);
             stack.push(f1.node().0);
         }
@@ -193,10 +275,12 @@ pub(crate) fn exclusive_cone_size(
     if refs_inside.len() < aig.n_nodes() {
         refs_inside.resize(aig.n_nodes(), 0);
     }
-    let mut freed: Vec<u32> = vec![root.0];
-    let mut frontier = vec![root.0];
+    freed.clear();
+    freed.push(root.0);
+    frontier.clear();
+    frontier.push(root.0);
     while let Some(id) = frontier.pop() {
-        let (f0, f1) = aig.fanins(crate::NodeId(id));
+        let (f0, f1) = aig.fanins(NodeId(id));
         for child in [f0.node().0, f1.node().0] {
             if !cone.contains(&child) || freed.contains(&child) {
                 continue;
@@ -208,7 +292,7 @@ pub(crate) fn exclusive_cone_size(
             }
         }
     }
-    for &id in &cone {
+    for &id in cone.iter() {
         refs_inside[id as usize] = 0;
     }
     freed.len()
@@ -220,9 +304,9 @@ pub(crate) fn rewrite_with_cache(
     cuts: &mut CutSet,
     eval: &mut CutScratch,
 ) -> Aig {
-    enumerate_cuts_into(aig, 4, 8, cuts);
+    enumerate_cuts_into(aig, CUT_WIDTH, 8, cuts);
     let fanouts = aig.fanout_counts();
-    let mut refs_scratch = Vec::new();
+    let mut scratch = ConeScratch::default();
     let mut new = Aig::new(aig.n_inputs());
     for i in 0..aig.n_inputs() {
         new.set_input_name(i, aig.input_name(i).to_string());
@@ -246,34 +330,42 @@ pub(crate) fn rewrite_with_cache(
             if cut.len() < 2 || cut.leaves() == [id.0] || cut.contains(0) {
                 continue;
             }
-            let mut f = cut_function_with(aig, id, cut.leaves(), eval);
-            let mut leaf_ids: Vec<u32> = cut.leaves().to_vec();
+            let mut word = cut_word_with(aig, id, cut.leaves(), eval);
             // Support reduction: drop leaves the function ignores.
-            let support = f.support();
-            if support.len() < leaf_ids.len() {
-                f = f.project(&support);
-                leaf_ids = support.iter().map(|&v| leaf_ids[v]).collect();
-            }
-            if leaf_ids.is_empty() {
+            let support = word_support(word, cut.len());
+            if support == 0 {
                 continue;
             }
-            let actual: Vec<Lit> = leaf_ids.iter().map(|&l| map[l as usize]).collect();
-            let (t, recipe) = cache.lookup(&f);
-            let (leaves, out_neg) = transformed_leaves(t, &actual);
-            let (cost, probed_out) = recipe.probe(&new, &leaves);
+            let arity = support.count_ones() as usize;
+            if arity < cut.len() {
+                word = project_word(word, support);
+            }
+            let mut actual = [Lit::FALSE; CUT_WIDTH];
+            let support_leaves = cut
+                .leaves()
+                .iter()
+                .enumerate()
+                .filter(|&(v, _)| support & (1 << v) != 0);
+            for (slot, (_, &l)) in actual.iter_mut().zip(support_leaves) {
+                *slot = map[l as usize];
+            }
+            let (t, recipe) = cache.lookup(arity, word);
+            let (leaves, out_neg) = transformed_leaves(t, &actual[..arity]);
+            let leaves = &leaves[..arity];
+            let (cost, probed_out) = recipe.probe(&new, leaves, &mut scratch.probe);
             // A candidate that resolves to the node we already have is a
             // no-op; skip it so it cannot displace real improvements.
             if probed_out.map(|l| l.xor_sign(out_neg)) == Some(map[id.0 as usize]) {
                 continue;
             }
-            let freed = exclusive_cone_size(aig, id, cut.leaves(), &fanouts, &mut refs_scratch);
+            let freed = exclusive_cone_size(aig, id, cut.leaves(), &fanouts, &mut scratch);
             // Zero-cost candidates reuse existing structure and never add
             // nodes, so they are always worth taking even when the freed
             // estimate is conservative.
             if cost < freed || cost == 0 {
                 let score = (freed + 1).saturating_sub(cost);
                 if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                    let lit = recipe.paste(&mut new, &leaves).xor_sign(out_neg);
+                    let lit = recipe.paste(&mut new, leaves).xor_sign(out_neg);
                     best = Some((score, lit));
                 }
             }
@@ -361,13 +453,14 @@ mod tests {
         let recipe = Recipe::build(&f);
         let mut target = Aig::new(4);
         let leaves: Vec<Lit> = (0..4).map(|i| target.input(i)).collect();
-        let (probed, _) = recipe.probe(&target, &leaves);
+        let mut map = Vec::new();
+        let (probed, _) = recipe.probe(&target, &leaves, &mut map);
         let before = target.n_ands();
         let out = recipe.paste(&mut target, &leaves);
         assert_eq!(target.n_ands() - before, probed, "probe must predict paste");
         // Second paste is free: everything hash-hits and the probe
         // resolves the output literal exactly.
-        assert_eq!(recipe.probe(&target, &leaves), (0, Some(out)));
+        assert_eq!(recipe.probe(&target, &leaves, &mut map), (0, Some(out)));
         let out2 = recipe.paste(&mut target, &leaves);
         assert_eq!(out, out2);
     }
@@ -382,7 +475,7 @@ mod tests {
         let mut aig = Aig::new(3);
         let actual: Vec<Lit> = (0..3).map(|i| aig.input(i)).collect();
         let (leaves, out_neg) = transformed_leaves(&t, &actual);
-        let lit = recipe.paste(&mut aig, &leaves).xor_sign(out_neg);
+        let lit = recipe.paste(&mut aig, &leaves[..3]).xor_sign(out_neg);
         aig.add_output("f", lit);
         assert_eq!(aig.output_functions()[0], f);
     }
@@ -417,19 +510,60 @@ mod tests {
 
     #[test]
     fn exclusive_cone_size_reuses_a_zeroed_buffer() {
-        // The reused reference-count buffer must give the count a fresh
-        // one gives, and be all zeros again after every call.
+        // The reused buffers must give the count fresh ones give, and the
+        // reference counts must be all zeros again after every call.
         let g = random_graph();
         let mut cuts = CutSet::new();
         enumerate_cuts_into(&g, 4, 8, &mut cuts);
         let fanouts = g.fanout_counts();
-        let mut reused = Vec::new();
+        let mut reused = ConeScratch::default();
         for id in g.and_nodes() {
             for cut in cuts.cuts_of(id.0) {
                 let warm = exclusive_cone_size(&g, id, cut.leaves(), &fanouts, &mut reused);
-                let cold = exclusive_cone_size(&g, id, cut.leaves(), &fanouts, &mut Vec::new());
+                let cold = exclusive_cone_size(
+                    &g,
+                    id,
+                    cut.leaves(),
+                    &fanouts,
+                    &mut ConeScratch::default(),
+                );
                 assert_eq!(warm, cold, "node {} cut {:?}", id.0, cut.leaves());
-                assert!(reused.iter().all(|&r| r == 0));
+                assert!(reused.refs_inside.iter().all(|&r| r == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn word_support_and_projection_match_truth_tables() {
+        for n in 0..=CUT_WIDTH {
+            for word in 0..1u64 << (1 << n) {
+                let f = TruthTable::from_word(n, word).unwrap();
+                let support = word_support(word, n);
+                assert_eq!(support, f.support_mask(), "n = {n} f = {f:?}");
+                assert_eq!(
+                    project_word(word, support),
+                    f.project(&f.support()).as_word(),
+                    "n = {n} f = {f:?}"
+                );
+                let all = (1u32 << n) - 1;
+                assert_eq!(project_word(word, all), word, "n = {n} f = {f:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cut_word_matches_cut_function() {
+        let g = random_graph();
+        let mut eval = CutScratch::default();
+        for (k, max_cuts) in [(4, 8), (6, 16)] {
+            let cuts = crate::cuts::enumerate_cuts(&g, k, max_cuts);
+            for id in 0..g.n_nodes() as u32 {
+                for cut in cuts.cuts_of(id) {
+                    let root = NodeId(id);
+                    let table = crate::cuts::cut_function_with(&g, root, cut.leaves(), &mut eval);
+                    let word = cut_word_with(&g, root, cut.leaves(), &mut eval);
+                    assert_eq!(word, table.as_word(), "node {id} cut {cut:?}");
+                }
             }
         }
     }
@@ -443,7 +577,7 @@ mod tests {
             for bits in (0..1u64 << 16).step_by(251) {
                 let f = TruthTable::from_word(4, bits).unwrap();
                 let (canon, t) = npn_canonical(&f);
-                let (got_t, recipe) = cache.lookup(&f);
+                let (got_t, recipe) = cache.lookup(4, bits);
                 assert_eq!(*got_t, t, "round {round} f = {f:?}");
                 assert_eq!(recipe.aig.output_functions()[0], canon);
             }

@@ -20,10 +20,15 @@ use crate::{balance, collapse, refactor, Aig};
 ///   they are valid across *different* circuits: a fitness loop that
 ///   synthesizes thousands of related circuits hits the same 4-variable
 ///   classes over and over and skips the canonicalization and factoring
-///   work entirely. Lookups return borrows of flat per-entry storage.
+///   work entirely. The rewriting pass computes each cut's word, support
+///   and projection on that one word and looks it up through a cheap
+///   integer hasher; a `TruthTable` is built only on a miss. Lookups
+///   return borrows of flat per-entry storage.
 /// * **Scratch buffers** — the flat CSR cut store ([`CutSet`]) and the
 ///   cut-function evaluation arena, whose allocations are retained across
-///   passes and across calls.
+///   passes and across calls. (Each rewriting or refactoring pass also
+///   reuses one set of candidate buffers, for the replacement probe and
+///   the freed-node count, across all of its cuts.)
 ///
 /// Reuse never changes results: cached entries are exactly what
 /// recomputation would produce, so `run_with` is bit-identical to

@@ -25,6 +25,24 @@
 //! `MVF_THREADS` environment variable, or the machine's available
 //! parallelism, in that order.
 //!
+//! # Each distinct genome is scored once
+//!
+//! A GA re-breeds genomes it has already scored: parents copied unchanged,
+//! children of identical parents, swaps that undo each other. At the paper's
+//! budget (population 24, 442 generations) 96 % of the fitness calls of a
+//! PRESENT-2 run repeat an earlier genome. The batch scorer therefore
+//! keeps a genome → fitness memo for the whole search (GA or hill climb;
+//! random search clears it after every chunk of draws): only genomes that
+//! are neither in the memo nor earlier in the batch are evaluated, and
+//! the results are filled back in genome order. This needs
+//! [`Objective::Genome`]`: Hash + Eq` and makes the purity of
+//! [`Objective::evaluate`] load-bearing: an objective with side effects
+//! sees each distinct genome once per search. Only finite fitness is
+//! memoized, so a failing genome is evaluated (and can be counted) on
+//! every call. The evaluation count of a [`SearchOutcome`] still counts
+//! calls, hits included, and the memo is not part of a [`GaSearchState`]:
+//! a resumed run re-evaluates what it lost and gets the same values.
+//!
 //! # Example
 //!
 //! ```
@@ -63,6 +81,7 @@
 pub mod permutation;
 pub mod strategy;
 
+use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -125,20 +144,108 @@ pub fn resolve_threads(configured: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Scores a batch of genomes through `objective`, preserving order.
+/// Scores genome batches for one search, each distinct genome once.
+///
+/// A scorer holds the worker thread count, one lazily created evaluation
+/// context per worker slot and a genome → fitness memo on the calling
+/// thread, and lives as long as the search: a GA or hill climb reuses the
+/// same contexts (and everything they cache) and the same memo for every
+/// batch of the run. Each batch is deduplicated: only genomes that are
+/// neither in the memo nor earlier in the batch reach
+/// [`Objective::evaluate`], and the results are filled back in genome
+/// order. By the [`Objective`] contract (evaluation is a pure function of
+/// the genome) a hit returns the bits recomputation would, so the values
+/// and their order are the same for every thread count and with or
+/// without hits.
+///
+/// Only finite fitness is memoized. A non-finite score marks a failed
+/// evaluation, which an objective may count, so a failing genome is
+/// evaluated again on every call, repeats within a batch included.
+pub(crate) struct Scorer<O: Objective> {
+    threads: usize,
+    ctxs: Vec<Option<O::Ctx>>,
+    memo: HashMap<O::Genome, f64>,
+}
+
+impl<O: Objective> Scorer<O> {
+    /// A scorer with an empty memo; `threads` is resolved like
+    /// [`GaConfig::threads`].
+    pub(crate) fn new(threads: usize) -> Self {
+        Scorer {
+            threads: resolve_threads(threads),
+            ctxs: Vec::new(),
+            memo: HashMap::new(),
+        }
+    }
+
+    /// The resolved worker thread count.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Forgets every memoized fitness (the contexts stay).
+    pub(crate) fn clear_memo(&mut self) {
+        self.memo.clear();
+    }
+
+    /// The fitness of every genome, in order.
+    pub(crate) fn score(&mut self, genomes: &[O::Genome], objective: &O) -> Vec<f64> {
+        let mut misses: Vec<&O::Genome> = Vec::new();
+        let mut first_miss: HashMap<&O::Genome, usize> = HashMap::new();
+        // Per genome: `Ok(fitness)` from the memo, or `Err(j)` for the
+        // `j`-th distinct miss of the batch.
+        let slots: Vec<Result<f64, usize>> = genomes
+            .iter()
+            .map(|g| match self.memo.get(g) {
+                Some(&f) => Ok(f),
+                None => Err(*first_miss.entry(g).or_insert_with(|| {
+                    misses.push(g);
+                    misses.len() - 1
+                })),
+            })
+            .collect();
+        let fits = evaluate_all(&misses, objective, self.threads, &mut self.ctxs);
+        for (&g, &f) in misses.iter().zip(&fits) {
+            if f.is_finite() {
+                self.memo.insert(g.clone(), f);
+            }
+        }
+        let mut used = vec![false; misses.len()];
+        let mut failed_repeats: Vec<usize> = Vec::new();
+        let mut out: Vec<f64> = slots
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| match *slot {
+                Ok(f) => f,
+                Err(j) => {
+                    if std::mem::replace(&mut used[j], true) && !fits[j].is_finite() {
+                        failed_repeats.push(i);
+                    }
+                    fits[j]
+                }
+            })
+            .collect();
+        if !failed_repeats.is_empty() {
+            let again: Vec<&O::Genome> = failed_repeats.iter().map(|&i| &genomes[i]).collect();
+            let refits = evaluate_all(&again, objective, self.threads, &mut self.ctxs);
+            for (i, f) in failed_repeats.into_iter().zip(refits) {
+                out[i] = f;
+            }
+        }
+        out
+    }
+}
+
+/// Evaluates every genome through `objective`, preserving order.
 ///
 /// Serial by default; with the `parallel` feature the slice is split into
 /// per-thread chunks scored concurrently and re-stitched in order, so the
-/// result is independent of scheduling.
-///
-/// `ctxs` holds one lazily-created evaluation context per worker slot and
-/// is owned by the *caller*, so the contexts — and everything they cache —
-/// survive across batches: a GA reuses the same contexts for every
-/// generation of the run, not just within one batch. Each worker thread
-/// gets its own context, so contexts never need synchronization and, by
-/// the [`Objective`] contract, their reuse cannot change results.
-pub(crate) fn evaluate_batch<O: Objective>(
-    genomes: &[O::Genome],
+/// result is independent of scheduling. `ctxs` holds one lazily created
+/// context per worker slot; each worker thread gets its own, so contexts
+/// never need synchronization and, by the [`Objective`] contract, their
+/// reuse cannot change results.
+fn evaluate_all<O: Objective>(
+    genomes: &[&O::Genome],
     objective: &O,
     threads: usize,
     ctxs: &mut Vec<Option<O::Ctx>>,
@@ -233,8 +340,7 @@ fn gen_stats<G>(pop: &[(G, f64)], best: f64) -> GenStats {
 fn ga_init<O: Objective>(
     cfg: &GaConfig,
     objective: &O,
-    threads: usize,
-    ctxs: &mut Vec<Option<O::Ctx>>,
+    scorer: &mut Scorer<O>,
 ) -> GaSearchState<O::Genome> {
     let mut master = StdRng::seed_from_u64(cfg.seed);
     // Initial population: one pre-drawn RNG stream per individual.
@@ -244,7 +350,7 @@ fn ga_init<O: Objective>(
             objective.init(&mut stream)
         })
         .collect();
-    let fits = evaluate_batch(&genomes, objective, threads, ctxs);
+    let fits = scorer.score(&genomes, objective);
     let evaluations = genomes.len();
     let mut population: Vec<(O::Genome, f64)> = genomes.into_iter().zip(fits).collect();
     population.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -267,8 +373,7 @@ fn ga_init<O: Objective>(
 fn ga_step<O: Objective>(
     cfg: &GaConfig,
     objective: &O,
-    threads: usize,
-    ctxs: &mut Vec<Option<O::Ctx>>,
+    scorer: &mut Scorer<O>,
     state: &mut GaSearchState<O::Genome>,
 ) {
     let mut master = StdRng::from_state(state.master_rng);
@@ -294,7 +399,7 @@ fn ga_step<O: Objective>(
         }
         children.push(child);
     }
-    let fits = evaluate_batch(&children, objective, threads, ctxs);
+    let fits = scorer.score(&children, objective);
     state.evaluations += children.len();
     let mut next: Vec<(O::Genome, f64)> = Vec::with_capacity(cfg.population);
     for e in population.iter().take(n_elite) {
@@ -372,13 +477,15 @@ impl std::error::Error for PopulationMismatch {}
 /// [`ObjectiveRunner::resume`] from the snapshot — the completed search
 /// is bit-identical to one that was never interrupted, because the state
 /// carries the master RNG's exact stream position and the scored
-/// population. Evaluation contexts are rebuilt on resume; by the
-/// [`Objective`] contract their reuse (or loss) cannot change results.
+/// population. The runner scores each distinct genome once per search
+/// (every batch goes through one memo of the fitness seen so far);
+/// evaluation contexts and the memo are not part of the state and start
+/// empty on resume, and by the [`Objective`] contract their reuse (or
+/// loss) cannot change results.
 pub struct ObjectiveRunner<'a, O: Objective> {
     engine: GeneticAlgorithm,
     objective: &'a O,
-    threads: usize,
-    ctxs: Vec<Option<O::Ctx>>,
+    scorer: Scorer<O>,
     state: GaSearchState<O::Genome>,
 }
 
@@ -386,16 +493,12 @@ impl<'a, O: Objective> ObjectiveRunner<'a, O> {
     /// Starts a fresh search: evaluates the initial population and stops
     /// at the first generation boundary.
     pub fn start(engine: GeneticAlgorithm, objective: &'a O) -> Self {
-        let threads = resolve_threads(engine.cfg.threads);
-        // Per-worker evaluation contexts, reused across every generation
-        // of the run.
-        let mut ctxs: Vec<Option<O::Ctx>> = Vec::new();
-        let state = ga_init(&engine.cfg, objective, threads, &mut ctxs);
+        let mut scorer = Scorer::new(engine.cfg.threads);
+        let state = ga_init(&engine.cfg, objective, &mut scorer);
         ObjectiveRunner {
             engine,
             objective,
-            threads,
-            ctxs,
+            scorer,
             state,
         }
     }
@@ -418,12 +521,10 @@ impl<'a, O: Objective> ObjectiveRunner<'a, O> {
                 configured: engine.cfg.population,
             });
         }
-        let threads = resolve_threads(engine.cfg.threads);
         Ok(ObjectiveRunner {
+            scorer: Scorer::new(engine.cfg.threads),
             engine,
             objective,
-            threads,
-            ctxs: Vec::new(),
             state,
         })
     }
@@ -447,8 +548,7 @@ impl<'a, O: Objective> ObjectiveRunner<'a, O> {
         ga_step(
             &self.engine.cfg,
             self.objective,
-            self.threads,
-            &mut self.ctxs,
+            &mut self.scorer,
             &mut self.state,
         );
         true
@@ -500,7 +600,9 @@ fn resolve_chunk(chunk: usize, threads: usize) -> usize {
 /// Chunking never changes results: genomes are drawn from the same
 /// per-individual RNG streams in the same master order, and every chunk
 /// is scored by the same batch engine, so the outcome is bit-identical
-/// for every chunk size (and every thread count).
+/// for every chunk size (and every thread count). The scorer's memo is
+/// cleared after every chunk, which keeps memory bounded; independent
+/// draws almost never repeat anyway.
 ///
 /// # Panics
 ///
@@ -513,10 +615,9 @@ fn random_search_inner<O: Objective>(
     objective: &O,
 ) -> SearchOutcome<O::Genome> {
     assert!(n_evals > 0, "random search needs at least one evaluation");
-    let threads = resolve_threads(threads);
-    let chunk = resolve_chunk(chunk, threads);
+    let mut scorer = Scorer::new(threads);
+    let chunk = resolve_chunk(chunk, scorer.threads());
     let mut master = StdRng::seed_from_u64(seed);
-    let mut ctxs: Vec<Option<O::Ctx>> = Vec::new();
     let mut samples: Vec<f64> = Vec::with_capacity(n_evals);
     let mut genomes: Vec<O::Genome> = Vec::with_capacity(chunk.min(n_evals));
     // `best` replicates `min_by(total_cmp)` over the full sample stream:
@@ -531,7 +632,8 @@ fn random_search_inner<O: Objective>(
             let mut stream = StdRng::seed_from_u64(master.gen::<u64>());
             genomes.push(objective.init(&mut stream));
         }
-        let fits = evaluate_batch(&genomes, objective, threads, &mut ctxs);
+        let fits = scorer.score(&genomes, objective);
+        scorer.clear_memo();
         for (g, &f) in genomes.iter().zip(&fits) {
             let improves = match &best {
                 None => true,
@@ -556,6 +658,9 @@ fn random_search_inner<O: Objective>(
 
 #[cfg(test)]
 mod tests {
+    use std::hash::{Hash, Hasher};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
 
     /// A context-free test objective assembled from plain functions.
@@ -566,7 +671,7 @@ mod tests {
         fitness: fn(&G) -> f64,
     }
 
-    impl<G: Clone + Send + Sync> Objective for FnObjective<G> {
+    impl<G: Clone + Hash + Eq + Send + Sync> Objective for FnObjective<G> {
         type Genome = G;
         type Ctx = ();
         fn new_ctx(&self) {}
@@ -584,10 +689,10 @@ mod tests {
         }
     }
 
-    // Takes `&Vec` because it is the fitness of `Vec<f64>` genomes.
+    // Takes `&Vec` because it is the fitness of `Vec<i32>` genomes.
     #[allow(clippy::ptr_arg)]
-    fn sphere(g: &Vec<f64>) -> f64 {
-        g.iter().map(|x| x * x).sum()
+    fn sphere(g: &Vec<i32>) -> f64 {
+        g.iter().map(|&x| f64::from(x * x)).sum()
     }
 
     #[test]
@@ -599,14 +704,10 @@ mod tests {
             ..GaConfig::default()
         };
         let res = Ga::new(cfg).search(&FnObjective {
-            init: |rng| {
-                (0..4)
-                    .map(|_| rng.gen_range(-10.0..10.0))
-                    .collect::<Vec<f64>>()
-            },
+            init: |rng| (0..4).map(|_| rng.gen_range(-10..10)).collect::<Vec<i32>>(),
             mutate: |g, rng| {
                 let i = rng.gen_range(0..g.len());
-                g[i] += rng.gen_range(-1.0..1.0);
+                g[i] += rng.gen_range(-1..=1);
             },
             crossover: |a, b, rng| {
                 let cut = rng.gen_range(0..a.len());
@@ -614,7 +715,7 @@ mod tests {
             },
             fitness: sphere,
         });
-        assert!(res.best_fitness < sphere(&vec![10.0; 4]));
+        assert!(res.best_fitness < sphere(&vec![10; 4]));
         assert!(
             res.best_fitness < res.history[0].avg,
             "GA must improve on init"
@@ -694,10 +795,10 @@ mod tests {
             threads: 0,
         };
         let res = rs.search(&FnObjective {
-            init: |rng| rng.gen_range(0.0..1.0f64),
+            init: |rng| rng.gen::<u32>(),
             mutate: |_, _| {},
             crossover: |a, _, _| *a,
-            fitness: |g| *g,
+            fitness: |g| f64::from(*g),
         });
         let samples = res.samples.expect("random search retains samples");
         assert_eq!(samples.len(), 100);
@@ -915,6 +1016,246 @@ mod tests {
             assert_eq!(got.best_fitness.to_bits(), reference.best_fitness.to_bits());
             assert_eq!(got.evaluations, reference.evaluations);
             assert_eq!(got.samples, reference.samples);
+        }
+    }
+
+    /// Genomes `0..32` of a `u8`: a space small enough that searches
+    /// repeat genomes often. Counts every call per genome, and with
+    /// `fail_odd` scores odd genomes as failed evaluations (counted, like
+    /// `PinObjective`'s).
+    struct Counting {
+        fail_odd: bool,
+        calls: Vec<AtomicUsize>,
+        failures: AtomicUsize,
+    }
+
+    impl Counting {
+        fn new(fail_odd: bool) -> Self {
+            Counting {
+                fail_odd,
+                calls: (0..32).map(|_| AtomicUsize::new(0)).collect(),
+                failures: AtomicUsize::new(0),
+            }
+        }
+
+        fn calls(&self) -> Vec<usize> {
+            self.calls
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect()
+        }
+    }
+
+    impl Objective for Counting {
+        type Genome = u8;
+        type Ctx = ();
+        fn new_ctx(&self) {}
+        fn init(&self, rng: &mut StdRng) -> u8 {
+            rng.gen_range(0..32)
+        }
+        fn mutate(&self, g: &mut u8, rng: &mut StdRng) {
+            *g ^= 1u8 << rng.gen_range(0..5);
+        }
+        fn crossover(&self, a: &u8, b: &u8, _rng: &mut StdRng) -> u8 {
+            (a & 0b11100) | (b & 0b00011)
+        }
+        fn evaluate(&self, _ctx: &mut (), g: &u8) -> f64 {
+            self.calls[*g as usize].fetch_add(1, Ordering::Relaxed);
+            if self.fail_odd && g % 2 == 1 {
+                self.failures.fetch_add(1, Ordering::Relaxed);
+                return f64::INFINITY;
+            }
+            f64::from((g * 7) % 32) * 0.1
+        }
+    }
+
+    /// A genome that never compares equal, not even to itself, so a search
+    /// over it never hits the memo: the reference a memoized search must
+    /// reproduce bit for bit.
+    #[derive(Clone, Debug)]
+    struct Unshared(u8);
+
+    impl PartialEq for Unshared {
+        fn eq(&self, _: &Self) -> bool {
+            false
+        }
+    }
+
+    impl Eq for Unshared {}
+
+    impl Hash for Unshared {
+        fn hash<H: Hasher>(&self, h: &mut H) {
+            self.0.hash(h);
+        }
+    }
+
+    /// [`Counting`] over [`Unshared`] genomes.
+    struct Unmemoized(Counting);
+
+    impl Objective for Unmemoized {
+        type Genome = Unshared;
+        type Ctx = ();
+        fn new_ctx(&self) {}
+        fn init(&self, rng: &mut StdRng) -> Unshared {
+            Unshared(self.0.init(rng))
+        }
+        fn mutate(&self, g: &mut Unshared, rng: &mut StdRng) {
+            self.0.mutate(&mut g.0, rng);
+        }
+        fn crossover(&self, a: &Unshared, b: &Unshared, rng: &mut StdRng) -> Unshared {
+            Unshared(self.0.crossover(&a.0, &b.0, rng))
+        }
+        fn evaluate(&self, ctx: &mut (), g: &Unshared) -> f64 {
+            self.0.evaluate(ctx, &g.0)
+        }
+    }
+
+    fn assert_same_outcome(memo: &SearchOutcome<u8>, reference: &SearchOutcome<Unshared>) {
+        assert_eq!(memo.best_genome, reference.best_genome.0);
+        assert_eq!(
+            memo.best_fitness.to_bits(),
+            reference.best_fitness.to_bits()
+        );
+        assert_eq!(memo.evaluations, reference.evaluations);
+        assert_eq!(memo.history.len(), reference.history.len());
+        for (x, y) in memo.history.iter().zip(&reference.history) {
+            assert_eq!(x.best_so_far.to_bits(), y.best_so_far.to_bits());
+            assert_eq!(x.best.to_bits(), y.best.to_bits());
+            assert_eq!(x.avg.to_bits(), y.avg.to_bits());
+        }
+        let bits = |s: &Option<Vec<f64>>| {
+            s.as_ref()
+                .map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>())
+        };
+        assert_eq!(bits(&memo.samples), bits(&reference.samples));
+    }
+
+    fn memo_ga(threads: usize) -> Ga {
+        Ga::new(GaConfig {
+            population: 10,
+            generations: 12,
+            seed: 0x3E30,
+            threads,
+            ..GaConfig::default()
+        })
+    }
+
+    fn memo_hill_climb(threads: usize) -> HillClimb {
+        HillClimb {
+            restarts: 3,
+            steps: 10,
+            batch: 6,
+            seed: 0x3E31,
+            threads,
+        }
+    }
+
+    /// Runs `strategy` over a memoized and an unmemoized [`Counting`];
+    /// checks the outcomes agree bit for bit and that the evaluation count
+    /// is the budget. Returns both objectives' per-genome call counts.
+    fn compare_with_unmemoized<S: SearchStrategy>(
+        strategy: &S,
+        fail_odd: bool,
+    ) -> (Counting, Counting) {
+        let memo = Counting::new(fail_odd);
+        let reference = Unmemoized(Counting::new(fail_odd));
+        let got = strategy.search(&memo);
+        let want = strategy.search(&reference);
+        assert_same_outcome(&got, &want);
+        assert_eq!(got.evaluations, strategy.evaluation_budget());
+        (memo, reference.0)
+    }
+
+    #[test]
+    fn memo_scores_each_distinct_genome_once_per_search() {
+        for threads in [1, 2, 4] {
+            let (memo, reference) = compare_with_unmemoized(&memo_ga(threads), false);
+            assert!(memo.calls().iter().all(|&c| c <= 1), "GA threads={threads}");
+            assert!(
+                reference.calls().iter().any(|&c| c > 1),
+                "the GA must repeat genomes for the memo to matter"
+            );
+            let (memo, reference) = compare_with_unmemoized(&memo_hill_climb(threads), false);
+            assert!(
+                memo.calls().iter().all(|&c| c <= 1),
+                "hill climb threads={threads}"
+            );
+            assert!(reference.calls().iter().any(|&c| c > 1));
+        }
+    }
+
+    #[test]
+    fn random_search_memo_is_bit_identical() {
+        for threads in [1, 2, 4] {
+            let rs = RandomSearch {
+                n_evals: 100,
+                seed: 0x3E32,
+                threads,
+            };
+            let (memo, reference) = compare_with_unmemoized(&rs, false);
+            // One chunk holds all 100 draws of 32 genomes: each distinct
+            // genome is evaluated once.
+            assert!(memo.calls().iter().all(|&c| c <= 1), "threads={threads}");
+            assert_eq!(reference.calls().iter().sum::<usize>(), 100);
+        }
+        // Small chunks clear the memo in between and change nothing.
+        for chunk in [1usize, 7, 32] {
+            let memo = random_search_inner(100, 0x3E32, 1, chunk, &Counting::new(false));
+            let reference =
+                random_search_inner(100, 0x3E32, 1, chunk, &Unmemoized(Counting::new(false)));
+            assert_same_outcome(&memo, &reference);
+        }
+    }
+
+    #[test]
+    fn resumed_memo_search_is_bit_identical() {
+        let cfg = memo_ga(1).config().clone();
+        let reference = ObjectiveRunner::start(
+            GeneticAlgorithm::new(cfg.clone()),
+            &Unmemoized(Counting::new(false)),
+        )
+        .finish();
+        for kill_at in 0..=cfg.generations {
+            let objective = Counting::new(false);
+            let mut first = ObjectiveRunner::start(GeneticAlgorithm::new(cfg.clone()), &objective);
+            for _ in 0..kill_at {
+                first.step();
+            }
+            let snapshot = first.state().clone();
+            drop(first);
+            let resumed =
+                ObjectiveRunner::resume(GeneticAlgorithm::new(cfg.clone()), &objective, snapshot)
+                    .expect("same configuration")
+                    .finish();
+            assert_same_outcome(&resumed, &reference);
+        }
+    }
+
+    #[test]
+    fn failing_genomes_count_one_failure_per_call() {
+        let check = |memo: Counting, reference: Counting| {
+            let failures = memo.failures.load(Ordering::Relaxed);
+            assert_eq!(failures, reference.failures.load(Ordering::Relaxed));
+            // Every call of an odd genome failed and was counted, repeats
+            // included; even genomes were still evaluated once each.
+            let calls = memo.calls();
+            let odd_calls: usize = calls.iter().skip(1).step_by(2).sum();
+            assert_eq!(failures, odd_calls);
+            assert!(calls.iter().skip(1).step_by(2).any(|&c| c > 1));
+            assert!(calls.iter().step_by(2).all(|&c| c <= 1));
+        };
+        for threads in [1, 2] {
+            let (memo, reference) = compare_with_unmemoized(&memo_ga(threads), true);
+            check(memo, reference);
+            let (memo, reference) = compare_with_unmemoized(&memo_hill_climb(threads), true);
+            check(memo, reference);
+            let rs = RandomSearch {
+                n_evals: 100,
+                seed: 0x3E33,
+                threads,
+            };
+            let (memo, reference) = compare_with_unmemoized(&rs, true);
+            check(memo, reference);
         }
     }
 }

@@ -38,9 +38,15 @@ pub fn swap_mutation(p: &mut [usize], rng: &mut StdRng) {
 ///
 /// # Panics
 ///
-/// Panics if the parents differ in length.
+/// Panics if the parents differ in length, or if either parent is not a
+/// permutation of `0..len` (the repair chain of a parent that repeats a
+/// value need not end).
 pub fn pmx(a: &[usize], b: &[usize], rng: &mut StdRng) -> Vec<usize> {
     assert_eq!(a.len(), b.len(), "parents must have equal length");
+    assert!(
+        is_permutation(a) && is_permutation(b),
+        "parents must be permutations"
+    );
     let n = a.len();
     if n < 2 {
         return a.to_vec();
@@ -151,6 +157,14 @@ mod tests {
             }
         }
         assert!(from_a > 0 && from_b > 0, "a:{from_a} b:{from_b}");
+    }
+
+    #[test]
+    #[should_panic(expected = "parents must be permutations")]
+    fn pmx_rejects_non_permutation_parents() {
+        // A repeated value once sent the repair chain round forever.
+        let mut rng = StdRng::seed_from_u64(0);
+        let _ = pmx(&[0, 0, 2, 3], &[0, 0, 2, 3], &mut rng);
     }
 
     #[test]

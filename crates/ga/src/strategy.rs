@@ -14,7 +14,8 @@
 //!
 //! Every strategy is deterministic given its seed, scores genome batches
 //! through one batch evaluator (so the `parallel` feature keeps its
-//! bit-identical guarantee), and reports a uniform [`SearchOutcome`].
+//! bit-identical guarantee) that evaluates each distinct genome once per
+//! search, and reports a uniform [`SearchOutcome`].
 //!
 //! # Example
 //!
@@ -47,13 +48,12 @@
 //! assert!(outcome.best_fitness <= 4.0);
 //! ```
 
+use std::hash::Hash;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{
-    evaluate_batch, random_search_inner, resolve_threads, GaConfig, GenStats, GeneticAlgorithm,
-    ObjectiveRunner,
-};
+use crate::{random_search_inner, GaConfig, GenStats, GeneticAlgorithm, ObjectiveRunner, Scorer};
 
 /// A search problem: genome construction, variation operators and a
 /// context-threaded fitness function (minimized).
@@ -65,9 +65,17 @@ use crate::{
 /// buffers) lives across evaluations instead of being reallocated per
 /// call. Evaluation must be a pure function of the genome — the context
 /// may only carry state whose reuse cannot change results.
+///
+/// Purity is load-bearing: every search scores each distinct genome once
+/// and answers repeats from a genome → fitness memo (hence the
+/// `Hash + Eq` bound on [`Objective::Genome`]), so an objective with side
+/// effects sees each distinct genome once per search. Only finite fitness
+/// is memoized: a genome scored non-finite (a failed evaluation) is
+/// evaluated again on every call, so an objective that counts failures
+/// counts one per call.
 pub trait Objective: Sync {
-    /// The genome type being searched.
-    type Genome: Clone + Send + Sync;
+    /// The genome type being searched; equal genomes must score equally.
+    type Genome: Clone + Hash + Eq + Send + Sync;
     /// Per-worker evaluation scratch; use `()` when evaluation needs
     /// none. `Send` so worker slots can persist across parallel batches.
     type Ctx: Send;
@@ -95,7 +103,8 @@ pub struct SearchOutcome<G> {
     /// hill-climbing step, or empty for strategies without a trajectory
     /// (random search).
     pub history: Vec<GenStats>,
-    /// Total fitness evaluations performed.
+    /// Total fitness calls the search made, memo hits included (the
+    /// strategy's evaluation budget).
     pub evaluations: usize,
     /// Every sampled fitness in evaluation order, when the strategy
     /// retains them (random search; `None` otherwise).
@@ -279,19 +288,17 @@ impl SearchStrategy for HillClimb {
     fn search<O: Objective>(&self, objective: &O) -> SearchOutcome<O::Genome> {
         assert!(self.restarts > 0, "hill climb needs at least one restart");
         assert!(self.batch > 0, "hill climb needs a positive batch size");
-        let threads = resolve_threads(self.threads);
         let mut master = StdRng::seed_from_u64(self.seed);
         let mut history = Vec::with_capacity(self.restarts * (self.steps + 1));
         let mut evaluations = 0usize;
         let mut global: Option<(O::Genome, f64)> = None;
-        // Per-worker evaluation contexts, reused across every step and
-        // restart of the climb.
-        let mut ctxs: Vec<Option<O::Ctx>> = Vec::new();
+        // One scorer (contexts and memo) for every step and restart of the
+        // climb.
+        let mut scorer = Scorer::new(self.threads);
         for _ in 0..self.restarts {
             let mut stream = StdRng::seed_from_u64(master.gen::<u64>());
             let start = objective.init(&mut stream);
-            let start_fit =
-                evaluate_batch(std::slice::from_ref(&start), objective, 1, &mut ctxs)[0];
+            let start_fit = scorer.score(std::slice::from_ref(&start), objective)[0];
             evaluations += 1;
             let mut current = (start, start_fit);
             if global.as_ref().is_none_or(|g| current.1 < g.1) {
@@ -313,7 +320,7 @@ impl SearchStrategy for HillClimb {
                     objective.mutate(&mut n, &mut stream);
                     neighbors.push(n);
                 }
-                let fits = evaluate_batch(&neighbors, objective, threads, &mut ctxs);
+                let fits = scorer.score(&neighbors, objective);
                 evaluations += neighbors.len();
                 let avg = fits.iter().sum::<f64>() / fits.len() as f64;
                 let (best_idx, best_fit) = fits
@@ -374,30 +381,31 @@ impl SearchStrategy for HillClimb {
 mod tests {
     use super::*;
 
-    /// Minimize the squared distance of a 6-vector from the origin.
+    /// Minimize the squared distance of an integer 6-vector from the
+    /// origin.
     struct Sphere;
 
     impl Objective for Sphere {
-        type Genome = Vec<f64>;
+        type Genome = Vec<i32>;
         type Ctx = usize; // counts evaluations per worker context
 
         fn new_ctx(&self) -> usize {
             0
         }
-        fn init(&self, rng: &mut StdRng) -> Vec<f64> {
-            (0..6).map(|_| rng.gen_range(-10.0..10.0)).collect()
+        fn init(&self, rng: &mut StdRng) -> Vec<i32> {
+            (0..6).map(|_| rng.gen_range(-10..10)).collect()
         }
-        fn mutate(&self, g: &mut Vec<f64>, rng: &mut StdRng) {
+        fn mutate(&self, g: &mut Vec<i32>, rng: &mut StdRng) {
             let i = rng.gen_range(0..g.len());
-            g[i] += rng.gen_range(-1.0..1.0);
+            g[i] += rng.gen_range(-1..=1);
         }
-        fn crossover(&self, a: &Vec<f64>, b: &Vec<f64>, rng: &mut StdRng) -> Vec<f64> {
+        fn crossover(&self, a: &Vec<i32>, b: &Vec<i32>, rng: &mut StdRng) -> Vec<i32> {
             let cut = rng.gen_range(0..a.len());
             a[..cut].iter().chain(b[cut..].iter()).copied().collect()
         }
-        fn evaluate(&self, ctx: &mut usize, g: &Vec<f64>) -> f64 {
+        fn evaluate(&self, ctx: &mut usize, g: &Vec<i32>) -> f64 {
             *ctx += 1;
-            g.iter().map(|x| x * x).sum()
+            g.iter().map(|&x| f64::from(x * x)).sum()
         }
     }
 

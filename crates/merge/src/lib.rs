@@ -75,7 +75,7 @@ impl Error for MergeError {}
 /// `input_perms[j][v] = w` wires logical input `v` of function `j` to
 /// merged-circuit input wire `w`; `output_perms[j][o] = p` places logical
 /// output `o` of function `j` on merged output `p`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PinAssignment {
     /// Per-function input permutations.
     pub input_perms: Vec<Vec<usize>>,

@@ -2,7 +2,8 @@
 //! semantics; netlist I/O round-trips mapped circuits; the camouflage
 //! condition (Alg. 1) holds on every emitted cell.
 
-use mvf_aig::Script;
+use mvf_aig::cuts::{cut_function_with, cut_word_with, enumerate_cuts, CutScratch};
+use mvf_aig::{NodeId, Script};
 use mvf_cells::{CamoLibrary, Library};
 use mvf_merge::{build_merged, PinAssignment};
 use mvf_netlist::{io, subject_graph, CellRef};
@@ -21,6 +22,29 @@ fn synthesis_preserves_merged_semantics() {
     check
         .check()
         .expect("every select value realizes its function");
+}
+
+#[test]
+fn cut_words_match_cut_tables_on_a_merged_circuit() {
+    // Rewriting computes each cut function as one word; it must be the
+    // word of the table the refactoring pass builds, on every 4-cut of a
+    // real merged circuit.
+    let functions = optimal_sboxes()[..4].to_vec();
+    let merged = build_merged(&functions, &PinAssignment::identity(&functions)).unwrap();
+    let aig = merged.aig.compact();
+    let cuts = enumerate_cuts(&aig, 4, 8);
+    let mut scratch = CutScratch::default();
+    let mut checked = 0usize;
+    for id in 0..aig.n_nodes() as u32 {
+        for cut in cuts.cuts_of(id) {
+            let root = NodeId(id);
+            let table = cut_function_with(&aig, root, cut.leaves(), &mut scratch);
+            let word = cut_word_with(&aig, root, cut.leaves(), &mut scratch);
+            assert_eq!(word, table.as_word(), "node {id} cut {cut:?}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 500, "only {checked} cuts");
 }
 
 #[test]
