@@ -109,10 +109,7 @@ impl Hasher for WordHasher {
     }
 
     fn finish(&self) -> u64 {
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mvf_logic::word::mix64(self.0)
     }
 }
 

@@ -8,7 +8,7 @@
 //! reduces the AND count, so it is monotone by construction.
 
 use mvf_logic::npn::{npn_canonical, NpnTransform};
-use mvf_logic::TruthTable;
+use mvf_logic::{word, TruthTable};
 
 use crate::aig::WordMap;
 use crate::cuts::{cut_word_with, enumerate_cuts_into, CutScratch, CutSet};
@@ -164,49 +164,6 @@ pub(crate) fn transformed_leaves(t: &NpnTransform, actual: &[Lit]) -> ([Lit; CUT
     (out, t.output_neg)
 }
 
-/// Bit patterns of the first four variables inside one truth-table word.
-const VAR_WORD: [u64; CUT_WIDTH] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-];
-
-/// Bitmask of the variables the `n_vars`-variable function `word`
-/// depends on (`TruthTable::support_mask` on one word): variable `v`
-/// matters iff some minterm with bit `v` clear differs from its
-/// neighbour with it set.
-///
-/// # Panics
-///
-/// Panics if `n_vars > 4`.
-pub(crate) fn word_support(word: u64, n_vars: usize) -> u32 {
-    let minterms = (1u64 << (1 << n_vars)) - 1;
-    let mut mask = 0;
-    for (v, &var) in VAR_WORD[..n_vars].iter().enumerate() {
-        if ((word >> (1 << v)) ^ word) & !var & minterms != 0 {
-            mask |= 1 << v;
-        }
-    }
-    mask
-}
-
-/// `TruthTable::project` on one word: the function over the variables
-/// set in `support` (which must include every variable it depends on),
-/// renumbered in ascending order.
-pub(crate) fn project_word(word: u64, support: u32) -> u64 {
-    let support = u64::from(support);
-    let mut out = 0u64;
-    // `m` runs through the subsets of `support` in ascending order, so it
-    // is minterm `m2` with its bits spread onto the support's positions.
-    let mut m = 0u64;
-    for m2 in 0..1u64 << support.count_ones() {
-        out |= ((word >> m) & 1) << m2;
-        m = m.wrapping_sub(support) & support;
-    }
-    out
-}
-
 /// One rewriting pass. Returns an equivalent graph with at most as many
 /// AND nodes as the input.
 pub fn rewrite(aig: &Aig) -> Aig {
@@ -330,15 +287,15 @@ pub(crate) fn rewrite_with_cache(
             if cut.len() < 2 || cut.leaves() == [id.0] || cut.contains(0) {
                 continue;
             }
-            let mut word = cut_word_with(aig, id, cut.leaves(), eval);
+            let mut bits = cut_word_with(aig, id, cut.leaves(), eval);
             // Support reduction: drop leaves the function ignores.
-            let support = word_support(word, cut.len());
+            let support = word::support(bits, cut.len());
             if support == 0 {
                 continue;
             }
             let arity = support.count_ones() as usize;
             if arity < cut.len() {
-                word = project_word(word, support);
+                bits = word::project(bits, support);
             }
             let mut actual = [Lit::FALSE; CUT_WIDTH];
             let support_leaves = cut
@@ -349,7 +306,7 @@ pub(crate) fn rewrite_with_cache(
             for (slot, (_, &l)) in actual.iter_mut().zip(support_leaves) {
                 *slot = map[l as usize];
             }
-            let (t, recipe) = cache.lookup(arity, word);
+            let (t, recipe) = cache.lookup(arity, bits);
             let (leaves, out_neg) = transformed_leaves(t, &actual[..arity]);
             let leaves = &leaves[..arity];
             let (cost, probed_out) = recipe.probe(&new, leaves, &mut scratch.probe);
@@ -529,24 +486,6 @@ mod tests {
                 );
                 assert_eq!(warm, cold, "node {} cut {:?}", id.0, cut.leaves());
                 assert!(reused.refs_inside.iter().all(|&r| r == 0));
-            }
-        }
-    }
-
-    #[test]
-    fn word_support_and_projection_match_truth_tables() {
-        for n in 0..=CUT_WIDTH {
-            for word in 0..1u64 << (1 << n) {
-                let f = TruthTable::from_word(n, word).unwrap();
-                let support = word_support(word, n);
-                assert_eq!(support, f.support_mask(), "n = {n} f = {f:?}");
-                assert_eq!(
-                    project_word(word, support),
-                    f.project(&f.support()).as_word(),
-                    "n = {n} f = {f:?}"
-                );
-                let all = (1u32 << n) - 1;
-                assert_eq!(project_word(word, all), word, "n = {n} f = {f:?}");
             }
         }
     }

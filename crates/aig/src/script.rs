@@ -3,8 +3,8 @@
 //! The paper synthesizes merged circuits with "our own script comprising
 //! multiple refactor, rewrite and balance commands" (§III-A). [`Script`]
 //! reproduces that: an ordered list of passes iterated until the AND count
-//! stops improving or a round limit is hit, with optional equivalence
-//! verification after every pass.
+//! stops improving or a round limit is hit, with exhaustive equivalence
+//! verification after every pass (up to [`mvf_logic::MAX_VARS`] inputs).
 
 use crate::cuts::{CutScratch, CutSet};
 use crate::rewrite::{rewrite_with_cache, RewriteCache};
@@ -85,17 +85,12 @@ pub enum Pass {
 pub struct Script {
     passes: Vec<Pass>,
     max_rounds: usize,
-    verify: bool,
 }
 
 impl Script {
     /// A script with explicit passes, iterated up to `max_rounds` times.
     pub fn new(passes: Vec<Pass>, max_rounds: usize) -> Self {
-        Script {
-            passes,
-            max_rounds,
-            verify: true,
-        }
+        Script { passes, max_rounds }
     }
 
     /// The paper-style default script:
@@ -113,15 +108,6 @@ impl Script {
         Script::new(vec![Pass::Rewrite, Pass::Balance], 2)
     }
 
-    /// Disables the per-pass equivalence assertion (it requires exhaustive
-    /// simulation and is only available up to
-    /// [`mvf_logic::MAX_VARS`] inputs).
-    #[must_use]
-    pub fn without_verification(mut self) -> Self {
-        self.verify = false;
-        self
-    }
-
     /// The configured passes.
     pub fn passes(&self) -> &[Pass] {
         &self.passes
@@ -131,8 +117,9 @@ impl Script {
     ///
     /// # Panics
     ///
-    /// Panics if verification is enabled and a pass changes the circuit
-    /// function (this would be an engine bug, and is checked exhaustively).
+    /// Panics if a pass changes the circuit function (this would be an
+    /// engine bug). Every pass is checked exhaustively on circuits of up
+    /// to [`mvf_logic::MAX_VARS`] inputs.
     pub fn run(&self, aig: &Aig) -> Aig {
         self.run_with(aig, &mut SynthScratch::default())
     }
@@ -147,8 +134,7 @@ impl Script {
     /// Same as [`Script::run`].
     pub fn run_with(&self, aig: &Aig, scratch: &mut SynthScratch) -> Aig {
         let mut cur = aig.compact();
-        let verify = self.verify && aig.n_inputs() <= mvf_logic::MAX_VARS;
-        let reference = if verify {
+        let reference = if aig.n_inputs() <= mvf_logic::MAX_VARS {
             Some(cur.output_functions())
         } else {
             None

@@ -14,7 +14,7 @@
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
-use mvf_logic::VectorFunction;
+use mvf_logic::{word, VectorFunction};
 
 /// How an `n_in → n_out` function packs into key words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,15 +38,6 @@ impl KeyLayout {
         (1usize << self.n_in).div_ceil(64)
     }
 
-    /// The meaningful bits of each of an output's words.
-    fn tail(&self) -> u64 {
-        if self.n_in >= 6 {
-            u64::MAX
-        } else {
-            (1u64 << (1 << self.n_in)) - 1
-        }
-    }
-
     /// First key word and bit shift of output `o`.
     fn origin(&self, o: usize) -> (usize, u32) {
         let bit = o << self.n_in;
@@ -60,7 +51,7 @@ impl KeyLayout {
     /// normalise to the truth table.
     pub(crate) fn place(&self, o: usize, src: &[u64], flip: u64, key: &mut [u64]) {
         let (word, shift) = self.origin(o);
-        let tail = self.tail();
+        let tail = word::tail(self.n_in);
         for (dst, &w) in key[word..].iter_mut().zip(&src[..self.words_per_output()]) {
             *dst |= ((w ^ flip) & tail) << shift;
         }
@@ -69,7 +60,7 @@ impl KeyLayout {
     /// Complements output `o` of a packed key in place.
     pub(crate) fn flip_output(&self, o: usize, key: &mut [u64]) {
         let (word, shift) = self.origin(o);
-        let flip = self.tail() << shift;
+        let flip = word::tail(self.n_in) << shift;
         for dst in &mut key[word..word + self.words_per_output()] {
             *dst ^= flip;
         }

@@ -55,6 +55,7 @@
 //!   and surviving candidates fall through to SAT unchanged. An orbit
 //!   point's tuple is a permuted-index gather against the batch.
 
+use mvf_logic::word::{splitmix64, SPLITMIX_GAMMA};
 use mvf_logic::{TtArena, VectorFunction, MAX_VARS};
 use mvf_netlist::Netlist;
 use mvf_obfuscate::{ConfigOdometer, ObfuscationSpace};
@@ -71,18 +72,9 @@ pub const MAX_SCREEN_CONFIGS: usize = 4096;
 const CHUNK_BITS: usize = 1 << 14;
 
 /// Default screening batch size (vectors per candidate comparison).
-/// Overridable per sweep via the options structs and, for the bench
-/// harness, the `MVF_SCREEN_VECTORS` env knob.
+/// Overridable per sweep through the options structs' `screen_vectors`;
+/// verdicts are identical for every batch size.
 pub const DEFAULT_SCREEN_VECTORS: usize = 256;
-
-/// One SplitMix64 step — the same generator the workload seeding uses,
-/// so screening vectors are deterministic functions of their seed alone.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Folds the candidate batch's truth-table words into the stream seed:
 /// the same sweep over the same candidates screens with the same
@@ -222,7 +214,7 @@ impl ConfigScreen {
             (
                 None,
                 (0..requested as u64)
-                    .map(|i| splitmix64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & mask)
+                    .map(|i| splitmix64(seed ^ i.wrapping_mul(SPLITMIX_GAMMA)) & mask)
                     .collect(),
             )
         };

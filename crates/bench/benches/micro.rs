@@ -532,7 +532,6 @@ fn main() {
     // covered) and settles every orbit representative without a single
     // SAT query. Verdicts and witnesses must match the SAT-only sweep
     // bit for bit.
-    let screen_vectors = mvf_bench::screen_vectors();
     let screen_target = {
         use mvf_netlist::{CellRef, Netlist};
         let camo_id = |name: &str| {
@@ -585,10 +584,7 @@ fn main() {
         any_io_candidates[1].clone(),
         any_io_candidates[2].clone(),
     ];
-    let screen_on_opts = mvf_attack::AnyIoOptions {
-        screen_vectors,
-        ..mvf_attack::AnyIoOptions::default()
-    };
+    let screen_on_opts = mvf_attack::AnyIoOptions::default();
     let screen_off_opts = mvf_attack::AnyIoOptions {
         screen: false,
         ..mvf_attack::AnyIoOptions::default()
@@ -614,7 +610,7 @@ fn main() {
         &space,
         &screen_target,
         &screen_candidates,
-        screen_vectors,
+        mvf_attack::DEFAULT_SCREEN_VECTORS,
     )
     .expect("3-camo-cell product is enumerable")
     .n_vectors();

@@ -7,19 +7,13 @@
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
-//! | `MVF_GA_POP` | GA population | 8 |
-//! | `MVF_GA_GENS` | GA generations | 5 |
+//! | `MVF_GA_POP` | GA population (read by [`FlowConfig::apply_ga_budget_env`]) | 8 |
+//! | `MVF_GA_GENS` | GA generations (likewise) | 5 |
 //! | `MVF_PAPER_SCALE` | population 24 / generations ~415 as in the paper | off |
 //! | `MVF_THREADS` | fitness-evaluation worker threads (`parallel` feature; results are bit-identical to serial) | all cores |
-//! | `MVF_SCREEN_VECTORS` | screening batch size of the `micro` bench's screen-then-solve section (verdicts are bit-identical for every value) | 256 |
 //! | `MVF_BENCH_OUT` | path of the `micro` bench's JSON report | `BENCH_sim.json` at the repo root |
-//! | `MVF_SERVE_ADDR` | TCP listen address of the `mvf-serve` audit service; unset = stdio | unset |
-//! | `MVF_CHECKPOINT_STEPS` | GA generations between `mvf-serve` checkpoints | 1 |
-//! | `MVF_SESSION_CACHE_MB` | `mvf-serve` session-cache byte budget, in MiB | 64 |
-//! | `MVF_SCHEME` | obfuscation family for new `mvf-serve` jobs (`camo` \| `locking`); resumed jobs keep their checkpoint's family | `camo` |
-//! | `MVF_LOCK_XOR` | XOR/XNOR key gates inserted by `mvf-serve` locking jobs | 4 |
-//! | `MVF_LOCK_MUX` | MUX key gates inserted by `mvf-serve` locking jobs | 2 |
-//! | `MVF_LOCK_SEED` | key-gate placement seed (locking is deterministic in `(netlist, seed)`) | fixed |
+//!
+//! The audit service's knobs are listed in the `mvf-serve` crate docs.
 //!
 //! Parallel fitness evaluation is compiled in through the `parallel`
 //! cargo feature (a default feature of this crate and of the workspace
@@ -71,13 +65,6 @@ pub fn table1_workloads() -> Vec<BenchWorkload> {
     w
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The benchmark flow configuration, honoring the env knobs.
 pub fn bench_config() -> FlowConfig {
     let mut config = FlowConfig::default();
@@ -87,8 +74,9 @@ pub fn bench_config() -> FlowConfig {
         config.ga.population = 24;
         config.ga.generations = 442;
     } else {
-        config.ga.population = env_usize("MVF_GA_POP", 8);
-        config.ga.generations = env_usize("MVF_GA_GENS", 5);
+        config.ga.population = 8;
+        config.ga.generations = 5;
+        config.apply_ga_budget_env();
     }
     config
 }
@@ -96,12 +84,4 @@ pub fn bench_config() -> FlowConfig {
 /// Builds the flow for benchmarking.
 pub fn bench_flow() -> Flow<Ga> {
     Flow::builder().config(bench_config()).build()
-}
-
-/// The screening batch size for the screen-then-solve bench section
-/// (`MVF_SCREEN_VECTORS`, default [`mvf_attack::DEFAULT_SCREEN_VECTORS`]).
-/// Screening never changes a verdict, so every value is safe; larger
-/// batches refute more chaff per screen build at higher screening cost.
-pub fn screen_vectors() -> usize {
-    env_usize("MVF_SCREEN_VECTORS", mvf_attack::DEFAULT_SCREEN_VECTORS)
 }

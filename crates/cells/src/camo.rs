@@ -1,7 +1,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use mvf_logic::{npn::all_permutations, TruthTable};
+use mvf_logic::{npn::all_permutations, word, TruthTable};
 
 use crate::{CellKind, LibCellId, Library};
 
@@ -243,50 +243,6 @@ impl CamoCell {
     }
 }
 
-/// The bits of variable `v` in a table word (`v < 6`).
-const VAR_WORD: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-
-/// The meaningful bits of an `n`-variable table word.
-fn tail(n: usize) -> u64 {
-    if n >= 6 {
-        u64::MAX
-    } else {
-        (1 << (1 << n)) - 1
-    }
-}
-
-/// [`TruthTable::cofactor`] on an `n`-variable table word.
-fn cofactor_word(w: u64, n: usize, var: usize, value: bool) -> u64 {
-    let shift = 1 << var;
-    let x = if value {
-        let x = w & VAR_WORD[var];
-        x | (x >> shift)
-    } else {
-        let x = w & !VAR_WORD[var];
-        x | (x << shift)
-    };
-    x & tail(n)
-}
-
-/// [`TruthTable::permute`] on a table word, through the permutation's
-/// minterm map (`image[m]`: where minterm `m` lands).
-fn permute_word(w: u64, image: &[u8; 64]) -> u64 {
-    let mut out = 0;
-    let mut ones = w;
-    while ones != 0 {
-        out |= 1 << image[ones.trailing_zeros() as usize];
-        ones &= ones - 1;
-    }
-    out
-}
-
 /// Closure of `f` under cofactoring on every input × polarity, in
 /// [`TruthTable`] order — for tables of one arity, the order of their
 /// words.
@@ -301,7 +257,7 @@ fn cofactor_closure(f: &TruthTable) -> Vec<TruthTable> {
         seen.push(g);
         for v in 0..n {
             for value in [false, true] {
-                stack.push(cofactor_word(g, n, v, value));
+                stack.push(word::cofactor(g, v, value));
             }
         }
     }
@@ -314,23 +270,13 @@ fn cofactor_closure(f: &TruthTable) -> Vec<TruthTable> {
 /// The words of every pin permutation of every function in `plausible`,
 /// sorted and deduplicated.
 fn perm_closure(plausible: &[TruthTable], n: usize) -> Vec<u64> {
-    let images: Vec<[u8; 64]> = all_permutations(n)
+    let maps: Vec<[u8; 64]> = all_permutations(n)
         .iter()
-        .map(|p| {
-            let mut image = [0u8; 64];
-            for (m, slot) in image.iter_mut().enumerate().take(1 << n) {
-                *slot = p
-                    .iter()
-                    .enumerate()
-                    .fold(0, |acc, (v, &q)| acc | ((m >> v) & 1) << q)
-                    as u8;
-            }
-            image
-        })
+        .map(|p| word::minterm_map(p))
         .collect();
     let mut words: Vec<u64> = plausible
         .iter()
-        .flat_map(|f| images.iter().map(|image| permute_word(f.as_word(), image)))
+        .flat_map(|f| maps.iter().map(|map| word::permute(f.as_word(), map)))
         .collect();
     words.sort_unstable();
     words.dedup();

@@ -3,13 +3,13 @@
 use mvf_aig::Script;
 use mvf_cells::{CamoLibrary, Library};
 use mvf_ga::{Ga, GaConfig, GenStats, RandomSearch, SearchOutcome, SearchStrategy};
-use mvf_logic::VectorFunction;
+use mvf_logic::{TtArena, VectorFunction};
 use mvf_merge::{build_merged, MergedCircuit, PinAssignment};
 use mvf_netlist::subject_graph;
 use mvf_obfuscate::{
     lock_library, lock_merged_netlist, LockOptions, LockedNetlist, ObfuscationSpace, SchemeKind,
 };
-use mvf_sim::{validate_mapped, ValidationError};
+use mvf_sim::{validate_configs, validate_mapped};
 use mvf_techmap::{
     map_camouflage, map_standard, CamoMapOptions, CamoMappedCircuit, CamoWitness, MapOptions,
 };
@@ -44,6 +44,23 @@ impl Default for FlowConfig {
             camo_map: CamoMapOptions::default(),
             validate: true,
         }
+    }
+}
+
+impl FlowConfig {
+    /// Reads the GA budget knobs the benches and the audit service share:
+    /// `MVF_GA_POP` sets the population and `MVF_GA_GENS` the generation
+    /// count. A variable that is unset or not a number keeps the current
+    /// value.
+    pub fn apply_ga_budget_env(&mut self) {
+        let read = |name: &str, current: usize| {
+            std::env::var(name)
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(current)
+        };
+        self.ga.population = read("MVF_GA_POP", self.ga.population);
+        self.ga.generations = read("MVF_GA_GENS", self.ga.generations);
     }
 }
 
@@ -514,7 +531,21 @@ impl<S> Flow<S> {
         if self.config.validate {
             match &locked {
                 None => validate_mapped(&mapped, &self.lib, &self.camo, &merged.functions)?,
-                Some(locked) => self.validate_locked(locked, &merged.functions)?,
+                Some(locked) => {
+                    // Viable function `j` is the locked circuit under the
+                    // key of select value `j`.
+                    let configs: Vec<_> = (0..merged.functions.len())
+                        .map(|j| locked.config_for_key(&locked.key_for_select(j)))
+                        .collect();
+                    validate_configs(
+                        &locked.netlist,
+                        &self.lib,
+                        &self.lock,
+                        &merged.functions,
+                        &configs,
+                        &mut TtArena::default(),
+                    )?;
+                }
             }
         }
         Ok(FlowResult {
@@ -528,38 +559,6 @@ impl<S> Flow<S> {
             evaluations,
             failed_evaluations,
         })
-    }
-
-    /// Exhaustive locking validation (the ModelSim substitute of the
-    /// locking path): under every select key the locked circuit must
-    /// compute exactly that viable function.
-    fn validate_locked(
-        &self,
-        locked: &LockedNetlist,
-        functions: &[VectorFunction],
-    ) -> Result<(), MvfError> {
-        for (j, f) in functions.iter().enumerate() {
-            let cfg = locked.config_for_key(&locked.key_for_select(j));
-            let got = mvf_sim::eval_camo_netlist(&locked.netlist, &self.lib, &self.lock, &cfg)?;
-            if got.len() != f.outputs().len() {
-                return Err(ValidationError::ShapeMismatch(format!(
-                    "locked circuit has {} outputs, function {j} expects {}",
-                    got.len(),
-                    f.outputs().len()
-                ))
-                .into());
-            }
-            for (output, (g, want)) in got.iter().zip(f.outputs()).enumerate() {
-                if g != want {
-                    return Err(ValidationError::FunctionMismatch {
-                        function: j,
-                        output,
-                    }
-                    .into());
-                }
-            }
-        }
-        Ok(())
     }
 }
 

@@ -17,7 +17,7 @@
 use std::fmt;
 
 use mvf_ga::{resolve_threads, SearchStrategy};
-use mvf_logic::{IoInterpretation, VectorFunction};
+use mvf_logic::{word, IoInterpretation, VectorFunction};
 
 use crate::error::MvfError;
 use crate::flow::{Flow, FlowResult};
@@ -209,10 +209,7 @@ impl fmt::Display for WorkloadReport {
 /// SplitMix64: derives decorrelated per-workload seeds from the strategy
 /// seed and the batch index.
 fn derive_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    word::mix64(base ^ index.wrapping_mul(word::SPLITMIX_GAMMA))
 }
 
 impl<S: SearchStrategy> Flow<S> {
@@ -361,6 +358,16 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, derive_seed(0xC0FFEE, 0), "derivation is pure");
         assert_ne!(a, derive_seed(0xC0FFEF, 0), "base seed matters");
+        // Batch entries without a pinned seed have always run under these.
+        let golden = [
+            0xe658_8447_cc47_8205,
+            0x0f0d_f74b_5773_412a,
+            0xe332_df7f_7589_5c71,
+            0x5048_3151_281b_47e8,
+        ];
+        for (index, want) in (0..).zip(golden) {
+            assert_eq!(derive_seed(0xC0FFEE, index), want, "index {index}");
+        }
     }
 
     #[test]

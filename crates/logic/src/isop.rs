@@ -104,7 +104,7 @@ mod tests {
             a.or(&b),
             a.xor(&b),
             a.and(&b).or(&c),
-            a.ite(&b, &c),
+            a.and(&b).or(&a.not().and(&c)),
             TruthTable::zero(3),
             TruthTable::one(3),
         ] {

@@ -1,26 +1,27 @@
-//! NPN and P canonical forms.
+//! NPN canonical forms and the interpretation group.
 //!
 //! Two functions are **NPN-equivalent** if one can be obtained from the
 //! other by Negating inputs, Permuting inputs, and/or Negating the output.
 //! The synthesis engine's cut-rewriting pass groups 4-input cut functions
 //! by NPN class so one pre-optimized replacement network per class suffices
-//! (exactly as in ABC). Two functions are **P-equivalent** under input
-//! permutation alone — the equivalence used when matching a subtree onto a
-//! camouflaged cell whose pins can be connected in any order.
+//! (exactly as in ABC).
 //!
 //! Canonicalization is exhaustive over the transform group, which is exact
-//! and fast for the arities used here (≤ 4 inputs for cells and cuts:
+//! and fast for the arities used here (≤ 4 inputs for cuts:
 //! 4!·2⁴·2 = 768 transforms). [`npn_canonical`] runs the whole scan on
-//! single `u64` words: a table of at most 6 variables is one word, and on
-//! equal arity `TruthTable`'s order is numeric order on that word. The
-//! `2^n` input-negated words are computed once, each permutation's minterm
-//! map once, and the canonical table and transform are materialized only
-//! at the end, so a scan allocates nothing per transform.
+//! single `u64` words with the [`word`] kernels: a table of at most 6
+//! variables is one word, and on equal arity `TruthTable`'s order is
+//! numeric order on that word. The `2^n` input-negated words are computed
+//! once, each permutation's minterm map once, and the canonical table and
+//! transform are materialized only at the end, so a scan allocates
+//! nothing per transform.
+//!
+//! The attack layer's orbit walks enumerate the same group lazily, over
+//! multi-output functions: [`Permutations`] in lexicographic order,
+//! [`NegationMasks`] in Gray-code order, and [`IoInterpretation`] as one
+//! point of the group.
 
-use std::collections::HashMap;
-
-use crate::tt::WORD_VAR;
-use crate::{LogicError, TruthTable, VectorFunction};
+use crate::{word, LogicError, TruthTable, VectorFunction};
 
 /// A transform in the NPN group: permute inputs, negate a subset of inputs,
 /// optionally negate the output.
@@ -175,17 +176,6 @@ pub fn gray_code(pos: u64) -> u64 {
     pos ^ (pos >> 1)
 }
 
-/// The rank of a Gray-code word — the inverse of [`gray_code`].
-pub fn gray_rank(mask: u64) -> u64 {
-    let mut rank = mask;
-    let mut shifted = mask;
-    while shifted > 0 {
-        shifted >>= 1;
-        rank ^= shifted;
-    }
-    rank
-}
-
 /// A lazy enumerator of all `2^n` input/output negation masks in Gray-code
 /// order, the polarity half of an NPN orbit walk.
 ///
@@ -308,35 +298,28 @@ pub fn npn_canonical(f: &TruthTable) -> (TruthTable, NpnTransform) {
     assert!(f.n_vars() <= 6, "exhaustive NPN limited to 6 variables");
     let n = f.n_vars();
     let n_masks = 1usize << n;
-    let full = TruthTable::tail_mask(n);
+    let full = word::tail(n);
     // negated[mask] = f with the inputs in `mask` complemented; each mask
     // extends a smaller one by its lowest set bit.
     let mut negated = [0u64; 64];
     negated[0] = f.as_word();
     for mask in 1..n_masks {
         let v = mask.trailing_zeros() as usize;
-        negated[mask] = flip_var_word(negated[mask & (mask - 1)], v, full);
+        negated[mask] = word::flip_var(negated[mask & (mask - 1)], v);
     }
     // The scan order (permutations lexicographic, input masks ascending,
     // the plain output before the complemented one) and the strict `<`
     // decide which transform wins among those reaching the canon, and
     // callers rely on that choice being stable.
     let mut best: Option<(u64, [usize; 6], u32, bool)> = None;
-    let mut minterm_map = [0u8; 64];
     let mut perms = Permutations::new(n);
     while let Some(perm) = perms.next() {
-        for (m, slot) in minterm_map[..n_masks].iter_mut().enumerate() {
-            let mut m2 = 0usize;
-            for (v, &p) in perm.iter().enumerate() {
-                m2 |= ((m >> v) & 1) << p;
-            }
-            *slot = m2 as u8;
-        }
+        let map = word::minterm_map(perm);
         for (input_neg, &src) in negated[..n_masks].iter().enumerate() {
-            let g = permute_word(src, &minterm_map);
+            let g = word::permute(src, &map);
             for output_neg in [false, true] {
                 let h = if output_neg { !g & full } else { g };
-                if best.is_none_or(|(word, ..)| h < word) {
+                if best.is_none_or(|(canon, ..)| h < canon) {
                     let mut kept = [0usize; 6];
                     kept[..n].copy_from_slice(perm);
                     best = Some((h, kept, input_neg as u32, output_neg));
@@ -355,25 +338,6 @@ pub fn npn_canonical(f: &TruthTable) -> (TruthTable, NpnTransform) {
     )
 }
 
-/// `w` with input `v` complemented (`f(x) ← f(x ⊕ e_v)`), for a one-word
-/// table whose meaningful bits are `full`.
-fn flip_var_word(w: u64, v: usize, full: u64) -> u64 {
-    let shift = 1u32 << v;
-    let hi = w & WORD_VAR[v];
-    ((hi >> shift) | ((w & !WORD_VAR[v]) << shift)) & full
-}
-
-/// Moves bit `m` of `w` to bit `minterm_map[m]`, for every set bit `m`.
-fn permute_word(w: u64, minterm_map: &[u8; 64]) -> u64 {
-    let mut rest = w;
-    let mut out = 0u64;
-    while rest != 0 {
-        out |= 1u64 << minterm_map[rest.trailing_zeros() as usize];
-        rest &= rest - 1;
-    }
-    out
-}
-
 /// [`NpnTransform::apply`] over borrowed parts, so exhaustive scans can
 /// evaluate a transform without building an owned `NpnTransform` first.
 fn apply_parts(f: &TruthTable, perm: &[usize], input_neg: u32, output_neg: bool) -> TruthTable {
@@ -388,118 +352,6 @@ fn apply_parts(f: &TruthTable, perm: &[usize], input_neg: u32, output_neg: bool)
         t = t.not();
     }
     t
-}
-
-/// The P canonical form (input permutation only): the lexicographically
-/// smallest table reachable by permuting inputs, with its permutation.
-///
-/// Streams the lazy [`Permutations`] enumerator (the permutation is only
-/// materialized on an improvement) and keeps the lexicographic-first
-/// tie-break of the exhaustive scan.
-///
-/// # Errors
-///
-/// Returns [`LogicError::TooManyVars`] for functions of more than 6
-/// variables — exhaustive canonicalization is only intended for cut- and
-/// cell-sized functions, and an oversized cell should fail gracefully
-/// rather than stall in a `6!`-fold scan.
-pub fn p_canonical(f: &TruthTable) -> Result<(TruthTable, Vec<usize>), LogicError> {
-    if f.n_vars() > 6 {
-        return Err(LogicError::TooManyVars(f.n_vars()));
-    }
-    let mut best: Option<(TruthTable, Vec<usize>)> = None;
-    let mut perms = Permutations::new(f.n_vars());
-    while let Some(perm) = perms.next() {
-        let g = f.permute(perm).expect("valid permutation");
-        if best.as_ref().is_none_or(|(b, _)| g < *b) {
-            best = Some((g, perm.to_vec()));
-        }
-    }
-    Ok(best.expect("at least the identity permutation"))
-}
-
-/// An NPN equivalence class, keyed by its canonical truth table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct NpnClass {
-    canonical: TruthTable,
-}
-
-impl NpnClass {
-    /// The class containing `f`.
-    pub fn of(f: &TruthTable) -> Self {
-        NpnClass {
-            canonical: npn_canonical(f).0,
-        }
-    }
-
-    /// The canonical representative table.
-    pub fn representative(&self) -> &TruthTable {
-        &self.canonical
-    }
-
-    /// Whether `f` belongs to this class.
-    pub fn contains(&self, f: &TruthTable) -> bool {
-        npn_canonical(f).0 == self.canonical
-    }
-}
-
-/// An incremental registry of NPN equivalence classes: feed it functions,
-/// get back a dense class id plus the transform onto the class canon.
-///
-/// This is the batch-level complement of [`npn_canonical`]: a candidate
-/// batch full of NPN-transforms of each other collapses to a handful of
-/// classes, and downstream work (orbit walks, screens, SAT rep sets) can
-/// be done once per class instead of once per candidate. Ids are assigned
-/// in first-appearance order, so the mapping is deterministic for a fixed
-/// feed order.
-#[derive(Debug, Clone, Default)]
-pub struct NpnClasses {
-    ids: HashMap<TruthTable, usize>,
-    reps: Vec<TruthTable>,
-}
-
-impl NpnClasses {
-    /// An empty registry.
-    pub fn new() -> Self {
-        NpnClasses::default()
-    }
-
-    /// Classifies `f`: returns its class id (dense, first-appearance
-    /// order) and the transform `t` with `t.apply(f) == canonical`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the function has more than 6 variables (see
-    /// [`npn_canonical`]).
-    pub fn classify(&mut self, f: &TruthTable) -> (usize, NpnTransform) {
-        let (canon, t) = npn_canonical(f);
-        if let Some(&id) = self.ids.get(&canon) {
-            return (id, t);
-        }
-        let id = self.reps.len();
-        self.ids.insert(canon.clone(), id);
-        self.reps.push(canon);
-        (id, t)
-    }
-
-    /// The canonical representative of class `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn representative(&self, id: usize) -> &TruthTable {
-        &self.reps[id]
-    }
-
-    /// Number of distinct classes seen so far.
-    pub fn len(&self) -> usize {
-        self.reps.len()
-    }
-
-    /// Whether no function has been classified yet.
-    pub fn is_empty(&self) -> bool {
-        self.reps.is_empty()
-    }
 }
 
 /// A point of the full NPN interpretation group acting on a
@@ -685,11 +537,8 @@ mod tests {
 
     /// SplitMix64: a seeded word stream for sampling wide functions.
     fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        *state = state.wrapping_add(word::SPLITMIX_GAMMA);
+        word::mix64(*state)
     }
 
     #[test]
@@ -767,13 +616,13 @@ mod tests {
     fn and_or_nand_nor_share_npn_class() {
         let a = TruthTable::var(0, 2);
         let b = TruthTable::var(1, 2);
-        let and = a.and(&b);
-        let class = NpnClass::of(&and);
-        assert!(class.contains(&a.or(&b)));
-        assert!(class.contains(&a.and(&b).not()));
-        assert!(class.contains(&a.or(&b).not()));
-        assert!(class.contains(&a.not().and(&b)));
-        assert!(!class.contains(&a.xor(&b)));
+        let class = |f: &TruthTable| npn_canonical(f).0;
+        let and = class(&a.and(&b));
+        assert_eq!(class(&a.or(&b)), and);
+        assert_eq!(class(&a.and(&b).not()), and);
+        assert_eq!(class(&a.or(&b).not()), and);
+        assert_eq!(class(&a.not().and(&b)), and);
+        assert_ne!(class(&a.xor(&b)), and);
     }
 
     #[test]
@@ -804,27 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn p_canonical_respects_permutation_only() {
-        let a = TruthTable::var(0, 2);
-        let b = TruthTable::var(1, 2);
-        // a·¬b and ¬a·b are P-equivalent...
-        let f = a.and(&b.not());
-        let g = a.not().and(&b);
-        assert_eq!(p_canonical(&f).unwrap().0, p_canonical(&g).unwrap().0);
-        // ...but a·b is not P-equivalent to a+b.
-        assert_ne!(
-            p_canonical(&a.and(&b)).unwrap().0,
-            p_canonical(&a.or(&b)).unwrap().0
-        );
-    }
-
-    #[test]
-    fn p_canonical_rejects_oversized_cells() {
-        let f = TruthTable::zero(7);
-        assert!(matches!(p_canonical(&f), Err(LogicError::TooManyVars(7))));
-    }
-
-    #[test]
     fn negation_masks_are_gray_coded_and_complete() {
         for n in 0..=4usize {
             let mut masks = NegationMasks::new(n);
@@ -838,7 +666,6 @@ mod tests {
                     other => panic!("inconsistent step {other:?}"),
                 }
                 assert_eq!(u64::from(mask), gray_code(seen.len() as u64));
-                assert_eq!(gray_rank(u64::from(mask)), seen.len() as u64);
                 prev = Some(mask);
                 seen.push(mask);
             }
@@ -888,23 +715,6 @@ mod tests {
         assert!(t.inverse().compose(&t).is_identity());
         assert!(IoInterpretation::identity(3, 2).is_identity());
         assert!(!t.is_identity());
-    }
-
-    #[test]
-    fn npn_classes_assign_dense_first_appearance_ids() {
-        let a = TruthTable::var(0, 2);
-        let b = TruthTable::var(1, 2);
-        let mut classes = NpnClasses::new();
-        let (and_id, t) = classes.classify(&a.and(&b));
-        assert_eq!(and_id, 0);
-        assert_eq!(t.apply(&a.and(&b)), *classes.representative(0));
-        // NOR is NPN-equivalent to AND: same id, different transform.
-        let (nor_id, t2) = classes.classify(&a.or(&b).not());
-        assert_eq!(nor_id, 0);
-        assert_eq!(t2.apply(&a.or(&b).not()), *classes.representative(0));
-        // XOR opens a fresh class.
-        assert_eq!(classes.classify(&a.xor(&b)).0, 1);
-        assert_eq!(classes.len(), 2);
     }
 
     #[test]

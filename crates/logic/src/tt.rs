@@ -1,18 +1,6 @@
 use std::fmt;
 
-use crate::{LogicError, MAX_VARS};
-
-/// Bit patterns of the first six variables inside a single 64-bit word.
-///
-/// Bit `m` of `WORD_VAR[v]` is set iff bit `v` of the minterm index `m` is 1.
-pub(crate) const WORD_VAR: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
+use crate::{word, LogicError, MAX_VARS};
 
 /// Applies `f` word-by-word: `dst[i] = f(dst[i], src[i])`, unrolled in
 /// 8-wide `[u64; 8]` blocks.
@@ -126,15 +114,6 @@ impl TruthTable {
         }
     }
 
-    /// Mask of the meaningful bits in the (single) word of a small table.
-    pub(crate) fn tail_mask(n_vars: usize) -> u64 {
-        if n_vars >= 6 {
-            u64::MAX
-        } else {
-            (1u64 << (1usize << n_vars)) - 1
-        }
-    }
-
     fn assert_vars(n_vars: usize) {
         assert!(
             n_vars <= MAX_VARS,
@@ -163,9 +142,9 @@ impl TruthTable {
     pub fn one(n_vars: usize) -> Self {
         Self::assert_vars(n_vars);
         let mut words = vec![u64::MAX; Self::word_count(n_vars)];
-        *words.last_mut().expect("at least one word") &= Self::tail_mask(n_vars);
+        *words.last_mut().expect("at least one word") &= word::tail(n_vars);
         if n_vars < 6 {
-            words[0] = Self::tail_mask(n_vars);
+            words[0] = word::tail(n_vars);
         }
         TruthTable { n_vars, words }
     }
@@ -220,7 +199,7 @@ impl TruthTable {
         }
         Ok(TruthTable {
             n_vars,
-            words: vec![bits & Self::tail_mask(n_vars)],
+            words: vec![bits & word::tail(n_vars)],
         })
     }
 
@@ -341,7 +320,7 @@ impl TruthTable {
     /// Complement of the function.
     pub fn not(&self) -> Self {
         let mut words: Vec<u64> = self.words.iter().map(|a| !a).collect();
-        *words.last_mut().expect("at least one word") &= Self::tail_mask(self.n_vars);
+        *words.last_mut().expect("at least one word") &= word::tail(self.n_vars);
         TruthTable {
             n_vars: self.n_vars,
             words,
@@ -367,88 +346,10 @@ impl TruthTable {
         }
     }
 
-    /// If-then-else: `(self ∧ t) ∨ (¬self ∧ e)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch.
-    pub fn ite(&self, t: &Self, e: &Self) -> Self {
-        let mut out = self.and(t);
-        let mut else_branch = e.clone();
-        else_branch.and_not_assign(self);
-        out.or_assign(&else_branch);
-        out
-    }
-
-    /// In-place AND: `self &= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch.
-    pub fn and_assign(&mut self, other: &Self) {
-        self.check_arity(other);
-        zip2_words(&mut self.words, &other.words, |a, b| a & b);
-    }
-
-    /// In-place OR: `self |= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch.
-    pub fn or_assign(&mut self, other: &Self) {
-        self.check_arity(other);
-        zip2_words(&mut self.words, &other.words, |a, b| a | b);
-    }
-
-    /// In-place XOR: `self ^= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch.
-    pub fn xor_assign(&mut self, other: &Self) {
-        self.check_arity(other);
-        zip2_words(&mut self.words, &other.words, |a, b| a ^ b);
-    }
-
     /// In-place complement: `self = ¬self`.
     pub fn not_assign(&mut self) {
         map_words(&mut self.words, |w| !w);
-        *self.words.last_mut().expect("at least one word") &= Self::tail_mask(self.n_vars);
-    }
-
-    /// In-place AND-NOT: `self &= ¬other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch.
-    pub fn and_not_assign(&mut self, other: &Self) {
-        self.check_arity(other);
-        zip2_words(&mut self.words, &other.words, |a, b| a & !b);
-    }
-
-    /// Ternary buffer-reuse AND: `dst = a ∧ b` without allocating (the
-    /// destination's buffer is resized only if its arity differs).
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch between `a` and `b`.
-    pub fn and_into(dst: &mut Self, a: &Self, b: &Self) {
-        a.check_arity(b);
-        dst.n_vars = a.n_vars;
-        dst.words.resize(a.words.len(), 0);
-        zip3_words(&mut dst.words, &a.words, &b.words, |x, y| x & y);
-    }
-
-    /// Ternary buffer-reuse AND-NOT: `dst = a ∧ ¬b` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch between `a` and `b`.
-    pub fn and_not_into(dst: &mut Self, a: &Self, b: &Self) {
-        a.check_arity(b);
-        dst.n_vars = a.n_vars;
-        dst.words.resize(a.words.len(), 0);
-        zip3_words(&mut dst.words, &a.words, &b.words, |x, y| x & !y);
+        *self.words.last_mut().expect("at least one word") &= word::tail(self.n_vars);
     }
 
     /// `true` iff the function is constant 0.
@@ -481,19 +382,8 @@ impl TruthTable {
         assert!(var < self.n_vars, "variable {var} out of range");
         let mut out = self.clone();
         if var < 6 {
-            let shift = 1u32 << var;
-            let mask = WORD_VAR[var];
             for w in &mut out.words {
-                if value {
-                    let x = *w & mask;
-                    *w = x | (x >> shift);
-                } else {
-                    let x = *w & !mask;
-                    *w = x | (x << shift);
-                }
-            }
-            if self.n_vars < 6 {
-                out.words[0] &= Self::tail_mask(self.n_vars);
+                *w = word::cofactor(*w, var, value);
             }
         } else {
             let block = 1usize << (var - 6);
@@ -556,15 +446,8 @@ impl TruthTable {
     pub fn flip_var_assign(&mut self, var: usize) {
         assert!(var < self.n_vars, "variable {var} out of range");
         if var < 6 {
-            let shift = 1u32 << var;
-            let mask = WORD_VAR[var];
             for w in &mut self.words {
-                let hi = *w & mask;
-                let lo = *w & !mask;
-                *w = (hi >> shift) | (lo << shift);
-            }
-            if self.n_vars < 6 {
-                self.words[0] &= Self::tail_mask(self.n_vars);
+                *w = word::flip_var(*w, var);
             }
         } else {
             let block = 1usize << (var - 6);
@@ -577,16 +460,6 @@ impl TruthTable {
                 i += 2 * block;
             }
         }
-    }
-
-    /// Existential quantification: `f|var=0 ∨ f|var=1`.
-    pub fn exists(&self, var: usize) -> Self {
-        self.cofactor(var, false).or(&self.cofactor(var, true))
-    }
-
-    /// Universal quantification: `f|var=0 ∧ f|var=1`.
-    pub fn forall(&self, var: usize) -> Self {
-        self.cofactor(var, false).and(&self.cofactor(var, true))
     }
 
     /// Re-expresses the function over `n_new >= n_vars` variables; existing
@@ -613,7 +486,7 @@ impl TruthTable {
                 w |= src << off;
                 off += chunk;
             }
-            out.words[0] = w & Self::tail_mask(n_new);
+            out.words[0] = w & word::tail(n_new);
         } else if self.n_vars <= 6 {
             // First widen to a full word, then replicate the word.
             let full = self.extend(6);
@@ -757,7 +630,7 @@ fn fill_var(words: &mut [u64], var: usize, n_vars: usize) {
         "variable {var} out of range for {n_vars} vars"
     );
     if var < 6 {
-        let pat = WORD_VAR[var] & TruthTable::tail_mask(n_vars);
+        let pat = word::VAR[var] & word::tail(n_vars);
         for w in words.iter_mut() {
             *w = pat;
         }
@@ -818,7 +691,7 @@ impl TtArena {
         TtArena {
             n_vars,
             words_per_slot,
-            tail: TruthTable::tail_mask(n_vars),
+            tail: word::tail(n_vars),
             words: vec![0u64; words_per_slot * n_slots],
         }
     }
@@ -838,7 +711,7 @@ impl TtArena {
         TruthTable::assert_vars(n_vars);
         self.n_vars = n_vars;
         self.words_per_slot = TruthTable::word_count(n_vars);
-        self.tail = TruthTable::tail_mask(n_vars);
+        self.tail = word::tail(n_vars);
         let need = self.words_per_slot * n_slots;
         self.words.clear();
         self.words.resize(need, 0);
@@ -926,16 +799,6 @@ impl TtArena {
         fill_var(self.slot_mut(i), var, n);
     }
 
-    /// Copies a table into slot `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch.
-    pub fn write_table(&mut self, i: usize, t: &TruthTable) {
-        assert_eq!(t.n_vars(), self.n_vars, "arity mismatch");
-        self.slot_mut(i).copy_from_slice(t.words());
-    }
-
     /// Overwrites slot `i` with `pattern` repeated cyclically
     /// (`slot[w] = pattern[w % pattern.len()]`), masking the unused tail
     /// bits of the last word.
@@ -1018,19 +881,6 @@ impl TtArena {
         zip2_words(d, s, |x, y| x | y);
     }
 
-    /// Copies slot `src` into `dst`, complementing when `compl` is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst == src` or a slot index is out of range.
-    pub fn copy(&mut self, dst: usize, src: usize, compl: bool) {
-        let m = if compl { u64::MAX } else { 0 };
-        let tail = self.tail;
-        let (d, s) = self.pair(dst, src);
-        zip2_words(d, s, |_, y| y ^ m);
-        *d.last_mut().expect("at least one word") &= tail;
-    }
-
     /// The value of slot `i` on minterm `m`.
     ///
     /// # Panics
@@ -1056,11 +906,6 @@ impl TtArena {
             t.not_assign();
         }
         t
-    }
-
-    /// `true` iff slots `a` and `b` hold identical tables.
-    pub fn slots_equal(&self, a: usize, b: usize) -> bool {
-        self.slot(a) == self.slot(b)
     }
 }
 
@@ -1137,7 +982,7 @@ mod tests {
             let x = TruthTable::var(v, 8);
             let f0 = f.cofactor(v, false);
             let f1 = f.cofactor(v, true);
-            assert_eq!(x.ite(&f1, &f0), f, "var {v}");
+            assert_eq!(x.and(&f1).or(&x.not().and(&f0)), f, "var {v}");
             assert!(!f0.depends_on(v));
             assert!(!f1.depends_on(v));
         }
@@ -1164,8 +1009,9 @@ mod tests {
         let f = TruthTable::var(2, 5).xor(&TruthTable::var(4, 5));
         assert_eq!(f.support(), vec![2, 4]);
         assert_eq!(f.support_mask(), 0b10100);
-        assert!(f.exists(2).is_one());
-        assert!(f.forall(2).is_zero());
+        let (f0, f1) = (f.cofactor(2, false), f.cofactor(2, true));
+        assert!(f0.or(&f1).is_one(), "exists");
+        assert!(f0.and(&f1).is_zero(), "forall");
     }
 
     #[test]
@@ -1249,36 +1095,18 @@ mod tests {
     fn in_place_ops_match_allocating_ops() {
         for n in [2usize, 5, 8] {
             let f = TruthTable::from_fn(n, |m| (m * 2654435761usize) & 0x8 != 0);
-            let g = TruthTable::from_fn(n, |m| (m * 40503) & 0x4 != 0);
-            let mut t = f.clone();
-            t.and_assign(&g);
-            assert_eq!(t, f.and(&g), "and n={n}");
-            let mut t = f.clone();
-            t.or_assign(&g);
-            assert_eq!(t, f.or(&g), "or n={n}");
-            let mut t = f.clone();
-            t.xor_assign(&g);
-            assert_eq!(t, f.xor(&g), "xor n={n}");
             let mut t = f.clone();
             t.not_assign();
             assert_eq!(t, f.not(), "not n={n}");
             t.not_assign();
             assert_eq!(t, f, "double complement restores, tail bits clean");
-            let mut t = f.clone();
-            t.and_not_assign(&g);
-            assert_eq!(t, f.and_not(&g), "and_not n={n}");
-            let mut dst = TruthTable::zero(0);
-            TruthTable::and_into(&mut dst, &f, &g);
-            assert_eq!(dst, f.and(&g), "and_into n={n}");
-            TruthTable::and_not_into(&mut dst, &f, &g);
-            assert_eq!(dst, f.and_not(&g), "and_not_into n={n}");
         }
     }
 
     #[test]
     fn arena_ops_match_table_ops() {
         for n in [0usize, 3, 6, 7, 9] {
-            let mut arena = TtArena::new(n, 6);
+            let mut arena = TtArena::new(n, 4);
             arena.write_one(0);
             assert!(arena.to_table(0).is_one(), "one n={n}");
             arena.write_zero(0);
@@ -1306,11 +1134,6 @@ mod tests {
                 assert_eq!(arena.to_table(3), a.not(), "and_in_place");
                 arena.or_in_place(3, 0);
                 assert!(arena.to_table(3).is_one(), "or_in_place");
-                arena.copy(4, 1, true);
-                assert_eq!(arena.to_table(4), b.not(), "copy complemented");
-                assert!(!arena.slots_equal(4, 1));
-                arena.copy(5, 1, false);
-                assert!(arena.slots_equal(5, 1));
                 for m in 0..(1usize << n) {
                     assert_eq!(arena.get(1, m), b.get(m), "get n={n} m={m}");
                 }

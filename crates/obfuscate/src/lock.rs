@@ -22,22 +22,13 @@ use std::collections::HashMap;
 use std::fmt;
 
 use mvf_cells::{CamoCell, CamoCellId, CamoLibrary, CellKind, Library};
-use mvf_logic::TruthTable;
+use mvf_logic::{word, TruthTable};
 use mvf_netlist::{CellId, CellRef, NetId, Netlist};
 
 /// Name of the XOR/XNOR key-gate cell in a lock library.
 pub const XKEY_NAME: &str = "XKEY";
 /// Name of the MUX key-gate cell in a lock library.
 pub const MKEY_NAME: &str = "MKEY";
-
-/// One SplitMix64 step (same constants as the workload seeding), so key
-/// material and site selection are pure functions of the seed.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The flavor of an inserted key gate.
 ///
@@ -320,9 +311,11 @@ fn lock_impl(
         ),
         (false, None) => return Err(LockError::MissingKeyCell("TIE0")),
     };
+    // A SplitMix64 stream, so key material and site selection are pure
+    // functions of the seed.
     let mut rng = opts.seed;
     let mut draw = |bound: usize| -> usize {
-        rng = splitmix64(rng);
+        rng = word::splitmix64(rng);
         (rng % bound.max(1) as u64) as usize
     };
 
@@ -464,6 +457,46 @@ mod tests {
                 assert_eq!(cell.covers(&[f]), want, "{}: word {w:#x}", cell.name());
             }
         }
+    }
+
+    #[test]
+    fn site_placement_keeps_its_golden_draws() {
+        // A 12-cell ladder of alternating NAND2/NOR2 cells, each fed by
+        // the previous output and an earlier net: the sites, flavors and
+        // key bits below are the seeded stream's draws, pinned as they
+        // have always been.
+        let lib = Library::standard();
+        let lock = lock_library(&lib);
+        let nand = lib.cell_by_kind(CellKind::Nand(2)).unwrap();
+        let nor = lib.cell_by_kind(CellKind::Nor(2)).unwrap();
+        let mut nl = Netlist::new("ladder");
+        let mut nets: Vec<NetId> = (0..4).map(|i| nl.add_input(format!("x{i}"))).collect();
+        for i in 0..12usize {
+            let cell = if i % 2 == 0 { nand } else { nor };
+            let a = nets[nets.len() - 1];
+            let b = nets[nets.len() - 2 - i % 3];
+            let (_, y) = nl.add_cell(format!("u{i}"), cell.into(), vec![a, b]);
+            nets.push(y);
+        }
+        nl.add_output("y", nets[nets.len() - 1]);
+        let opts = LockOptions {
+            n_xor: 3,
+            n_mux: 2,
+            seed: 0x5EED,
+        };
+        let locked = lock_netlist(&nl, &lock, &opts).unwrap();
+        let sites: Vec<(u32, LockGate)> = locked.sites.iter().map(|s| (s.cell.0, s.gate)).collect();
+        assert_eq!(
+            sites,
+            [
+                (2, LockGate::Xor),
+                (4, LockGate::Xnor),
+                (6, LockGate::Mux),
+                (14, LockGate::Xor),
+                (16, LockGate::Mux)
+            ]
+        );
+        assert_eq!(locked.key, [false, true, false, false, true]);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! | `MVF_SERVE_ADDR` | TCP listen address for the binary; unset = stdio | unset |
 //! | `MVF_CHECKPOINT_STEPS` | GA generations between checkpoints | 1 |
 //! | `MVF_SESSION_CACHE_MB` | session-cache byte budget, in MiB | 64 |
-//! | `MVF_GA_POP` / `MVF_GA_GENS` | GA budget per job (as in `mvf-bench`) | 8 / 5 |
+//! | `MVF_GA_POP` / `MVF_GA_GENS` | GA budget per job ([`mvf::FlowConfig::apply_ga_budget_env`], as in `mvf-bench`) | 8 / 5 |
 //! | `MVF_ATTACK_NPN` | `1`/`true`: sweep the full NPN orbit (polarity flips included) | off |
 //! | `MVF_ATTACK_CLASS_SHARE` | `1`/`true`: share screen/SAT verdicts across same-class candidates | off |
 //! | `MVF_SCHEME` | obfuscation family for fresh jobs: `camo` or `locking` | `camo` |
@@ -135,8 +135,7 @@ impl ServeConfig {
     /// (see the crate docs table).
     pub fn from_env() -> ServeConfig {
         let mut cfg = ServeConfig::default();
-        cfg.flow.ga.population = env_usize("MVF_GA_POP", cfg.flow.ga.population);
-        cfg.flow.ga.generations = env_usize("MVF_GA_GENS", cfg.flow.ga.generations);
+        cfg.flow.apply_ga_budget_env();
         cfg.checkpoint_steps = env_usize("MVF_CHECKPOINT_STEPS", cfg.checkpoint_steps).max(1);
         cfg.session_cache_bytes = env_usize("MVF_SESSION_CACHE_MB", 64) << 20;
         cfg.attack_npn = env_bool("MVF_ATTACK_NPN", cfg.attack_npn);

@@ -19,7 +19,9 @@
 //! * [`validate_mapped`] — for every viable function, bind each
 //!   camouflaged cell to its witnessed function and check the circuit
 //!   equals the function on all inputs (one vector pass over every
-//!   minterm).
+//!   minterm);
+//! * [`validate_configs`] — the same check under any per-function
+//!   bindings, such as a locked circuit's key configurations.
 //!
 //! # Example
 //!
@@ -465,7 +467,56 @@ pub fn validate_mapped_with(
     viable: &[VectorFunction],
     scratch: &mut CamoEvalScratch,
 ) -> Result<(), ValidationError> {
-    let nl = &mapped.netlist;
+    // One binding map per viable function, rebuilt in the reused buffers.
+    if scratch.configs.len() < viable.len() {
+        scratch.configs.resize_with(viable.len(), HashMap::new);
+    }
+    for (j, config) in scratch.configs[..viable.len()].iter_mut().enumerate() {
+        config.clear();
+        for w in &mapped.witness.cells {
+            config.insert(w.cell, w.function_for(j).clone());
+        }
+    }
+    validate_configs(
+        &mapped.netlist,
+        lib,
+        camo,
+        viable,
+        &scratch.configs[..viable.len()],
+        &mut scratch.arena,
+    )
+}
+
+/// Validates a netlist with choice cells (camouflaged cells or key gates
+/// of `camo`) against its viable functions: under `configs[j]`, which
+/// binds every choice cell to a function it can realize, the circuit
+/// must compute `viable[j]` exactly. This is the check behind both
+/// schemes: [`validate_mapped`] binds a camouflage witness, and a locked
+/// circuit binds the configuration of each function's key.
+///
+/// All functions are checked in **one** word-parallel
+/// [`eval_camo_netlist_vectors_with`] pass over every input minterm, with
+/// `arena` as its evaluation arena.
+///
+/// # Errors
+///
+/// Returns the first [`ValidationError`] encountered: shape errors for
+/// every function, then binding errors (checked over every cell, not
+/// just the outputs' cones) for every configuration, then mismatches.
+///
+/// # Panics
+///
+/// Panics if `configs.len() != viable.len()` or the circuit has more
+/// inputs than [`mvf_logic::MAX_VARS`].
+pub fn validate_configs(
+    nl: &Netlist,
+    lib: &Library,
+    camo: &CamoLibrary,
+    viable: &[VectorFunction],
+    configs: &[HashMap<CellId, TruthTable>],
+    arena: &mut TtArena,
+) -> Result<(), ValidationError> {
+    assert_eq!(configs.len(), viable.len(), "one binding per function");
     let n_in = nl.inputs().len();
     let n_out = nl.outputs().len();
     for (j, f) in viable.iter().enumerate() {
@@ -479,17 +530,7 @@ pub fn validate_mapped_with(
             )));
         }
     }
-    // One binding map per viable function, rebuilt in the reused buffers
-    // and checked over every cell, not just the outputs' cones.
-    if scratch.configs.len() < viable.len() {
-        scratch.configs.resize_with(viable.len(), HashMap::new);
-    }
-    for j in 0..viable.len() {
-        let config = &mut scratch.configs[j];
-        config.clear();
-        for w in &mapped.witness.cells {
-            config.insert(w.cell, w.function_for(j).clone());
-        }
+    for config in configs {
         check_bindings(nl, camo, config, nl.cells().map(|(cid, _)| cid))?;
     }
     assert!(
@@ -501,15 +542,8 @@ pub fn validate_mapped_with(
     let minterms = 1u64 << n_in;
     let vectors: Vec<u64> = (0..minterms.max(64)).map(|m| m % minterms).collect();
     let outputs: Vec<usize> = (0..n_out).collect();
-    let results = eval_camo_netlist_vectors_with(
-        nl,
-        lib,
-        camo,
-        &outputs,
-        &scratch.configs[..viable.len()],
-        &vectors,
-        &mut scratch.arena,
-    )?;
+    let results =
+        eval_camo_netlist_vectors_with(nl, lib, camo, &outputs, configs, &vectors, arena)?;
     for (j, f) in viable.iter().enumerate() {
         for (o, cols) in results[j].iter().enumerate() {
             let want = f.output(o);

@@ -9,10 +9,11 @@
 //! key space — every key value, evaluate, compare — and must be
 //! invariant to shard count and to the SAT-free screen.
 
+use mvf::sim::ValidationError;
 use mvf::{Flow, FlowResult, Ga, LockOptions, SchemeKind, Workload};
 use mvf_attack::{plausibility_sweep_any_io_in, plausibility_sweep_in, AnyIoOptions, AnyIoVerdict};
 use mvf_ga::GaConfig;
-use mvf_logic::{TruthTable, VectorFunction};
+use mvf_logic::{TruthTable, TtArena, VectorFunction};
 use mvf_sboxes::optimal_sboxes;
 use mvf_serve::wire::encode_report_in;
 use mvf_serve::{audit, run_audit, AuditOutcome, Checkpoint, Control, ServeConfig};
@@ -168,6 +169,35 @@ fn flow_validation_covers_every_select_key() {
         .unwrap();
         assert_eq!(&outs, f.outputs(), "select key {j} computes function {j}");
     }
+}
+
+#[test]
+fn locked_validation_rejects_swapped_functions() {
+    // A locked result is validated by the same check as a camouflaged
+    // one, under each select key's configuration. With the viable
+    // functions swapped, select key 0 computes the other function.
+    let (flow, result) = locked_flow(14);
+    let locked = result.locked.as_ref().unwrap();
+    let functions = &result.merged.functions;
+    let configs: Vec<_> = (0..functions.len())
+        .map(|j| locked.config_for_key(&locked.key_for_select(j)))
+        .collect();
+    let validate = |viable: &[VectorFunction]| {
+        mvf::sim::validate_configs(
+            &locked.netlist,
+            flow.library(),
+            flow.choice_library(),
+            viable,
+            &configs,
+            &mut TtArena::default(),
+        )
+    };
+    validate(functions).expect("the flow's own functions validate");
+    let swapped = [functions[1].clone(), functions[0].clone()];
+    assert!(matches!(
+        validate(&swapped),
+        Err(ValidationError::FunctionMismatch { function: 0, .. })
+    ));
 }
 
 // ---------------------------------------------------------------------------
