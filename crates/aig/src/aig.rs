@@ -360,15 +360,6 @@ impl Aig {
         self.outputs.len()
     }
 
-    /// Replaces output `i`'s literal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_output(&mut self, i: usize, lit: Lit) {
-        self.outputs[i].1 = lit;
-    }
-
     /// All AND node ids in topological (creation) order.
     pub fn and_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32)

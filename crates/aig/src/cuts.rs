@@ -222,11 +222,6 @@ impl CutSet {
         self.ranges.len().saturating_sub(1)
     }
 
-    /// Total number of stored cuts across all nodes.
-    pub fn n_cuts(&self) -> usize {
-        self.cuts.len()
-    }
-
     /// The cut list of node `id`.
     ///
     /// # Panics
@@ -432,28 +427,6 @@ fn eval_cone(aig: &Aig, root: NodeId, leaves: &[u32], scratch: &mut CutScratch) 
     slot_of(root.0)
 }
 
-/// Number of AND nodes in the cone of `root` above the cut leaves.
-///
-/// This is the upper bound on nodes freed if the cone is replaced.
-pub fn cone_size(aig: &Aig, root: NodeId, leaves: &[u32]) -> usize {
-    let mut seen: Vec<u32> = Vec::new();
-    let mut stack = vec![root.0];
-    let mut count = 0usize;
-    while let Some(id) = stack.pop() {
-        if leaves.contains(&id) || seen.contains(&id) {
-            continue;
-        }
-        seen.push(id);
-        if aig.is_and(NodeId(id)) {
-            count += 1;
-            let (f0, f1) = aig.fanins(NodeId(id));
-            stack.push(f0.node().0);
-            stack.push(f1.node().0);
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,13 +529,75 @@ mod tests {
         }
     }
 
+    /// The nested-vector enumeration that [`CutSet`] replaced, kept as the
+    /// reference: per-node `Vec`s, plain equality for duplicates, the same
+    /// dominance filter and the same keep-the-widest truncation. Also
+    /// returns how many nodes got their widest cut back after truncation.
+    fn nested_enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> (Vec<Vec<Cut>>, usize) {
+        let mut cuts: Vec<Vec<Cut>> = vec![Vec::new(); aig.n_nodes()];
+        cuts[0].push(Cut::empty());
+        for i in 0..aig.n_inputs() {
+            cuts[i + 1].push(Cut::unit(i as u32 + 1));
+        }
+        let mut widest_restored = 0;
+        for id in aig.and_nodes() {
+            let (f0, f1) = aig.fanins(id);
+            let (n0, n1) = (f0.node().0 as usize, f1.node().0 as usize);
+            let mut merged: Vec<Cut> = Vec::new();
+            for a in &cuts[n0] {
+                for b in &cuts[n1] {
+                    if let Some(c) = a.merge(b, k) {
+                        if !merged.contains(&c) {
+                            merged.push(c);
+                        }
+                    }
+                }
+            }
+            merged.sort_by_key(Cut::len);
+            let mut kept: Vec<Cut> = Vec::new();
+            for c in &merged {
+                if !kept.iter().any(|k2| k2.dominates(c)) {
+                    kept.push(*c);
+                }
+            }
+            let widest = kept.last().copied();
+            kept.truncate(max_cuts.saturating_sub(1).max(1));
+            if let Some(w) = widest {
+                if !kept.contains(&w) {
+                    kept.push(w);
+                    widest_restored += 1;
+                }
+            }
+            kept.push(Cut::unit(id.0));
+            cuts[id.0 as usize] = kept;
+        }
+        (cuts, widest_restored)
+    }
+
     #[test]
-    fn cone_size_counts_inner_ands() {
-        let (g, root) = sample_aig();
-        assert_eq!(cone_size(&g, root, &[1, 2, 3]), 3);
-        // Cone over its own fanins counts only the root.
-        let (f0, f1) = g.fanins(root);
-        assert_eq!(cone_size(&g, root, &[f0.node().0, f1.node().0]), 1);
+    fn csr_enumeration_matches_nested_reference() {
+        let g = crate::random_aig(12, 600, 0xC5_0002);
+        let mut cuts = CutSet::new();
+        // Rewriting's budget, then a cap that truncates most lists, so the
+        // keep-the-widest rule runs. One `CutSet` serves both calls.
+        for (k, max_cuts) in [(4, 8), (4, 3)] {
+            enumerate_cuts_into(&g, k, max_cuts, &mut cuts);
+            let (nested, widest_restored) = nested_enumerate_cuts(&g, k, max_cuts);
+            assert_eq!(cuts.n_nodes(), nested.len());
+            for (id, want) in nested.iter().enumerate() {
+                assert_eq!(
+                    cuts.cuts_of(id as u32),
+                    want.as_slice(),
+                    "k={k} max_cuts={max_cuts} node {id}"
+                );
+            }
+            if max_cuts == 3 {
+                assert!(
+                    widest_restored > 0,
+                    "the truncating cap restores widest cuts"
+                );
+            }
+        }
     }
 
     #[test]

@@ -47,3 +47,28 @@ mod simulate;
 
 pub use aig::{Aig, Lit, NodeId};
 pub use script::{Pass, Script, SynthScratch};
+
+/// A deterministic random graph for tests: ANDs of two earlier literals
+/// (the second complemented at random) drawn by an LCG from `seed` until
+/// the graph holds `n_ands` AND nodes; the last one is output `f`.
+#[cfg(test)]
+pub(crate) fn random_aig(n_inputs: usize, n_ands: usize, seed: u64) -> Aig {
+    let mut g = Aig::new(n_inputs);
+    let mut lits: Vec<Lit> = (0..n_inputs).map(|i| g.input(i)).collect();
+    let mut state = seed;
+    let mut step = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state
+    };
+    while g.n_ands() < n_ands {
+        let i = (step() >> 16) as usize % lits.len();
+        let j = (step() >> 16) as usize % lits.len();
+        let b = lits[j].xor_sign(step() & 1 == 1);
+        let f = g.and(lits[i], b);
+        lits.push(f);
+    }
+    g.add_output("f", *lits.last().expect("non-empty"));
+    g
+}

@@ -165,22 +165,9 @@ mod tests {
 
     #[test]
     fn refactor_random_graph() {
-        let mut g = Aig::new(6);
-        let mut lits: Vec<Lit> = (0..6).map(|i| g.input(i)).collect();
-        let mut state = 0x12345678u64;
-        for _ in 0..80 {
-            state = state
-                .wrapping_mul(2862933555777941757)
-                .wrapping_add(3037000493);
-            let i = (state >> 16) as usize % lits.len();
-            let j = (state >> 33) as usize % lits.len();
-            let a = lits[i];
-            let b = lits[j].xor_sign((state >> 50) & 1 == 1);
-            let f = g.and(a, b);
-            lits.push(f);
-        }
-        g.add_output("f", *lits.last().expect("non-empty"));
-        g.add_output("g", lits[lits.len() / 2]);
+        let mut g = crate::random_aig(6, 80, 0x1234_5678);
+        let mid = Lit::new(crate::NodeId(g.n_nodes() as u32 / 2), false);
+        g.add_output("g", mid);
         check(&g.compact());
     }
 

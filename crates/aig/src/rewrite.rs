@@ -437,39 +437,17 @@ mod tests {
         assert_eq!(aig.output_functions()[0], f);
     }
 
-    /// A deterministic random 8-input graph of 120 AND nodes.
-    fn random_graph() -> Aig {
-        let mut g = Aig::new(8);
-        let mut lits: Vec<Lit> = (0..8).map(|i| g.input(i)).collect();
-        let mut state = 0xDEADBEEFu64;
-        for _ in 0..120 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let i = (state >> 16) as usize % lits.len();
-            let j = (state >> 32) as usize % lits.len();
-            let inv = (state >> 48) & 1 == 1;
-            let a = lits[i];
-            let b = if inv { !lits[j] } else { lits[j] };
-            let f = g.and(a, b);
-            lits.push(f);
-        }
-        let f = *lits.last().expect("non-empty");
-        g.add_output("f", f);
-        g
-    }
-
     #[test]
     fn rewrite_large_random_graph() {
         // Rewrite must preserve the function and never grow.
-        check_rewrite(&random_graph());
+        check_rewrite(&crate::random_aig(8, 120, 0xDEAD_BEEF));
     }
 
     #[test]
     fn exclusive_cone_size_reuses_a_zeroed_buffer() {
         // The reused buffers must give the count fresh ones give, and the
         // reference counts must be all zeros again after every call.
-        let g = random_graph();
+        let g = crate::random_aig(8, 120, 0xDEAD_BEEF);
         let mut cuts = CutSet::new();
         enumerate_cuts_into(&g, 4, 8, &mut cuts);
         let fanouts = g.fanout_counts();
@@ -492,7 +470,7 @@ mod tests {
 
     #[test]
     fn cut_word_matches_cut_function() {
-        let g = random_graph();
+        let g = crate::random_aig(8, 120, 0xDEAD_BEEF);
         let mut eval = CutScratch::default();
         for (k, max_cuts) in [(4, 8), (6, 16)] {
             let cuts = crate::cuts::enumerate_cuts(&g, k, max_cuts);

@@ -91,6 +91,32 @@ mod tests {
         assert_eq!(f.count_ones(), 512);
     }
 
+    /// The reference: one fresh `TruthTable` per node, built with plain
+    /// `not` and `and`.
+    fn per_node_tables(aig: &Aig) -> Vec<TruthTable> {
+        let n = aig.n_inputs();
+        let mut tables = vec![TruthTable::zero(n)];
+        tables.extend((0..n).map(|i| TruthTable::var(i, n)));
+        for id in (n as u32 + 1..aig.n_nodes() as u32).map(NodeId) {
+            if !aig.is_and(id) {
+                tables.push(TruthTable::zero(n));
+                continue;
+            }
+            let fanin = |l: crate::Lit| {
+                let t = &tables[l.node().0 as usize];
+                if l.is_complement() {
+                    t.not()
+                } else {
+                    t.clone()
+                }
+            };
+            let (f0, f1) = aig.fanins(id);
+            let table = fanin(f0).and(&fanin(f1));
+            tables.push(table);
+        }
+        tables
+    }
+
     #[test]
     fn arena_agrees_with_per_node_tables() {
         let mut g = Aig::new(4);
@@ -98,11 +124,14 @@ mod tests {
         let x = g.xor(lits[0], lits[1]);
         let y = g.mux(lits[2], x, lits[3]);
         g.add_output("y", y);
-        let arena = simulate_arena(&g);
-        let tables = g.simulate_nodes();
-        assert_eq!(arena.n_slots(), tables.len());
-        for (i, t) in tables.iter().enumerate() {
-            assert_eq!(&arena.to_table(i), t, "node {i}");
+        // 16 inputs: 1024 words per slot, many 8-word kernel chunks.
+        for g in [g, crate::random_aig(16, 600, 0xA16_0001)] {
+            let arena = simulate_arena(&g);
+            let tables = per_node_tables(&g);
+            assert_eq!(arena.n_slots(), tables.len());
+            for (i, t) in tables.iter().enumerate() {
+                assert_eq!(&arena.to_table(i), t, "{} inputs, node {i}", g.n_inputs());
+            }
         }
     }
 }

@@ -1,21 +1,20 @@
-//! Perf-tracking micro-benchmark: arena-based vs naive truth-table
-//! simulation, serial vs parallel GA fitness evaluation through the full
-//! flow, per-call-allocating vs context-reusing fitness evaluation,
-//! batched vs re-encoding SAT plausibility sweeps (`sat_sweep`),
-//! sharded vs serial plausibility sweeps (`sweep_parallel`),
-//! signature-pruned interpretation-freedom sweeps (`sweep_any_io`), the
-//! NPN-complete adversary with class sharing (`sweep_npn`), the SAT-free
+//! Perf-tracking micro-benchmark of code the pipeline runs, each timed
+//! against its off switch or against a reference the crates keep: serial
+//! vs parallel GA fitness evaluation through the full flow,
+//! per-call-allocating vs context-reusing fitness evaluation, batched vs
+//! re-encoding SAT plausibility sweeps (`sat_sweep`), sharded vs serial
+//! plausibility sweeps (`sweep_parallel`), signature-pruned
+//! interpretation-freedom sweeps (`sweep_any_io`), the NPN-complete
+//! adversary with class sharing (`sweep_npn`), the SAT-free
 //! screen-then-solve funnel vs a SAT-only sweep (`sat_screen`), the
-//! scheme-generic sweep over a key-gate-locked circuit vs brute-force
-//! key enumeration (`sweep_locking`), CSR vs
-//! nested cut enumeration (`cuts_csr`), word-parallel vs per-config
-//! camouflage validation (`camo_fitness`), and 8-wide chunked vs scalar
-//! truth-table word kernels (`tt_kernels`).
+//! scheme-generic sweep over a key-gate-locked circuit vs brute-force key
+//! enumeration (`sweep_locking`), and word-parallel vs per-config
+//! camouflage validation plus the camouflage mapper (`camo_fitness`).
 //!
-//! Results are printed and written as machine-readable JSON to
-//! `BENCH_sim.json` at the repository root (override the path with
-//! `MVF_BENCH_OUT`), so the perf trajectory of the simulation core can be
-//! tracked across PRs:
+//! Each section asserts that both sides give the same answers before it
+//! times them. Results are printed and written as machine-readable JSON
+//! to `BENCH_sim.json` at the repository root (override the path with
+//! `MVF_BENCH_OUT`):
 //!
 //! ```sh
 //! cargo bench -p mvf-bench --bench micro
@@ -25,114 +24,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mvf::{random_assignment, EvalContext, Flow, FlowResult};
-use mvf_aig::cuts::{enumerate_cuts_into, Cut, CutSet};
-use mvf_aig::{Aig, Lit};
 use mvf_ga::GaConfig;
 use mvf_logic::TruthTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The pre-CSR cut enumeration, kept as the baseline: per-node inner
-/// vectors, freshly allocated per call (the behavior of the standalone
-/// rewrite/refactor entry points before the flat `CutSet`).
-fn nested_enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Cut>> {
-    let n_nodes = aig.n_nodes();
-    let mut cuts: Vec<Vec<Cut>> = Vec::new();
-    cuts.resize_with(n_nodes, Vec::new);
-    cuts[0].push(Cut::empty());
-    for i in 0..aig.n_inputs() {
-        cuts[i + 1].push(Cut::unit(i as u32 + 1));
-    }
-    let mut merged: Vec<Cut> = Vec::new();
-    let mut kept: Vec<Cut> = Vec::new();
-    for id in aig.and_nodes() {
-        let (f0, f1) = aig.fanins(id);
-        let (n0, n1) = (f0.node().0 as usize, f1.node().0 as usize);
-        merged.clear();
-        for ai in 0..cuts[n0].len() {
-            for bi in 0..cuts[n1].len() {
-                let (a, b) = (cuts[n0][ai], cuts[n1][bi]);
-                if let Some(c) = a.merge(&b, k) {
-                    if !merged.contains(&c) {
-                        merged.push(c);
-                    }
-                }
-            }
-        }
-        kept.clear();
-        merged.sort_by_key(Cut::len);
-        for c in &merged {
-            if !kept.iter().any(|k2| k2.dominates(c)) {
-                kept.push(*c);
-            }
-        }
-        let widest = kept.last().copied();
-        kept.truncate(max_cuts.saturating_sub(1).max(1));
-        if let Some(w) = widest {
-            if !kept.contains(&w) {
-                kept.push(w);
-            }
-        }
-        kept.push(Cut::unit(id.0));
-        cuts[id.0 as usize].extend_from_slice(&kept);
-    }
-    cuts
-}
-
-/// The seed implementation of node simulation, kept as the baseline: one
-/// heap allocation (or clone) and one complement temporary per fanin.
-fn naive_simulate(aig: &Aig) -> Vec<TruthTable> {
-    let n = aig.n_inputs();
-    let mut tts: Vec<TruthTable> = Vec::with_capacity(aig.n_nodes());
-    tts.push(TruthTable::zero(n));
-    for i in 0..n {
-        tts.push(TruthTable::var(i, n));
-    }
-    for id in (n as u32 + 1..aig.n_nodes() as u32).map(mvf_aig::NodeId) {
-        if !aig.is_and(id) {
-            tts.push(TruthTable::zero(n));
-            continue;
-        }
-        let (f0, f1) = aig.fanins(id);
-        let t0 = &tts[f0.node().0 as usize];
-        let t0 = if f0.is_complement() {
-            t0.not()
-        } else {
-            t0.clone()
-        };
-        let t1 = &tts[f1.node().0 as usize];
-        let t1 = if f1.is_complement() {
-            t1.not()
-        } else {
-            t1.clone()
-        };
-        tts.push(t0.and(&t1));
-    }
-    tts
-}
-
-/// A deterministic random AIG (LCG-driven) stressing multi-word tables.
-fn build_random_aig(n_inputs: usize, n_ands: usize, seed: u64) -> Aig {
-    let mut g = Aig::new(n_inputs);
-    let mut lits: Vec<Lit> = (0..n_inputs).map(|i| g.input(i)).collect();
-    let mut state = seed;
-    let mut step = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state
-    };
-    while g.n_ands() < n_ands {
-        let i = (step() >> 16) as usize % lits.len();
-        let j = (step() >> 16) as usize % lits.len();
-        let a = lits[i];
-        let b = lits[j].xor_sign(step() & 1 == 1);
-        let f = g.and(a, b);
-        lits.push(f);
-    }
-    g.add_output("f", *lits.last().expect("non-empty"));
-    g
-}
 
 /// Mean nanoseconds per call of `f`, measured over an adaptive batch.
 fn time_ns<F: FnMut()>(mut f: F) -> f64 {
@@ -168,34 +63,6 @@ fn ga_flow(threads: usize) -> (FlowResult, f64) {
 }
 
 fn main() {
-    // --- Simulation: arena vs naive on a 16-input AIG. ---------------
-    let g = build_random_aig(16, 600, 0xA16_0001);
-    let naive_ns = time_ns(|| {
-        black_box(naive_simulate(black_box(&g)));
-    });
-    let arena_ns = time_ns(|| {
-        black_box(black_box(&g).simulate_arena());
-    });
-    let sim_speedup = naive_ns / arena_ns;
-    // Correctness cross-check while we are here.
-    let arena = g.simulate_arena();
-    for (i, t) in naive_simulate(&g).iter().enumerate() {
-        assert_eq!(
-            &arena.to_table(i),
-            t,
-            "arena and naive sim disagree at node {i}"
-        );
-    }
-    println!(
-        "sim naive  : {:>12.0} ns / full 16-input simulation",
-        naive_ns
-    );
-    println!(
-        "sim arena  : {:>12.0} ns / full 16-input simulation",
-        arena_ns
-    );
-    println!("sim speedup: {sim_speedup:>12.2}x");
-
     // --- GA fitness evaluation: serial vs parallel threads. ----------
     let threads = mvf_ga::resolve_threads(0);
     let (serial_result, serial_ms) = ga_flow(1);
@@ -345,9 +212,9 @@ fn main() {
         black_box(identity_sweep(black_box(&target), sweep_shards));
     }) / sweep_candidates.len() as f64;
     let sweep_parallel_speedup = sweep_serial_ns / sweep_sharded_ns;
-    // Recorded in the JSON and asserted by CI; on a single-core runner
-    // the *speedup* may legitimately sit at or below 1.0, so correctness
-    // (bit-identical verdicts), not speed, is the CI contract.
+    // On a single-core runner the *speedup* may legitimately sit at or
+    // below 1.0, so correctness (bit-identical verdicts, asserted above),
+    // not speed, is the contract.
     let sweep_parallel_identical = serial_sweep == sharded_sweep;
     println!("sweep serial : {sweep_serial_ns:>12.0} ns / candidate (one incremental solver)");
     println!(
@@ -661,8 +528,8 @@ fn main() {
     // The screen-demo circuit again, but as plain standard cells run
     // through the XOR/XNOR + MUX key-gate inserter — the second
     // obfuscation family. The same any-IO sweep flows unchanged through
-    // the `ObfuscationSpace` seam; what CI pins is correctness, never
-    // wall-clock: serial, sharded and screen-off sweeps agree verdict-
+    // the `ObfuscationSpace` seam; what the bench asserts is correctness,
+    // never wall-clock: serial, sharded and screen-off sweeps agree verdict-
     // and witness-exactly, the identity sweep matches a brute-force
     // enumeration of the full key space, and every any-IO witness is
     // realized by some key value.
@@ -810,32 +677,6 @@ fn main() {
     );
     println!("lock speedup: {lock_speedup:>11.2}x (bit-identical verdicts + witnesses)");
 
-    // --- Cut enumeration: nested Vec<Vec<Cut>> vs flat CSR CutSet. -----
-    let cut_graph = build_random_aig(12, 600, 0xC5_0002);
-    let (k, max_cuts) = (4usize, 8usize); // the rewriting pass's budget
-    let mut cut_set = CutSet::new();
-    enumerate_cuts_into(&cut_graph, k, max_cuts, &mut cut_set);
-    let nested = nested_enumerate_cuts(&cut_graph, k, max_cuts);
-    assert_eq!(cut_set.n_nodes(), nested.len());
-    for (id, node_cuts) in nested.iter().enumerate() {
-        assert_eq!(
-            cut_set.cuts_of(id as u32),
-            node_cuts.as_slice(),
-            "CSR and nested cut lists disagree at node {id}"
-        );
-    }
-    let cuts_nested_ns = time_ns(|| {
-        black_box(nested_enumerate_cuts(black_box(&cut_graph), k, max_cuts));
-    });
-    let cuts_csr_ns = time_ns(|| {
-        enumerate_cuts_into(black_box(&cut_graph), k, max_cuts, &mut cut_set);
-        black_box(&cut_set);
-    });
-    let cuts_speedup = cuts_nested_ns / cuts_csr_ns;
-    println!("cuts nested: {cuts_nested_ns:>12.0} ns / enumeration (per-node Vecs, fresh)");
-    println!("cuts csr   : {cuts_csr_ns:>12.0} ns / enumeration (flat CutSet, reused)");
-    println!("cuts speedup: {cuts_speedup:>11.2}x");
-
     // --- Camo validation: per-config eval vs one word-parallel pass. ---
     let camo_funcs = sboxes[..4].to_vec();
     let merged = mvf_merge::build_merged(
@@ -960,69 +801,12 @@ fn main() {
     println!("camo speedup: {camo_speedup:>11.2}x");
     println!("camo map   : {camo_map_cold_ns:>12.0} ns cold, {camo_map_warm_ns:>12.0} ns warm");
 
-    // --- Truth-table kernels: 8-wide chunked vs scalar word loops. -----
-    // 14-variable tables (256 words per slot) — the regime the
-    // word-parallel validator reaches once config variables widen the
-    // space — ANDed down a dependency chain.
-    let tt_vars = 14usize;
-    let tt_slots = 64usize;
-    let words_per_slot = 1usize << (tt_vars - 6);
-    let mut kernel_arena = mvf_logic::TtArena::new(tt_vars, tt_slots);
-    kernel_arena.write_var(0, 0);
-    kernel_arena.write_var(1, tt_vars - 1);
-    // Scalar baseline: the same chain over plain per-word loops.
-    let mut scalar: Vec<Vec<u64>> = vec![vec![0u64; words_per_slot]; tt_slots];
-    scalar[0].copy_from_slice(kernel_arena.slot(0));
-    scalar[1].copy_from_slice(kernel_arena.slot(1));
-    let run_scalar = |slots: &mut Vec<Vec<u64>>| {
-        for i in 2..tt_slots {
-            let ma = if i % 3 == 0 { u64::MAX } else { 0 };
-            for k in 0..words_per_slot {
-                let x = (slots[i - 1][k] ^ ma) & slots[i - 2][k];
-                slots[i][k] = x;
-            }
-        }
-    };
-    let run_chunked = |arena: &mut mvf_logic::TtArena| {
-        for i in 2..tt_slots {
-            arena.and2(i, i - 1, i % 3 == 0, i - 2, false);
-        }
-    };
-    run_scalar(&mut scalar);
-    run_chunked(&mut kernel_arena);
-    for i in 0..tt_slots {
-        assert_eq!(
-            kernel_arena.slot(i),
-            scalar[i].as_slice(),
-            "chunked and scalar kernels disagree at slot {i}"
-        );
-    }
-    let tt_scalar_ns = time_ns(|| {
-        run_scalar(&mut scalar);
-        black_box(&scalar);
-    });
-    let tt_chunked_ns = time_ns(|| {
-        run_chunked(&mut kernel_arena);
-        black_box(&kernel_arena);
-    });
-    let tt_speedup = tt_scalar_ns / tt_chunked_ns;
-    println!("tt scalar  : {tt_scalar_ns:>12.0} ns / {tt_slots}-slot chain (per-word loop)");
-    println!("tt chunked : {tt_chunked_ns:>12.0} ns / {tt_slots}-slot chain (8-wide kernels)");
-    println!("tt speedup : {tt_speedup:>12.2}x ({tt_vars}-var tables, {words_per_slot} words)");
-
     // --- Machine-readable record. ------------------------------------
     let out_path = std::env::var("MVF_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_sim.json", env!("CARGO_MANIFEST_DIR")));
     let json = format!(
         concat!(
             "{{\n",
-            "  \"sim\": {{\n",
-            "    \"n_inputs\": 16,\n",
-            "    \"n_ands\": {},\n",
-            "    \"naive_ns\": {:.0},\n",
-            "    \"arena_ns\": {:.0},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }},\n",
             "  \"ga\": {{\n",
             "    \"workload\": \"PRESENT-2\",\n",
             "    \"population\": 8,\n",
@@ -1105,15 +889,6 @@ fn main() {
             "    \"speedup\": {:.2},\n",
             "    \"bit_identical\": {}\n",
             "  }},\n",
-            "  \"cuts_csr\": {{\n",
-            "    \"n_inputs\": 12,\n",
-            "    \"n_ands\": {},\n",
-            "    \"k\": {},\n",
-            "    \"max_cuts\": {},\n",
-            "    \"nested_ns\": {:.0},\n",
-            "    \"csr_ns\": {:.0},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }},\n",
             "  \"camo_fitness\": {{\n",
             "    \"workload\": \"PRESENT-4\",\n",
             "    \"configs\": {},\n",
@@ -1122,21 +897,9 @@ fn main() {
             "    \"speedup\": {:.2},\n",
             "    \"map_cold_ns\": {:.0},\n",
             "    \"map_warm_ns\": {:.0}\n",
-            "  }},\n",
-            "  \"tt_kernels\": {{\n",
-            "    \"n_vars\": {},\n",
-            "    \"slots\": {},\n",
-            "    \"words_per_slot\": {},\n",
-            "    \"scalar_ns\": {:.0},\n",
-            "    \"chunked_ns\": {:.0},\n",
-            "    \"speedup\": {:.2}\n",
             "  }}\n",
             "}}\n"
         ),
-        g.n_ands(),
-        naive_ns,
-        arena_ns,
-        sim_speedup,
         serial_ms,
         parallel_ms,
         threads,
@@ -1193,24 +956,12 @@ fn main() {
         lock_sharded_ns,
         lock_speedup,
         lock_identical,
-        cut_graph.n_ands(),
-        k,
-        max_cuts,
-        cuts_nested_ns,
-        cuts_csr_ns,
-        cuts_speedup,
         configs.len(),
         camo_percfg_ns,
         camo_multi_ns,
         camo_speedup,
         camo_map_cold_ns,
         camo_map_warm_ns,
-        tt_vars,
-        tt_slots,
-        words_per_slot,
-        tt_scalar_ns,
-        tt_chunked_ns,
-        tt_speedup,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
     println!("wrote {out_path}");

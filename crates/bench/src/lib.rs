@@ -1,15 +1,17 @@
-//! Shared helpers for the benchmark harness that regenerates the paper's
-//! tables and figures.
+//! Shared helpers for the drivers that regenerate the paper's Table I
+//! and Fig. 4 (`cargo run --release --example table1`, `--example fig4`),
+//! and the home of the `micro` bench (`cargo bench -p mvf-bench --bench
+//! micro`), which writes `BENCH_sim.json`.
 //!
-//! Budgets are environment-tunable so the default `cargo bench` finishes
-//! in minutes while `MVF_PAPER_SCALE=1` reproduces the paper's evaluation
-//! budget (9726 fitness evaluations per workload):
+//! Budgets are environment-tunable so the default runs finish in minutes
+//! while `MVF_PAPER_SCALE=1` approximates the paper's evaluation budget
+//! (9,748 fitness evaluations per workload against the paper's 9,726):
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
 //! | `MVF_GA_POP` | GA population (read by [`FlowConfig::apply_ga_budget_env`]) | 8 |
 //! | `MVF_GA_GENS` | GA generations (likewise) | 5 |
-//! | `MVF_PAPER_SCALE` | population 24 / generations ~415 as in the paper | off |
+//! | `MVF_PAPER_SCALE` | population 24 / generations 442 | off |
 //! | `MVF_THREADS` | fitness-evaluation worker threads (`parallel` feature; results are bit-identical to serial) | all cores |
 //! | `MVF_BENCH_OUT` | path of the `micro` bench's JSON report | `BENCH_sim.json` at the repo root |
 //!
@@ -69,8 +71,8 @@ pub fn table1_workloads() -> Vec<BenchWorkload> {
 pub fn bench_config() -> FlowConfig {
     let mut config = FlowConfig::default();
     if std::env::var_os("MVF_PAPER_SCALE").is_some() {
-        // The paper evaluates 9726 individuals; with elitism 2 this is
-        // population 24 + 442 generations of 22 children.
+        // The paper evaluates 9726 individuals; with elitism 2,
+        // population 24 + 442 generations of 22 children is 9748.
         config.ga.population = 24;
         config.ga.generations = 442;
     } else {

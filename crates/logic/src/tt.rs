@@ -1105,7 +1105,8 @@ mod tests {
 
     #[test]
     fn arena_ops_match_table_ops() {
-        for n in [0usize, 3, 6, 7, 9] {
+        // n = 9 is one 8-word chunk per slot; n = 14 is 256 words, 32 chunks.
+        for n in [0usize, 3, 6, 7, 9, 14] {
             let mut arena = TtArena::new(n, 4);
             arena.write_one(0);
             assert!(arena.to_table(0).is_one(), "one n={n}");

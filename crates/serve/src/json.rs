@@ -135,12 +135,6 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// A number value (must be finite).
-    pub fn num(n: f64) -> Value {
-        assert!(n.is_finite(), "JSON numbers must be finite");
-        Value::Num(n)
-    }
-
     /// A `u64` carried losslessly (decimal string — see [`Value::as_u64`]).
     pub fn u64(n: u64) -> Value {
         Value::Str(n.to_string())

@@ -1,13 +1,16 @@
-//! Ablations for the design choices called out in DESIGN.md:
+//! Ablations of the flow's design choices, printed as small tables:
 //!
 //! * camouflage-mapper subtree depth bound (the paper's "depth < 3");
 //! * allowing standard cells for select-independent cones;
 //! * search strategies: full GA vs mutation-only vs crossover-only vs
 //!   random search vs hill climbing, at one evaluation budget.
 //!
-//! Results are printed as small tables before the timing section.
+//! ```sh
+//! cargo run --release --example ablation
+//! ```
+//!
+//! Every number is deterministic, and none depends on the thread count.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mvf::{EvalContext, FlowConfig, PinObjective};
 use mvf_aig::Script;
 use mvf_cells::{CamoLibrary, Library};
@@ -167,34 +170,8 @@ fn ga_operator_ablation() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     depth_ablation();
     standard_cells_ablation();
     ga_operator_ablation();
-
-    // Time the camouflage mapper itself at the default depth.
-    let functions = mvf_sboxes::optimal_sboxes()[..4].to_vec();
-    let merged = build_merged(&functions, &PinAssignment::identity(&functions)).unwrap();
-    let synthesized = Script::fast().run(&merged.aig);
-    let lib = Library::standard();
-    let camo = CamoLibrary::from_library(&lib);
-    let subject = subject_graph::from_aig(&synthesized, &lib);
-    let mut group = c.benchmark_group("ablation");
-    group.sample_size(10);
-    group.bench_function("camo_map_present4", |b| {
-        b.iter(|| {
-            map_camouflage(
-                &subject,
-                &lib,
-                &camo,
-                &merged.select_indices,
-                &CamoMapOptions::default(),
-            )
-            .expect("mappable")
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,5 +1,6 @@
-//! Regenerates the paper's **Table I** as a standalone binary (the
-//! Criterion bench `table1` does the same inside `cargo bench`).
+//! Regenerates the paper's **Table I**: the random-assignment
+//! average/best, GA, GA+TM, and the improvement of GA+TM over the best
+//! random assignment.
 //!
 //! The GA arm runs all seven workloads as one [`mvf::Flow::run_many`]
 //! batch; the random arm reuses the same flow per workload.
@@ -10,7 +11,8 @@
 //! ```
 //!
 //! Budget knobs: `MVF_GA_POP`, `MVF_GA_GENS`, `MVF_PAPER_SCALE=1`
-//! (population 24, generations 442 ⇒ 9750 evaluations ≈ the paper's 9726).
+//! (population 24, generations 442 ⇒ 24 + 442·22 = 9,748 evaluations ≈ the
+//! paper's 9,726).
 
 use mvf::{SearchStrategy, Table1, Table1Row, Workload};
 use mvf_bench::{bench_flow, table1_workloads};
@@ -20,9 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget = flow.strategy().evaluation_budget();
     eprintln!("budget: {budget} evaluations per arm (GA and random)");
 
-    // Seeds derive from the GA seed and batch index — the same derivation
-    // the Criterion `table1` bench uses, so both entry points print the
-    // same table for a given budget.
+    // Seeds derive from the GA seed and batch index, so a given budget
+    // always prints the same table.
     let bench_workloads = table1_workloads();
     let workloads: Vec<Workload> = bench_workloads.iter().map(|w| w.to_workload()).collect();
 

@@ -937,6 +937,11 @@ fn any_io_screening_never_changes_a_verdict_or_witness() {
         );
         assert_eq!(von.orbit, voff.orbit, "candidate {j}: orbit size");
     }
+    // Past the cap the projection still settles orbit points SAT-free,
+    // each one a query the SAT-only sweep pays.
+    let queries = |vs: &[AnyIoVerdict]| -> usize { vs.iter().map(|v| v.queries).sum() };
+    assert!(on.iter().any(|v| v.screened > 0), "the projection fires");
+    assert!(queries(&on) < queries(&off), "the projection saves queries");
     // Screened counts are computed serially up front, so they are
     // deterministic for every shard count (queries may differ — the
     // plausible early exit is cooperative).
@@ -1007,11 +1012,13 @@ fn complete_screen_matches_brute_force_with_zero_sat_queries() {
             "candidate {j}: witness (screen off)"
         );
         // A complete screen is exact: it settles every orbit
-        // representative — confirmations and refutations — SAT-free.
+        // representative — confirmations and refutations — SAT-free,
+        // where the SAT-only sweep pays queries.
         assert_eq!(
             von.queries, 0,
             "candidate {j}: complete screen needs no SAT"
         );
+        assert!(voff.queries > 0, "candidate {j}: the screen saves queries");
         if von.plausible {
             assert!(
                 von.screened >= 1,
